@@ -194,13 +194,16 @@ def cmd_notify(args) -> int:
         if args.mode == "optional"
         else DeploymentMode.CERTIFICATE_REQUIRED
     )
-    verdict = verify_notification(
-        notifications[0], log, directory, mode=mode, time_tolerance_s=args.tolerance
-    )
-    print(verdict.status.value)
-    if verdict.matched_entry is not None:
-        print(contactlog.entry_to_line(verdict.matched_entry))
-    return EXIT_OK if verdict.accepted else EXIT_REJECTED
+    all_accepted = True
+    for notification in notifications:
+        verdict = verify_notification(
+            notification, log, directory, mode=mode, time_tolerance_s=args.tolerance
+        )
+        print(verdict.status.value)
+        if verdict.matched_entry is not None:
+            print(contactlog.entry_to_line(verdict.matched_entry))
+        all_accepted = all_accepted and verdict.accepted
+    return EXIT_OK if all_accepted else EXIT_REJECTED
 
 
 def cmd_registry(args) -> int:

@@ -1,14 +1,14 @@
 """Contact identification.
 
 Beacon exchange of information records, log-distance RSSI <-> distance
-conversion, session accumulation per peer PID, and the versioned
-significant-contact decision rule.
+conversion, per-peer contact sessions folded into a running dwell summary
+as beacons arrive, and the versioned significant-contact decision rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import wire
 from .identity import Pad, Pid
@@ -85,15 +85,26 @@ class ChannelModel:
             raise ValueError("shadowing sigma must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class ContactSession:
-    """An open run of beacons with one peer; records are fixed at first beacon."""
+    """An open run of beacons with one peer, summarised as samples arrive.
+
+    Records are fixed at the first beacon.  Each sample is judged against the
+    receiver's policy and channel on arrival and folded into the dwell fields,
+    so the session stays the same size however long the contact lasts.
+    """
 
     own_record: InformationRecord
     peer_record: InformationRecord
+    policy: SignificancePolicy
+    # only the latest sample: the next dwell increment is measured from it
     samples: list[RssiSample]
     started: float
     last_seen: float
+    last_within: bool  # the latest sample is within the policy distance
+    any_within: bool  # some sample was within the policy distance
+    run_s: float = 0.0  # contiguous in-threshold dwell ending at the latest sample
+    best_s: float = 0.0  # longest contiguous in-threshold dwell so far
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,16 @@ class SignificanceVerdict:
     dwell_s: float
 
 
-SessionTable = dict[str, ContactSession]
+class SessionTable(dict):
+    """One receiver's open sessions, keyed by peer PID value.
+
+    earliest_seen is a lower bound on every session's last_seen: opening a
+    session lowers it, and a later sample or a removed session can only raise
+    the true minimum, so the bound stays valid without being touched.
+    Sessions must be opened by ingest_beacon for the bound to hold.
+    """
+
+    earliest_seen: float = math.inf
 
 
 def rssi_to_distance(rssi_dbm: float, model: ChannelModel) -> float:
@@ -133,13 +153,17 @@ def ingest_beacon(
     own: InformationRecord,
     peer: InformationRecord,
     sample: RssiSample,
+    policy: SignificancePolicy,
+    model: ChannelModel,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> ContactSession | None:
     """Feed one received beacon into the session table.
 
-    Appends to the open session for the peer PID, or closes it (returning it
-    for classification) and opens a fresh one when the gap since the last
-    sample exceeds gap_timeout_s.
+    Folds the sample into the open session for the peer PID, or closes it
+    (returning it for classification) and opens a fresh one when the gap
+    since the last sample exceeds gap_timeout_s.  Dwell between consecutive
+    samples counts only when both per-sample distance estimates are within
+    the receiver's policy threshold.
     """
     key = peer.pid.value
     open_session = session_table.get(key)
@@ -152,44 +176,39 @@ def ingest_beacon(
         if sample.at - open_session.last_seen > gap_timeout_s:
             closed = session_table.pop(key)
             open_session = None
+    within = rssi_to_distance(sample.rssi_dbm, model) <= policy.max_distance_m
     if open_session is None:
         session_table[key] = ContactSession(
             own_record=own,
             peer_record=peer,
+            policy=policy,
             samples=[sample],
             started=sample.at,
             last_seen=sample.at,
+            last_within=within,
+            any_within=within,
         )
+        if sample.at < session_table.earliest_seen:
+            session_table.earliest_seen = sample.at
     else:
-        open_session.samples.append(sample)
+        if within and open_session.last_within:
+            open_session.run_s += sample.at - open_session.last_seen
+            if open_session.run_s > open_session.best_s:
+                open_session.best_s = open_session.run_s
+        else:
+            open_session.run_s = 0.0
+        open_session.any_within = open_session.any_within or within
+        open_session.last_within = within
+        open_session.samples[0] = sample
         open_session.last_seen = sample.at
     return closed
 
 
-def classify_contact(
-    session: ContactSession,
-    policy: SignificancePolicy,
-    model: ChannelModel,
-) -> SignificanceVerdict:
-    """Decide significance from the longest contiguous in-threshold dwell.
-
-    Dwell between consecutive samples counts only when both per-sample
-    distance estimates are within the policy's distance threshold.
-    """
-    within = [
-        rssi_to_distance(s.rssi_dbm, model) <= policy.max_distance_m
-        for s in session.samples
-    ]
-    best = 0.0
-    run = 0.0
-    for i in range(1, len(session.samples)):
-        if within[i - 1] and within[i]:
-            run += session.samples[i].at - session.samples[i - 1].at
-            best = max(best, run)
-        else:
-            run = 0.0
-    significant = any(within) and best >= policy.min_duration_s
-    return SignificanceVerdict(significant=significant, dwell_s=best)
+def classify_contact(session: ContactSession) -> SignificanceVerdict:
+    """Decide significance from the longest contiguous in-threshold dwell,
+    under the policy the session's samples were judged by."""
+    significant = session.any_within and session.best_s >= session.policy.min_duration_s
+    return SignificanceVerdict(significant=significant, dwell_s=session.best_s)
 
 
 def close_expired_sessions(
@@ -197,11 +216,18 @@ def close_expired_sessions(
     now: float,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> list[ContactSession]:
-    """Remove and return every session idle for longer than gap_timeout_s."""
+    """Remove and return, in key order, every session idle for longer than
+    gap_timeout_s.  The table is scanned only once now passes its bound."""
+    if session_table.earliest_seen + gap_timeout_s >= now:
+        return []
     stale_keys = sorted(
         k for k, s in session_table.items() if s.last_seen + gap_timeout_s < now
     )
-    return [session_table.pop(k) for k in stale_keys]
+    closed = [session_table.pop(k) for k in stale_keys]
+    session_table.earliest_seen = min(
+        (s.last_seen for s in session_table.values()), default=math.inf
+    )
+    return closed
 
 
 def policy_to_line(policy: SignificancePolicy) -> str:

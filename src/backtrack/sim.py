@@ -271,7 +271,7 @@ class Agent:
     waypoint: tuple[float, float] | None = None
     speed: float = 0.0
     pause_until: float = 0.0
-    sessions: SessionTable = field(default_factory=dict)
+    sessions: SessionTable = field(default_factory=SessionTable)
     log: ContactLog = field(default_factory=ContactLog)
     verdicts: list = field(default_factory=list)
 
@@ -365,7 +365,7 @@ class World:
         )
 
     def _classify_and_log(self, agent: Agent, session: ContactSession) -> None:
-        verdict = classify_contact(session, agent.policy, self.scenario.channel)
+        verdict = classify_contact(session)
         if not verdict.significant:
             return  # non-significant data are discarded
         entry = LogEntry(
@@ -450,6 +450,8 @@ class World:
                             own=records[receiver.agent_id],
                             peer=records[sender.agent_id],
                             sample=sample,
+                            policy=receiver.policy,
+                            model=s.channel,
                             gap_timeout_s=s.gap_timeout_s,
                         )
                         if closed is not None:

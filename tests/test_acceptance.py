@@ -5,6 +5,7 @@ Each test exercises one release gate and prints a single PASS line so the
 small worlds chosen so every run finishes in seconds.
 """
 
+import functools
 import random
 import subprocess
 import sys
@@ -57,6 +58,12 @@ def dense_world(seed, **overrides):
     return Scenario(**base)
 
 
+@functools.cache
+def run_dense_world(seed):
+    """One run per criterion-2 seed, shared with the digests in test_golden."""
+    return run_scenario(dense_world(seed))
+
+
 def test_criterion_01_policy_interop_asymmetry():
     # two agents at a constant 2.25 m: inside the lenient 3.0 m threshold,
     # outside the strict 1.5 m one, so only one side records the contact
@@ -91,7 +98,7 @@ def test_criterion_02_noiseless_end_to_end_soundness():
     # so every true exposure must be notified and nothing else accepted
     total = 0
     for seed in range(5):
-        metrics, _ = run_scenario(dense_world(seed))
+        metrics, _ = run_dense_world(seed)
         assert metrics.missed == 0, f"seed {seed}: missed {metrics.missed}"
         assert metrics.notified_false == 0, f"seed {seed}"
         total += metrics.true_exposures
@@ -239,24 +246,26 @@ def test_criterion_08_retention_prune():
     print("criterion 8 PASS: prune removes exactly the stale set, idempotent")
 
 
+CRITERION_09_SCENARIO = (
+    "n_agents = 30\n"
+    "duration_s = 1800\n"
+    "world_width_m = 12\n"
+    "world_height_m = 12\n"
+    "initial_infectious = 4\n"
+    "pause_min_s = 400\n"
+    "pause_max_s = 900\n"
+    "speed_min_mps = 0.3\n"
+    "speed_max_mps = 1.0\n"
+    "transmission_prob = 0.2\n"
+    "forge_fake_claims = 5\n"
+    "forge_pid_swap = 5\n"
+    "rng_seed = 17\n"
+)
+
+
 def test_criterion_09_cross_process_determinism(tmp_path):
-    scenario_text = (
-        "n_agents = 30\n"
-        "duration_s = 1800\n"
-        "world_width_m = 12\n"
-        "world_height_m = 12\n"
-        "initial_infectious = 4\n"
-        "pause_min_s = 400\n"
-        "pause_max_s = 900\n"
-        "speed_min_mps = 0.3\n"
-        "speed_max_mps = 1.0\n"
-        "transmission_prob = 0.2\n"
-        "forge_fake_claims = 5\n"
-        "forge_pid_swap = 5\n"
-        "rng_seed = 17\n"
-    )
     scenario_path = tmp_path / "scenario.txt"
-    scenario_path.write_text(scenario_text)
+    scenario_path.write_text(CRITERION_09_SCENARIO)
     outputs = []
     for run_id in (1, 2):
         trace_path = tmp_path / f"trace{run_id}.txt"

@@ -165,6 +165,29 @@ class TestNotifyCommands:
         assert code == 1
         assert out.strip() == "REJECTED-NO-MATCHING-CONTACT"
 
+    def test_verify_checks_every_notification(self, run, tmp_path):
+        from dataclasses import replace
+
+        from backtrack import wire
+        from backtrack.notify import notification_to_lines, parse_notifications
+
+        cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path)
+        boxes = str(tmp_path / "boxes")
+        run("notify", "build", "--log", sender_log, "--own-pids", "sick",
+            "--cert", cert, "--mailbox-dir", boxes)
+        mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
+        (genuine,) = parse_notifications(mailbox.read_text())
+        forged = replace(genuine, sender_pid=Pid("mallory"))
+        mailbox.write_text(notification_to_lines(genuine) + notification_to_lines(forged))
+        code, out = run("notify", "verify", "--log", victim_log,
+                        "--directory", directory,
+                        "--notification", str(mailbox))
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert lines[0] == "ACCEPTED"
+        assert lines[1].startswith("entry|")
+        assert lines[2:] == ["REJECTED-NO-MATCHING-CONTACT"]
+
     def test_build_uncovered_pid_exits_2(self, run, tmp_path):
         _, _, sender_log, _ = self.setup_files(run, tmp_path)
         # certificate covers a different PID than the one the log was kept under

@@ -4,13 +4,14 @@ from hypothesis import given, strategies as st
 from backtrack.encounter import (
     ChannelModel,
     ClockRegression,
-    ContactSession,
     InformationRecord,
     NonPositiveDistance,
     POLICY_V1,
     POLICY_V2,
     RssiSample,
+    SessionTable,
     SignificancePolicy,
+    SignificanceVerdict,
     classify_contact,
     close_expired_sessions,
     distance_to_rssi,
@@ -28,18 +29,25 @@ def record(pid, t=0.0, loc="here"):
     return InformationRecord(pid=Pid(pid), pad=Pad(f"{pid}@box"), local_time=t, local_location=loc)
 
 
-def session_at_distance(distance_m, duration_s, interval_s=10.0, model=MODEL):
-    """Constant-distance session with noiseless samples every interval."""
-    rssi = distance_to_rssi(distance_m, model)
-    times = [i * interval_s for i in range(int(duration_s // interval_s) + 1)]
-    samples = [RssiSample(at=t, rssi_dbm=rssi) for t in times]
-    return ContactSession(
-        own_record=record("own1"),
-        peer_record=record("peer1"),
-        samples=samples,
-        started=times[0],
-        last_seen=times[-1],
+def ingest(table, sample, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
+    return ingest_beacon(
+        table, record("own1"), record(peer), sample, policy, MODEL, gap_timeout_s
     )
+
+
+def fed_session(samples, policy):
+    """The open session after feeding every sample, in order, to a new table."""
+    table = SessionTable()
+    for sample in samples:
+        assert ingest(table, sample, policy) is None
+    return table["peer1"]
+
+
+def session_at_distance(distance_m, duration_s, policy, interval_s=10.0):
+    """Constant-distance session with noiseless samples every interval."""
+    rssi = distance_to_rssi(distance_m, MODEL)
+    times = [i * interval_s for i in range(int(duration_s // interval_s) + 1)]
+    return fed_session([RssiSample(at=t, rssi_dbm=rssi) for t in times], policy)
 
 
 class TestPathLoss:
@@ -89,31 +97,35 @@ class TestPathLoss:
 
 class TestIngestBeacon:
     def test_first_beacon_opens_session(self):
-        table = {}
-        closed = ingest_beacon(table, record("own1"), record("peer1"), RssiSample(0.0, -60.0))
+        table = SessionTable()
+        closed = ingest(table, RssiSample(0.0, -60.0))
         assert closed is None
         assert len(table) == 1
         assert len(table["peer1"].samples) == 1
 
     def test_close_beacons_share_session(self):
-        table = {}
-        ingest_beacon(table, record("own1"), record("peer1"), RssiSample(0.0, -60.0))
-        closed = ingest_beacon(table, record("own1"), record("peer1"), RssiSample(5.0, -61.0))
+        table = SessionTable()
+        ingest(table, RssiSample(0.0, -60.0))
+        closed = ingest(table, RssiSample(5.0, -61.0))
         assert closed is None
-        assert len(table["peer1"].samples) == 2
+        assert len(table) == 1
+        session = table["peer1"]
+        assert (session.started, session.last_seen) == (0.0, 5.0)
+        # the session keeps only the latest sample, however many arrived
+        assert session.samples == [RssiSample(5.0, -61.0)]
 
     def test_gap_closes_and_reopens(self):
-        table = {}
-        ingest_beacon(table, record("own1"), record("peer1"), RssiSample(0.0, -60.0), gap_timeout_s=60)
-        closed = ingest_beacon(table, record("own1"), record("peer1"), RssiSample(120.0, -61.0), gap_timeout_s=60)
-        assert closed is not None and len(closed.samples) == 1
+        table = SessionTable()
+        ingest(table, RssiSample(0.0, -60.0), gap_timeout_s=60)
+        closed = ingest(table, RssiSample(120.0, -61.0), gap_timeout_s=60)
+        assert closed is not None and (closed.started, closed.last_seen) == (0.0, 0.0)
         assert table["peer1"].started == 120.0
 
     def test_clock_regression_rejected(self):
-        table = {}
-        ingest_beacon(table, record("own1"), record("peer1"), RssiSample(50.0, -60.0))
+        table = SessionTable()
+        ingest(table, RssiSample(50.0, -60.0))
         with pytest.raises(ClockRegression):
-            ingest_beacon(table, record("own1"), record("peer1"), RssiSample(40.0, -60.0))
+            ingest(table, RssiSample(40.0, -60.0))
 
     def test_brute_force_segmentation(self):
         # oracle: split the sample trace wherever the inter-sample gap > timeout
@@ -129,29 +141,26 @@ class TestIngestBeacon:
                 current.append(t)
         expected_segments.append(current)
 
-        table = {}
+        table = SessionTable()
         got_segments = []
         for t in times:
-            closed = ingest_beacon(
-                table, record("own1"), record("peer1"),
-                RssiSample(float(t), -60.0), gap_timeout_s=timeout,
-            )
+            closed = ingest(table, RssiSample(float(t), -60.0), gap_timeout_s=timeout)
             if closed is not None:
-                got_segments.append([s.at for s in closed.samples])
-        got_segments.append([s.at for s in table["peer1"].samples])
-        assert got_segments == [[float(t) for t in seg] for seg in expected_segments]
+                got_segments.append((closed.started, closed.last_seen))
+        got_segments.append((table["peer1"].started, table["peer1"].last_seen))
+        assert got_segments == [(float(seg[0]), float(seg[-1])) for seg in expected_segments]
 
 
 class TestClassify:
     def test_interop_distance_significant_under_v1(self):
         # contact at 2.25 m: significant under the 3.0 m rule
-        session = session_at_distance(2.25, 900.0)
-        assert classify_contact(session, POLICY_V1, MODEL).significant
+        session = session_at_distance(2.25, 900.0, POLICY_V1)
+        assert classify_contact(session).significant
 
     def test_interop_distance_ignored_under_v2(self):
         # the same contact is ignored under the newer 1.5 m rule
-        session = session_at_distance(2.25, 900.0)
-        assert not classify_contact(session, POLICY_V2, MODEL).significant
+        session = session_at_distance(2.25, 900.0, POLICY_V2)
+        assert not classify_contact(session).significant
 
     def test_alternating_distance_never_accumulates(self):
         near = distance_to_rssi(1.0, MODEL)
@@ -160,11 +169,7 @@ class TestClassify:
             RssiSample(at=30.0 * i, rssi_dbm=near if i % 2 == 0 else far)
             for i in range(40)
         ]
-        session = ContactSession(
-            own_record=record("own1"), peer_record=record("peer1"),
-            samples=samples, started=0.0, last_seen=samples[-1].at,
-        )
-        verdict = classify_contact(session, SignificancePolicy(1, 3.0, 600.0), MODEL)
+        verdict = classify_contact(fed_session(samples, SignificancePolicy(1, 3.0, 600.0)))
         assert not verdict.significant
         assert verdict.dwell_s == 0.0
 
@@ -174,21 +179,17 @@ class TestClassify:
         far = distance_to_rssi(10.0, MODEL)
         pattern = [near, near, near, far, near, near, near, near, near, far, near]
         samples = [RssiSample(at=10.0 * i, rssi_dbm=r) for i, r in enumerate(pattern)]
-        session = ContactSession(
-            own_record=record("own1"), peer_record=record("peer1"),
-            samples=samples, started=0.0, last_seen=samples[-1].at,
-        )
-        verdict = classify_contact(session, SignificancePolicy(1, 3.0, 30.0), MODEL)
+        verdict = classify_contact(fed_session(samples, SignificancePolicy(1, 3.0, 30.0)))
         # runs of in-threshold samples: 3, 5, 1 -> max contiguous dwell (5-1)*10
         assert verdict.dwell_s == 40.0
         assert verdict.significant
 
     def test_policy_monotonicity(self):
-        session = session_at_distance(2.25, 900.0)
+        # two receivers' tables fed the same samples under different policies
         loose = SignificancePolicy(1, 3.0, 600.0)
         tight = SignificancePolicy(2, 1.5, 600.0)
-        if classify_contact(session, tight, MODEL).significant:
-            assert classify_contact(session, loose, MODEL).significant
+        if classify_contact(session_at_distance(2.25, 900.0, tight)).significant:
+            assert classify_contact(session_at_distance(2.25, 900.0, loose)).significant
 
     @given(
         st.lists(st.floats(min_value=0.5, max_value=12.0), min_size=2, max_size=40),
@@ -200,34 +201,120 @@ class TestClassify:
             RssiSample(at=10.0 * i, rssi_dbm=distance_to_rssi(d, MODEL))
             for i, d in enumerate(distances)
         ]
-        session = ContactSession(
-            own_record=record("own1"), peer_record=record("peer1"),
-            samples=samples, started=0.0, last_seen=samples[-1].at,
-        )
         newer = SignificancePolicy(2, tight_max, 30.0)
         older = SignificancePolicy(1, tight_max * 2, 30.0)
-        if classify_contact(session, newer, MODEL).significant:
-            assert classify_contact(session, older, MODEL).significant
+        if classify_contact(fed_session(samples, newer)).significant:
+            assert classify_contact(fed_session(samples, older)).significant
 
 
 class TestCloseExpired:
     def test_empty_table(self):
-        assert close_expired_sessions({}, now=100.0) == []
+        assert close_expired_sessions(SessionTable(), now=100.0) == []
 
     def test_stale_session_returned_and_removed(self):
-        table = {}
-        ingest_beacon(table, record("own1"), record("peer1"), RssiSample(0.0, -60.0))
+        table = SessionTable()
+        ingest(table, RssiSample(0.0, -60.0))
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
         assert len(closed) == 1
         assert table == {}
 
     def test_only_stale_sessions_closed(self):
-        table = {}
-        ingest_beacon(table, record("own1"), record("stale"), RssiSample(0.0, -60.0))
-        ingest_beacon(table, record("own1"), record("fresh"), RssiSample(110.0, -60.0))
+        table = SessionTable()
+        ingest(table, RssiSample(0.0, -60.0), peer="stale")
+        ingest(table, RssiSample(110.0, -60.0), peer="fresh")
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
         assert [s.peer_record.pid.value for s in closed] == ["stale"]
         assert set(table) == {"fresh"}
+
+
+def batch_classify(samples, policy, model):
+    """Oracle: the classifier that stored every sample and rescanned them."""
+    within = [rssi_to_distance(s.rssi_dbm, model) <= policy.max_distance_m for s in samples]
+    best = 0.0
+    run = 0.0
+    for i in range(1, len(samples)):
+        if within[i - 1] and within[i]:
+            run += samples[i].at - samples[i - 1].at
+            best = max(best, run)
+        else:
+            run = 0.0
+    return SignificanceVerdict(any(within) and best >= policy.min_duration_s, best)
+
+
+def split_at_gaps(samples, gap_timeout_s):
+    segments = [[samples[0]]]
+    for sample in samples[1:]:
+        if sample.at - segments[-1][-1].at > gap_timeout_s:
+            segments.append([sample])
+        else:
+            segments[-1].append(sample)
+    return segments
+
+
+policies = st.builds(
+    SignificancePolicy,
+    version=st.integers(1, 3),
+    max_distance_m=st.floats(0.1, 20.0),
+    min_duration_s=st.floats(0.0, 300.0),
+)
+channels = st.builds(
+    ChannelModel,
+    ref_power_dbm=st.floats(-80.0, -40.0),
+    path_loss_exponent=st.floats(1.0, 6.0),
+)
+gaps = st.floats(0.0, 100.0)
+rssis = st.floats(-120.0, 0.0)
+
+
+class TestStreamingEquivalence:
+    @given(
+        st.floats(0.0, 1e6), st.lists(st.tuples(gaps, rssis), min_size=1, max_size=60),
+        policies, channels, st.floats(1.0, 90.0),
+    )
+    def test_fold_matches_batch_classifier(self, start, steps, policy, model, gap_timeout_s):
+        samples = []
+        at = start
+        for gap, rssi in steps:
+            at += gap
+            samples.append(RssiSample(at=at, rssi_dbm=rssi))
+        table = SessionTable()
+        sessions = []
+        for sample in samples:
+            closed = ingest_beacon(
+                table, record("own1"), record("peer1"), sample, policy, model, gap_timeout_s
+            )
+            if closed is not None:
+                sessions.append(closed)
+        sessions.append(table.pop("peer1"))  # drained, as diagnosis and finalize do
+        expected = [batch_classify(seg, policy, model) for seg in split_at_gaps(samples, gap_timeout_s)]
+        assert [classify_contact(s) for s in sessions] == expected
+
+    @given(
+        st.lists(
+            st.tuples(
+                gaps,
+                st.sampled_from(["beacon", "expire", "flush"]),
+                st.sampled_from(["p0", "p1", "p2", "p3", "p4"]),
+            ),
+            max_size=80,
+        ),
+        st.floats(1.0, 90.0),
+    )
+    def test_bounded_expiry_matches_full_scan(self, events, gap_timeout_s):
+        table = SessionTable()
+        now = 0.0
+        for dt, kind, peer in events:
+            now += dt
+            if kind == "beacon":
+                ingest(table, RssiSample(now, -60.0), peer=peer, gap_timeout_s=gap_timeout_s)
+            elif kind == "flush":
+                table.pop(peer, None)
+            else:
+                stale = sorted(k for k, s in table.items() if s.last_seen + gap_timeout_s < now)
+                remaining = set(table) - set(stale)
+                closed = close_expired_sessions(table, now, gap_timeout_s)
+                assert [s.peer_record.pid.value for s in closed] == stale
+                assert set(table) == remaining
 
 
 class TestPolicyLine:
