@@ -14,16 +14,12 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
-from .identity import Pid
+from .identity import InvalidWindow, Pid
 
 GENESIS_HASH = "0" * 64
 
 
 class OutOfOrderVisit(ValueError):
-    pass
-
-
-class InvalidWindow(ValueError):
     pass
 
 
@@ -156,7 +152,7 @@ def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog
             raise ValueError(f"malformed chain lines: {lines[i]!r} / {lines[i + 1]!r}")
         visit = ChainedVisit(
             seq=int(vparts[1]),
-            visited_at=wire.parse_num(vparts[2]),
+            visited_at=float(vparts[2]),
             pid=Pid(vparts[3]),
             prev_hash=prev_hash,
             entry_hash=hparts[1],

@@ -93,9 +93,6 @@ class LabDirectory:
     def lookup(self, lab_id: str) -> tuple[str, bytes] | None:
         return self._entries.get(lab_id)
 
-    def lab_ids(self) -> list[str]:
-        return sorted(self._entries)
-
     def to_lines(self) -> str:
         return "".join(
             f"lab|{lab_id}|{scheme}|{base64.b64encode(key).decode('ascii')}\n"
@@ -183,18 +180,11 @@ def _day_start(d: date) -> float:
     return datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp()
 
 
-def pids_covering_contact(
-    cert: CertificateOfInfection,
-    contact_time: float,
-    post_test_margin_days: int = 0,
-) -> tuple[Pid, ...]:
-    """The certificate's PIDs when the contact falls inside the infectious
-    window [infectious_from 00:00, test_date end-of-day + margin], else empty."""
-    window_start = _day_start(cert.infectious_from)
-    window_end = _day_start(cert.test_date + timedelta(days=1 + post_test_margin_days))
-    if window_start <= contact_time < window_end:
-        return cert.pids
-    return ()
+def covers_contact(cert: CertificateOfInfection, contact_time: float) -> bool:
+    """Whether the contact falls inside the infectious window
+    [infectious_from 00:00, end of test_date) in UTC."""
+    window_end = _day_start(cert.test_date + timedelta(days=1))
+    return _day_start(cert.infectious_from) <= contact_time < window_end
 
 
 def certificate_to_lines(cert: CertificateOfInfection) -> str:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import os
 import sys
 from datetime import date
 
@@ -90,9 +91,7 @@ def _load_log(path: str, retention_days: int = 21) -> contactlog.ContactLog:
 def _load_chain(args) -> bizlog.VisitorLog:
     try:
         return bizlog.parse_chain(
-            args.business_id if hasattr(args, "business_id") else "business",
-            _read_text(args.chain),
-            _read_text(args.head),
+            args.business_id, _read_text(args.chain), _read_text(args.head)
         )
     except ValueError as exc:
         raise InputError(f"bad chain files: {exc}") from exc
@@ -245,13 +244,13 @@ def cmd_registry(args) -> int:
 
 def cmd_bizlog(args) -> int:
     if args.bizlog_mode == "append":
-        try:
+        if os.path.exists(args.chain):
             log = _load_chain(args)
-        except InputError:
+        else:
             log = bizlog.VisitorLog(business_id=args.business_id)
         try:
             bizlog.append_visit(log, Pid(args.pid), args.at)
-        except (ValueError, bizlog.OutOfOrderVisit) as exc:
+        except ValueError as exc:
             raise InputError(str(exc)) from exc
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")
@@ -274,7 +273,7 @@ def cmd_bizlog(args) -> int:
             args.window_to,
             lambda pid: registry.is_notified_pid(repo, pid),
         )
-    except (ValueError, bizlog.InvalidWindow) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
     print(verdict.value)
     return EXIT_OK if verdict is bizlog.EvidenceVerdict.VISIT_AND_CERTIFIED else EXIT_REJECTED

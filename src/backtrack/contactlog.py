@@ -1,15 +1,13 @@
 """The per-device log of significant contacts.
 
 Monotone append, retention-bounded pruning, the cross-check lookup used to
-validate incoming notifications, and a bit-exact line serialization with a
-pluggable byte-transform (encryption hook, identity by default).
+validate incoming notifications, and a bit-exact line serialization.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
 
 from . import wire
 from .encounter import InformationRecord
@@ -17,12 +15,6 @@ from .identity import Pad, Pid
 
 DEFAULT_RETENTION_DAYS = 21  # epidemiologists' 2-3 weeks
 DEFAULT_TIME_TOLERANCE_S = 300.0
-
-ByteTransform = Callable[[bytes], bytes]
-
-
-def identity_transform(data: bytes) -> bytes:
-    return data
 
 
 class OutOfOrderEntry(ValueError):
@@ -113,7 +105,7 @@ def _parse_record(parts: list[str]) -> InformationRecord:
     return InformationRecord(
         pid=Pid(parts[0]),
         pad=Pad(parts[1]),
-        local_time=wire.parse_num(parts[2]),
+        local_time=float(parts[2]),
         local_location=wire.unquote(parts[3]),
     )
 
@@ -134,8 +126,8 @@ def parse_entry_line(line: str) -> LogEntry:
     return LogEntry(
         own_record=_parse_record(parts[5:9]),
         peer_record=_parse_record(parts[10:14]),
-        recorded_at=wire.parse_num(parts[1]),
-        dwell_s=wire.parse_num(parts[2]),
+        recorded_at=float(parts[1]),
+        dwell_s=float(parts[2]),
         policy_version=int(parts[3]),
     )
 
@@ -149,20 +141,12 @@ def parse_log(text: str, retention_days: int = DEFAULT_RETENTION_DAYS) -> Contac
     return ContactLog(entries=entries, retention_days=retention_days)
 
 
-def save_log(
-    log: ContactLog,
-    path: str,
-    encode: ByteTransform = identity_transform,
-) -> None:
-    with open(path, "wb") as f:
-        f.write(encode(serialize_log(log).encode("utf-8")))
+def save_log(log: ContactLog, path: str) -> None:
+    """Replace the file at path with the log; a crash leaves the old file whole."""
+    wire.write_atomic(path, serialize_log(log))
 
 
-def load_log(
-    path: str,
-    retention_days: int = DEFAULT_RETENTION_DAYS,
-    decode: ByteTransform = identity_transform,
-) -> ContactLog:
+def load_log(path: str, retention_days: int = DEFAULT_RETENTION_DAYS) -> ContactLog:
     with open(path, "rb") as f:
-        text = decode(f.read()).decode("utf-8")
+        text = f.read().decode("utf-8")
     return parse_log(text, retention_days=retention_days)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import wire
 from .identity import Pad, Pid
 
 
@@ -65,7 +64,6 @@ class SignificancePolicy:
 POLICY_V1 = SignificancePolicy(version=1, max_distance_m=3.0, min_duration_s=600.0)
 POLICY_V2 = SignificancePolicy(version=2, max_distance_m=1.5, min_duration_s=600.0)
 
-DEFAULT_BEACON_INTERVAL_S = 10.0
 DEFAULT_GAP_TIMEOUT_S = 60.0
 
 
@@ -228,21 +226,3 @@ def close_expired_sessions(
         (s.last_seen for s in session_table.values()), default=math.inf
     )
     return closed
-
-
-def policy_to_line(policy: SignificancePolicy) -> str:
-    return (
-        f"policy|{policy.version}|{wire.fmt_num(policy.max_distance_m)}"
-        f"|{wire.fmt_num(policy.min_duration_s)}"
-    )
-
-
-def parse_policy_line(line: str) -> SignificancePolicy:
-    parts = line.rstrip("\n").split("|")
-    if len(parts) != 4 or parts[0] != "policy":
-        raise ValueError(f"malformed policy line: {line!r}")
-    return SignificancePolicy(
-        version=int(parts[1]),
-        max_distance_m=wire.parse_num(parts[2]),
-        min_duration_s=wire.parse_num(parts[3]),
-    )

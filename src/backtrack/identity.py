@@ -76,25 +76,6 @@ class TrustedPidCommitment:
     pid: Pid
 
 
-@dataclass(frozen=True)
-class IdentityPeriod:
-    """The PIDs one user announced over a period, with activation times.
-
-    Each PID is active from its activation timestamp until the next PID's
-    activation; the last PID stays active for the rest of the period.
-    """
-
-    pids: tuple[tuple[float, Pid], ...]
-    pad: Pad
-
-    def __post_init__(self) -> None:
-        if not self.pids:
-            raise ValueError("identity period needs at least one PID")
-        times = [t for t, _ in self.pids]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("activation timestamps must be strictly increasing")
-
-
 def generate_random_pid(rng_seed: int | random.Random) -> Pid:
     """Draw a 32-hex-char PID; deterministic for a fixed seed."""
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
@@ -121,14 +102,19 @@ def prove_pid_ownership(personal_data: str, phrase: str, claimed: Pid) -> bool:
     return _commitment_digest(personal_data, phrase) == claimed.value
 
 
-def active_pids_in_window(period: IdentityPeriod, window_from: float, window_to: float) -> list[Pid]:
-    """Every PID whose activation interval intersects [window_from, window_to]."""
+def active_pids_in_window(
+    pids_used: list[tuple[float, Pid]], window_from: float, window_to: float
+) -> list[Pid]:
+    """Every PID whose activation interval intersects [window_from, window_to].
+
+    pids_used lists (activation time, PID) in activation order; each PID is
+    active until the next one's activation, the last one for good.
+    """
     if window_from > window_to:
         raise InvalidWindow(f"from {window_from} > to {window_to}")
     active: list[Pid] = []
-    entries = period.pids
-    for i, (start, pid) in enumerate(entries):
-        end = entries[i + 1][0] if i + 1 < len(entries) else None
+    for i, (start, pid) in enumerate(pids_used):
+        end = pids_used[i + 1][0] if i + 1 < len(pids_used) else None
         if start <= window_to and (end is None or end > window_from):
             active.append(pid)
     return active
@@ -137,11 +123,3 @@ def active_pids_in_window(period: IdentityPeriod, window_from: float, window_to:
 def commitment_to_line(c: TrustedPidCommitment) -> str:
     """Persisted commitment record; the secret phrase is never written."""
     return f"trusted-pid|{c.pid.value}|{wire.quote(c.personal_data)}|"
-
-
-def parse_commitment_line(line: str) -> tuple[Pid, str]:
-    """Parse a persisted commitment into (pid, personal_data)."""
-    parts = line.rstrip("\n").split("|")
-    if len(parts) != 4 or parts[0] != "trusted-pid" or parts[3] != "":
-        raise ValueError(f"malformed commitment line: {line!r}")
-    return Pid(parts[1]), wire.unquote(parts[2])

@@ -17,8 +17,8 @@ from .certificates import (
     LabDirectory,
     VerificationStatus,
     certificate_to_lines,
+    covers_contact,
     parse_certificate_lines,
-    pids_covering_contact,
     verify_certificate,
 )
 from .contactlog import (
@@ -27,7 +27,7 @@ from .contactlog import (
     LogEntry,
     find_matching_contact,
 )
-from .identity import MalformedPad, Pad, Pid
+from .identity import Pad, Pid
 
 
 class UncoveredPid(ValueError):
@@ -129,8 +129,8 @@ def verify_notification(
         return VerificationVerdict(VerdictStatus.REJECTED_UNKNOWN_LAB)
     if status is VerificationStatus.BAD_SIGNATURE:
         return VerificationVerdict(VerdictStatus.REJECTED_BAD_SIGNATURE)
-    covering = pids_covering_contact(n.certificate, entry.own_record.local_time)
-    if n.sender_pid not in n.certificate.pids or n.sender_pid not in covering:
+    cert = n.certificate
+    if n.sender_pid not in cert.pids or not covers_contact(cert, entry.own_record.local_time):
         return VerificationVerdict(VerdictStatus.REJECTED_PID_NOT_IN_CERTIFICATE)
     return VerificationVerdict(VerdictStatus.ACCEPTED, entry)
 
@@ -164,7 +164,7 @@ def parse_notifications(text: str) -> list[Notification]:
         out.append(
             Notification(
                 sender_pid=Pid(parts[2]),
-                echoed_time=wire.parse_num(parts[3]),
+                echoed_time=float(parts[3]),
                 echoed_location=wire.unquote(parts[4]),
                 certificate=cert,
             )
@@ -173,24 +173,22 @@ def parse_notifications(text: str) -> list[Notification]:
     return out
 
 
-def _as_pad(pad: Pad | str) -> Pad:
-    return pad if isinstance(pad, Pad) else Pad(pad)
-
-
 class MailboxStore:
-    """In-memory store-and-forward transport keyed by PAD."""
+    """In-memory store-and-forward transport keyed by PAD.
+
+    Messages are kept as delivered, so a caller may deliver a notification
+    inside a record of its own and poll the same records back.
+    """
 
     def __init__(self) -> None:
-        self._boxes: dict[str, list[Notification]] = {}
+        self._boxes: dict[str, list] = {}
         self._lock = threading.Lock()
 
-    def deliver(self, pad: Pad | str, n: Notification) -> None:
-        pad = _as_pad(pad)
+    def deliver(self, pad: Pad, message) -> None:
         with self._lock:
-            self._boxes.setdefault(pad.value, []).append(n)
+            self._boxes.setdefault(pad.value, []).append(message)
 
-    def poll(self, pad: Pad | str) -> list[Notification]:
-        pad = _as_pad(pad)
+    def poll(self, pad: Pad) -> list:
         with self._lock:
             return self._boxes.pop(pad.value, [])
 
@@ -210,14 +208,12 @@ class FileMailboxStore:
     def _path(self, pad: Pad) -> str:
         return os.path.join(self.root, wire.quote(pad.value))
 
-    def deliver(self, pad: Pad | str, n: Notification) -> None:
-        pad = _as_pad(pad)
+    def deliver(self, pad: Pad, n: Notification) -> None:
         with self._lock:
             with open(self._path(pad), "a", encoding="utf-8") as f:
                 f.write(notification_to_lines(n))
 
-    def poll(self, pad: Pad | str) -> list[Notification]:
-        pad = _as_pad(pad)
+    def poll(self, pad: Pad) -> list[Notification]:
         with self._lock:
             path = self._path(pad)
             if not os.path.exists(path):
@@ -235,12 +231,3 @@ class FileMailboxStore:
                     total += len(parse_notifications(f.read()))
             return total
 
-
-def deliver(store: MailboxStore | FileMailboxStore, pad: Pad | str, n: Notification) -> None:
-    """Append a notification to the mailbox for pad (created on first use)."""
-    store.deliver(pad, n)
-
-
-def poll_mailbox(store: MailboxStore | FileMailboxStore, pad: Pad | str) -> list[Notification]:
-    """Drain and return all pending notifications for pad."""
-    return store.poll(pad)

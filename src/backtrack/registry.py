@@ -8,6 +8,7 @@ line-oriented TCP protocol and persisted as an append-only file.
 from __future__ import annotations
 
 import enum
+import os
 import socket
 import socketserver
 import threading
@@ -76,26 +77,42 @@ def check_test_priority_claim(
     return ClaimVerdict.CONTACT_CONFIRMED
 
 
+def _entry_line(repo: NotifiedPidRepository, pid: str) -> str:
+    lab_id, test_date = repo.entries[pid]
+    return f"notified|{pid}|{lab_id}|{test_date.isoformat()}\n"
+
+
 def repository_to_lines(repo: NotifiedPidRepository) -> str:
-    return "".join(
-        f"notified|{pid}|{lab_id}|{test_date.isoformat()}\n"
-        for pid, (lab_id, test_date) in sorted(repo.entries.items())
-    )
+    return "".join(_entry_line(repo, pid) for pid in sorted(repo.entries))
 
 
 def parse_repository(text: str) -> NotifiedPidRepository:
+    """Parse a state file.  Without a trailing newline the last line may be a
+    record torn by a crash mid-append: it is skipped when malformed, while a
+    malformed line anywhere else raises ValueError."""
     repo = NotifiedPidRepository()
-    for line in text.splitlines():
-        if not line:
-            continue
-        parts = line.split("|")
-        if len(parts) != 4 or parts[0] != "notified":
-            raise ValueError(f"malformed repository line: {line!r}")
-        pid, lab_id, test_date = parts[1], parts[2], date.fromisoformat(parts[3])
-        existing = repo.entries.get(pid)
-        if existing is None or test_date < existing[1]:
-            repo.entries[pid] = (lab_id, test_date)
+    lines = text.splitlines()
+    tail = lines.pop() if lines and not text.endswith("\n") else None
+    for line in lines:
+        _add_line(repo, line)
+    if tail is not None:
+        try:
+            _add_line(repo, tail)
+        except ValueError:
+            pass
     return repo
+
+
+def _add_line(repo: NotifiedPidRepository, line: str) -> None:
+    if not line:
+        return
+    parts = line.split("|")
+    if len(parts) != 4 or parts[0] != "notified":
+        raise ValueError(f"malformed repository line: {line!r}")
+    pid, lab_id, test_date = parts[1], parts[2], date.fromisoformat(parts[3])
+    existing = repo.entries.get(pid)
+    if existing is None or test_date < existing[1]:
+        repo.entries[pid] = (lab_id, test_date)
 
 
 def load_repository(path: str) -> NotifiedPidRepository:
@@ -163,10 +180,7 @@ class RegistryService:
                 if self.persist_path:
                     with open(self.persist_path, "a", encoding="utf-8") as f:
                         for pid in cert.pids:
-                            lab_id, test_date = self.repo.entries[pid.value]
-                            f.write(
-                                f"notified|{pid.value}|{lab_id}|{test_date.isoformat()}\n"
-                            )
+                            f.write(_entry_line(self.repo, pid.value))
             return "OK"
         return "ERROR malformed request"
 
@@ -178,15 +192,19 @@ class _Handler(socketserver.StreamRequestHandler):
             line = self.rfile.readline()
             if not line:
                 return
-            first = line.decode("utf-8").rstrip("\n")
-            lines = [first]
-            if first == "INGEST":
+            raw = [line]
+            if line.rstrip(b"\n") == b"INGEST":
                 for _ in range(2):
                     extra = self.rfile.readline()
                     if not extra:
                         break
-                    lines.append(extra.decode("utf-8").rstrip("\n"))
-            response = service.handle_request(lines)
+                    raw.append(extra)
+            try:
+                lines = [r.decode("utf-8").rstrip("\n") for r in raw]
+            except UnicodeDecodeError:
+                response = "ERROR malformed request"
+            else:
+                response = service.handle_request(lines)
             self.wfile.write((response + "\n").encode("utf-8"))
 
 
@@ -205,9 +223,27 @@ def serve(
     directory: LabDirectory,
     persist_path: str | None = None,
 ) -> RegistryServer:
-    """Start a registry server (caller drives serve_forever / shutdown)."""
+    """Start a registry server (caller drives serve_forever / shutdown).
+
+    A state file whose last record a crash cut short is rewritten from what
+    loaded, so that the next append starts on a line of its own.
+    """
     repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
+    if persist_path and _ends_mid_record(persist_path):
+        wire.write_atomic(persist_path, repository_to_lines(repo))
     return RegistryServer((host, port), RegistryService(repo, directory, persist_path))
+
+
+def _ends_mid_record(path: str) -> bool:
+    try:
+        with open(path, "rb") as f:
+            size = f.seek(0, os.SEEK_END)
+            if size == 0:
+                return False
+            f.seek(size - 1)
+            return f.read(1) != b"\n"
+    except FileNotFoundError:
+        return False
 
 
 def _roundtrip(host: str, port: int, request_lines: list[str]) -> str:

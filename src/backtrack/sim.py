@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timezone
+from typing import NamedTuple
 
 from . import wire
 from .certificates import LabDirectory, LabIdentity, issue_certificate
@@ -30,7 +31,7 @@ from .encounter import (
     distance_to_rssi,
     ingest_beacon,
 )
-from .identity import Pad, Pid, generate_random_pid
+from .identity import Pad, Pid, active_pids_in_window, generate_random_pid
 from .notify import (
     DeploymentMode,
     MailboxStore,
@@ -276,6 +277,14 @@ class Agent:
     verdicts: list = field(default_factory=list)
 
 
+class _Delivery(NamedTuple):
+    """What the simulator posts to a mailbox: the notification and the agent
+    that sent it, or None for an injected forgery."""
+
+    notification: Notification
+    source_id: int | None
+
+
 @dataclass
 class _PairState:
     prev_in_radius: bool = False
@@ -336,9 +345,6 @@ class World:
         self._true_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
         self._built: list[tuple[Pad, Notification, int]] = []
-        # FIFO per mailbox, parallel to delivery order: source agent id for
-        # genuine notifications, None for injected forgeries
-        self._delivery_tags: dict[str, list[int | None]] = {}
         self._had_diagnosis = False
         self._forgeries_pending = (
             scenario.forge_fake_claims > 0
@@ -507,7 +513,8 @@ class World:
     def _diagnose(self, agent: Agent) -> None:
         for key in sorted(agent.sessions):
             self._classify_and_log(agent, agent.sessions.pop(key))
-        own_pids = [pid for _, pid in agent.pids_used]
+        # disclose only the PIDs used while infectious
+        own_pids = active_pids_in_window(agent.pids_used, agent.infected_at or 0.0, self.now)
         cert = None
         if self.scenario.mode is DeploymentMode.CERTIFICATE_REQUIRED:
             cert = issue_certificate(
@@ -520,24 +527,16 @@ class World:
         notifications = build_notifications(agent.log, own_pids, cert)
         for pad, n in notifications:
             self._built.append((pad, n, agent.agent_id))
-            self._deliver(pad, n, source_id=agent.agent_id)
+            self.mailboxes.deliver(pad, _Delivery(n, agent.agent_id))
         self.metrics.notifications_built += len(notifications)
         agent.health = Health.DIAGNOSED
         self.metrics.diagnoses += 1
         self._had_diagnosis = True
         self._emit(f"diagnose|{agent.agent_id}|notifications={len(notifications)}")
 
-    def _deliver(self, pad: Pad, n: Notification, source_id: int | None) -> None:
-        self.mailboxes.deliver(pad, n)
-        self._delivery_tags.setdefault(pad.value, []).append(source_id)
-
     def _poll_and_verify(self) -> None:
         for agent in self.agents:
-            messages = self.mailboxes.poll(agent.pad)
-            if not messages:
-                continue
-            tags = self._delivery_tags.pop(agent.pad.value, [])
-            for n, source_id in zip(messages, tags, strict=True):
+            for n, source_id in self.mailboxes.poll(agent.pad):
                 self._flush_session(agent, n.sender_pid)
                 verdict = verify_notification(
                     n,
@@ -615,7 +614,7 @@ class World:
                         echoed_location=f"loc-{victim.agent_id}-0",
                         certificate=fake_cert,
                     )
-            self._deliver(victim.pad, n, source_id=None)
+            self.mailboxes.deliver(victim.pad, _Delivery(n, None))
             injected += 1
             self._emit(f"forgery|{kind.value}|target={victim.agent_id}")
         self.metrics.forgeries_injected += injected

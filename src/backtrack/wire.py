@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
 import urllib.parse
 
 SEP = "|"
@@ -25,5 +27,16 @@ def fmt_num(x: float) -> str:
     return str(x)
 
 
-def parse_num(s: str) -> float:
-    return float(s)
+def write_atomic(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, flush it to disk and rename
+    it over path, so a crash leaves either the old file or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(text.encode("utf-8"))
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

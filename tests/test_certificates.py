@@ -13,9 +13,9 @@ from backtrack.certificates import (
     VerificationStatus,
     canonical_certificate_payload,
     certificate_to_lines,
+    covers_contact,
     issue_certificate,
     parse_certificate_text,
-    pids_covering_contact,
     verify_certificate,
 )
 from backtrack.identity import Pid
@@ -109,25 +109,21 @@ class TestCoveringWindow:
 
     def test_contact_inside_window(self, lab):
         cert = self.cert(lab)
-        assert pids_covering_contact(cert, ts(2020, 3, 28, 12)) == cert.pids
+        assert covers_contact(cert, ts(2020, 3, 28, 12))
 
     def test_contact_far_before(self, lab):
-        assert pids_covering_contact(self.cert(lab), ts(2020, 2, 23)) == ()
+        assert not covers_contact(self.cert(lab), ts(2020, 2, 23))
 
     def test_boundary_start_of_infectious_day(self, lab):
         # closed at the window start: 00:00 on infectious_from is covered
         cert = self.cert(lab)
-        assert pids_covering_contact(cert, ts(2020, 3, 25, 0)) == cert.pids
-        assert pids_covering_contact(cert, ts(2020, 3, 25, 0) - 1) == ()
+        assert covers_contact(cert, ts(2020, 3, 25, 0))
+        assert not covers_contact(cert, ts(2020, 3, 25, 0) - 1)
 
     def test_end_of_test_day_covered(self, lab):
         cert = self.cert(lab)
-        assert pids_covering_contact(cert, ts(2020, 4, 2, 0) - 1) == cert.pids
-        assert pids_covering_contact(cert, ts(2020, 4, 2, 0)) == ()
-
-    def test_post_test_margin(self, lab):
-        cert = self.cert(lab)
-        assert pids_covering_contact(cert, ts(2020, 4, 3, 12), post_test_margin_days=2) == cert.pids
+        assert covers_contact(cert, ts(2020, 4, 2, 0) - 1)
+        assert not covers_contact(cert, ts(2020, 4, 2, 0))
 
 
 class TestFileFormats:

@@ -308,6 +308,17 @@ class TestBizlogCommands:
                         "--business-id", "cafe")
         assert (code, out.strip()) == (1, "TAMPERED-AT 1")
 
+    def test_append_to_malformed_chain_exits_2(self, run, tmp_path):
+        for i in range(3):
+            chain, head, _ = self.append(run, tmp_path, f"visitor{i}", 100.0 * i)
+        with open(chain, "a") as f:
+            f.write("visit|garbage\n")
+        before = open(chain, "rb").read(), open(head, "rb").read()
+        code, out = run("bizlog", "append", "--chain", chain, "--head", head,
+                        "--business-id", "cafe", "--pid", "visitor9", "--at", "900")
+        assert (code, out) == (2, "")
+        assert (open(chain, "rb").read(), open(head, "rb").read()) == before
+
     def test_evidence(self, run, tmp_path):
         self.append(run, tmp_path, "visitor1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "visitor2", 200.0)

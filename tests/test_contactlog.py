@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from backtrack.contactlog import (
@@ -160,23 +162,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_entry_line("entry|nope")
 
-    def test_file_round_trip_with_transform(self, tmp_path):
-        # pluggable encryption layer: XOR stands in for a user cipher
-        key = 0x5A
-
-        def xor(data: bytes) -> bytes:
-            return bytes(b ^ key for b in data)
-
-        log = make_log(make_entry())
-        path = str(tmp_path / "log.enc")
-        save_log(log, path, encode=xor)
-        raw = open(path, "rb").read()
-        assert not raw.startswith(b"entry|")
-        loaded = load_log(path, decode=xor)
-        assert loaded.entries == log.entries
-
     def test_file_round_trip_identity_default(self, tmp_path):
         log = make_log(make_entry())
         path = str(tmp_path / "log.txt")
         save_log(log, path)
         assert load_log(path).entries == log.entries
+
+    def test_failed_save_leaves_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "log.txt")
+        save_log(make_log(make_entry()), path)
+        before = open(path, "rb").read()
+
+        def crash(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            save_log(make_log(), path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["log.txt"]

@@ -16,8 +16,6 @@ from backtrack.encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
-    parse_policy_line,
-    policy_to_line,
     rssi_to_distance,
 )
 from backtrack.identity import Pad, Pid
@@ -315,14 +313,3 @@ class TestStreamingEquivalence:
                 closed = close_expired_sessions(table, now, gap_timeout_s)
                 assert [s.peer_record.pid.value for s in closed] == stale
                 assert set(table) == remaining
-
-
-class TestPolicyLine:
-    def test_round_trip(self):
-        line = policy_to_line(POLICY_V2)
-        assert line == "policy|2|1.5|600"
-        assert parse_policy_line(line) == POLICY_V2
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_policy_line("policy|x")

@@ -4,10 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from backtrack import identity
+from backtrack import wire
 from backtrack.identity import (
     EmptyInput,
-    IdentityPeriod,
     InvalidWindow,
     MalformedPad,
     Pad,
@@ -16,7 +15,6 @@ from backtrack.identity import (
     commitment_to_line,
     generate_random_pid,
     generate_trusted_pid,
-    parse_commitment_line,
     prove_pid_ownership,
 )
 
@@ -135,30 +133,21 @@ class TestOwnership:
 
 class TestActivePids:
     def period(self):
-        return IdentityPeriod(
-            pids=((0.0, Pid("A")), (10 * 86400.0, Pid("B"))),
-            pad=Pad("me@box"),
-        )
+        return [(0.0, Pid("A")), (10 * 86400.0, Pid("B"))]
 
     def test_single_pid_whole_period(self):
-        p = IdentityPeriod(pids=((0.0, Pid("A")),), pad=Pad("me@box"))
-        assert active_pids_in_window(p, 0, 10**9) == [Pid("A")]
+        assert active_pids_in_window([(0.0, Pid("A"))], 0, 10**9) == [Pid("A")]
 
     def test_overlap_returns_both(self):
         p = self.period()
         assert active_pids_in_window(p, 5 * 86400.0, 15 * 86400.0) == [Pid("A"), Pid("B")]
 
     def test_window_before_first_activation(self):
-        p = IdentityPeriod(pids=((100.0, Pid("A")),), pad=Pad("me@box"))
-        assert active_pids_in_window(p, 0, 50) == []
+        assert active_pids_in_window([(100.0, Pid("A"))], 0, 50) == []
 
     def test_invalid_window(self):
         with pytest.raises(InvalidWindow):
             active_pids_in_window(self.period(), 10, 5)
-
-    def test_activation_order_enforced(self):
-        with pytest.raises(ValueError):
-            IdentityPeriod(pids=((5.0, Pid("A")), (5.0, Pid("B"))), pad=Pad("me@box"))
 
     def test_brute_force_intersection(self):
         # oracle: per-day membership against explicit activation intervals
@@ -178,12 +167,10 @@ class TestCommitmentFile:
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
         line = commitment_to_line(c)
         assert "tea" not in line
-        pid, personal = parse_commitment_line(line)
-        assert pid == c.pid
-        assert personal == "Ada Lovelace"
+        assert line == f"trusted-pid|{c.pid.value}|Ada%20Lovelace|"
 
     def test_personal_data_with_separator_chars(self):
         c = generate_trusted_pid("we|weird%name", "s3cret")
-        pid, personal = parse_commitment_line(commitment_to_line(c))
-        assert personal == "we|weird%name"
-        assert pid == c.pid
+        tag, pid, personal, phrase = commitment_to_line(c).split("|")
+        assert wire.unquote(personal) == "we|weird%name"
+        assert (tag, pid, phrase) == ("trusted-pid", c.pid.value, "")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from backtrack.certificates import issue_certificate
-from backtrack.identity import MalformedPad, Pad, Pid
+from backtrack.identity import Pad, Pid
 from backtrack.notify import (
     DeploymentMode,
     FileMailboxStore,
@@ -14,10 +14,8 @@ from backtrack.notify import (
     UncoveredPid,
     VerdictStatus,
     build_notifications,
-    deliver,
     notification_to_lines,
     parse_notifications,
-    poll_mailbox,
     verify_notification,
 )
 
@@ -80,27 +78,23 @@ class TestMailbox:
         return Notification(Pid("sender"), t, "loc")
 
     def test_deliver_then_poll(self, store):
-        deliver(store, "a@box", self.notification())
-        assert len(poll_mailbox(store, "a@box")) == 1
-        assert poll_mailbox(store, "a@box") == []
+        store.deliver(Pad("a@box"), self.notification())
+        assert len(store.poll(Pad("a@box"))) == 1
+        assert store.poll(Pad("a@box")) == []
 
     def test_order_preserved(self, store):
-        deliver(store, "a@box", self.notification(1.0))
-        deliver(store, "a@box", self.notification(2.0))
-        got = poll_mailbox(store, "a@box")
+        store.deliver(Pad("a@box"), self.notification(1.0))
+        store.deliver(Pad("a@box"), self.notification(2.0))
+        got = store.poll(Pad("a@box"))
         assert [n.echoed_time for n in got] == [1.0, 2.0]
 
     def test_poll_unknown_pad(self, store):
-        assert poll_mailbox(store, "nobody@box") == []
-
-    def test_malformed_pad(self, store):
-        with pytest.raises(MalformedPad):
-            deliver(store, "no-at-sign", self.notification())
+        assert store.poll(Pad("nobody@box")) == []
 
     def test_certificate_travels_with_notification(self, store, lab):
         cert = certified(lab, [Pid("sender")])
-        deliver(store, "a@box", Notification(Pid("sender"), 1.0, "loc", cert))
-        got = poll_mailbox(store, "a@box")
+        store.deliver(Pad("a@box"), Notification(Pid("sender"), 1.0, "loc", cert))
+        got = store.poll(Pad("a@box"))
         assert got[0].certificate == cert
 
 

@@ -1,4 +1,6 @@
+import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date
 
@@ -26,6 +28,17 @@ from backtrack.registry import (
 
 def cert_for(lab, pids, test_date=date(2020, 4, 1)):
     return issue_certificate(lab, pids, test_date, date(2020, 3, 25))
+
+
+@contextmanager
+def running(directory, state):
+    server = serve("127.0.0.1", 0, directory, state)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 class TestIngest:
@@ -110,6 +123,23 @@ class TestPersistence:
         )
         repo = parse_repository(text)
         assert repo.entries["P1"][1] == date(2020, 3, 30)
+
+    def test_torn_final_line_skipped(self):
+        repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|la")
+        assert repo.entries == {"a": ("lab", date(2020, 3, 1))}
+
+    def test_unterminated_whole_final_line_kept(self):
+        repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|lab|2020-03-02")
+        assert set(repo.entries) == {"a", "b"}
+
+    @pytest.mark.parametrize("text", [
+        "notified|a|lab|2020-03-01\nnotified|b|la\n",  # complete, so not torn
+        "notified|b|la\nnotified|a|lab|2020-03-01",  # not the final line
+        "notified|a|lab|2020-03-01\nnotified|b|lab|2020-13-01\n",
+    ])
+    def test_other_malformed_lines_raise(self, text):
+        with pytest.raises(ValueError):
+            parse_repository(text)
 
     def test_missing_file_is_empty_repo(self, tmp_path):
         repo = load_repository(str(tmp_path / "absent.txt"))
@@ -200,3 +230,22 @@ class TestServer:
         finally:
             server2.shutdown()
             server2.server_close()
+
+    def test_restart_after_torn_append(self, lab, directory, tmp_path):
+        state = tmp_path / "state.txt"
+        state.write_text("notified|P1|lab-A|2020-04-01\nnotified|P2|la")
+        with running(directory, str(state)) as (host, port):
+            assert client_query(host, port, Pid("P1")) == "YES"
+            assert client_ingest(host, port, cert_for(lab, [Pid("P3")])) == "OK"
+        with running(directory, str(state)) as (host, port):
+            assert client_query(host, port, Pid("P3")) == "YES"
+            assert client_query(host, port, Pid("P2")) == "NO"
+
+    def test_non_utf8_request_answered_and_connection_kept(self, lab, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(b"QUERY \xff\xfe\n")
+                assert replies.readline() == b"ERROR malformed request\n"
+                sock.sendall(b"QUERY P1\n")
+                assert replies.readline() == b"NO\n"

@@ -100,6 +100,26 @@ class TestStaticPairs:
         assert len(world.agents[0].pids_used) == 2
         assert metrics.missed == 0
         assert metrics.notified_true == 1
+        # infectious from the start, so both PIDs are certified
+        assert set(world.repo.entries) == {pid.value for _, pid in world.agents[0].pids_used}
+
+    def test_infected_after_rotation_discloses_only_later_pids(self):
+        # agent 1 logs agent 0 under its first PID (0-290 s), gets the new PID
+        # at 300 s and is infected at 600 s; its certificate and notifications
+        # must leave out the PID it used before it was infectious
+        scenario = static_pair(
+            1.0, duration_s=1500.0, diagnosis_delay_s=700.0, pid_rotation_at_s=300.0,
+            transmission_prob=1.0, policies={1: SignificancePolicy(1, 3.0, 120.0)},
+        )
+        world = World(scenario)
+        world.run()
+        (first0, second0), (first1, second1) = (
+            [pid.value for _, pid in a.pids_used] for a in world.agents
+        )
+        assert world.agents[1].infected_at == 600.0
+        assert set(world.repo.entries) == {first0, second0, second1}
+        assert [e.own_record.pid.value for e in world.agents[1].log.entries] == [first1, second1]
+        assert "trace|1300|diagnose|1|notifications=1" in world.trace
 
 
 class TestForgeries:
