@@ -81,7 +81,9 @@ def _load_lab_key(path: str) -> LabIdentity:
         raise InputError(f"bad lab key material: {exc}") from exc
 
 
-def _load_log(path: str, retention_days: int = 21) -> contactlog.ContactLog:
+def _load_log(
+    path: str, retention_days: int = contactlog.DEFAULT_RETENTION_DAYS
+) -> contactlog.ContactLog:
     try:
         return contactlog.parse_log(_read_text(path), retention_days=retention_days)
     except ValueError as exc:
@@ -128,12 +130,17 @@ def cmd_sim(args) -> int:
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
         lab = LabIdentity.generate(args.lab_id)
+        if os.path.exists(args.directory):
+            directory = _load_directory(args.directory)
+        else:
+            directory = LabDirectory()
+        try:
+            directory.add_lab(lab)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         seed = base64.b64encode(lab.private_bytes()).decode("ascii")
-        with open(args.key_out, "w", encoding="utf-8") as f:
-            f.write(f"labkey|{args.lab_id}|ed25519|{seed}\n")
-        with open(args.directory, "a", encoding="utf-8") as f:
-            pub = base64.b64encode(lab.public_bytes()).decode("ascii")
-            f.write(f"lab|{args.lab_id}|ed25519|{pub}\n")
+        wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|ed25519|{seed}\n")
+        wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK
     if args.cert_mode == "issue":
@@ -188,11 +195,7 @@ def cmd_notify(args) -> int:
         raise InputError(f"bad notification file: {exc}") from exc
     if not notifications:
         raise InputError("notification file is empty")
-    mode = (
-        DeploymentMode.CERTIFICATE_OPTIONAL
-        if args.mode == "optional"
-        else DeploymentMode.CERTIFICATE_REQUIRED
-    )
+    mode = DeploymentMode(args.mode)
     all_accepted = True
     for notification in notifications:
         verdict = verify_notification(
@@ -351,8 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_nverify.add_argument("--log", required=True)
     p_nverify.add_argument("--directory", required=True)
     p_nverify.add_argument("--notification", required=True)
-    p_nverify.add_argument("--mode", choices=["required", "optional"], default="required")
-    p_nverify.add_argument("--tolerance", type=float, default=300.0)
+    p_nverify.add_argument(
+        "--mode",
+        choices=[m.value for m in DeploymentMode],
+        default=DeploymentMode.CERTIFICATE_REQUIRED.value,
+    )
+    p_nverify.add_argument(
+        "--tolerance", type=float, default=contactlog.DEFAULT_TIME_TOLERANCE_S
+    )
     p_notify.set_defaults(func=cmd_notify)
 
     p_registry = sub.add_parser("registry", help="notified-PID repository service")
@@ -406,7 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("show", "prune", "stats"):
         p = log_sub.add_parser(name)
         p.add_argument("--log", required=True)
-        p.add_argument("--retention-days", type=int, default=21)
+        p.add_argument(
+            "--retention-days", type=int, default=contactlog.DEFAULT_RETENTION_DAYS
+        )
         if name == "prune":
             p.add_argument("--now", type=float, required=True)
     p_log.set_defaults(func=cmd_log)

@@ -51,14 +51,15 @@ class Pid:
 
 @dataclass(frozen=True, order=True)
 class Pad:
-    """Mailbox-style pseudo-address `local@domain`; routing is opaque."""
+    """Mailbox-style pseudo-address `local@domain`; routing is opaque.  It is
+    written raw into log lines, so it holds no `|` and no line break."""
 
     value: str
 
     def __post_init__(self) -> None:
         v = self.value
-        if "|" in v:
-            raise MalformedPad("PAD must not contain '|'")
+        if "|" in v or not v.isprintable():
+            raise MalformedPad(f"PAD must be printable and must not contain '|', got {v!r}")
         local, sep, domain = v.partition("@")
         if not sep or not local or not domain or "@" in domain:
             raise MalformedPad(f"PAD must be local@domain, got {v!r}")

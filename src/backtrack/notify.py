@@ -198,7 +198,11 @@ class MailboxStore:
 
 
 class FileMailboxStore:
-    """Directory-backed mailbox store: one file per percent-encoded PAD."""
+    """Directory-backed mailbox store: one file per percent-encoded PAD.
+
+    It only delivers, appending in the `parse_notifications` format; the
+    recipient reads its file.
+    """
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -212,22 +216,3 @@ class FileMailboxStore:
         with self._lock:
             with open(self._path(pad), "a", encoding="utf-8") as f:
                 f.write(notification_to_lines(n))
-
-    def poll(self, pad: Pad) -> list[Notification]:
-        with self._lock:
-            path = self._path(pad)
-            if not os.path.exists(path):
-                return []
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
-            os.remove(path)
-            return parse_notifications(text)
-
-    def pending_count(self) -> int:
-        with self._lock:
-            total = 0
-            for name in os.listdir(self.root):
-                with open(os.path.join(self.root, name), encoding="utf-8") as f:
-                    total += len(parse_notifications(f.read()))
-            return total
-

@@ -51,10 +51,15 @@ def ingest_certificate(
     if verify_certificate(cert, directory) is not VerificationStatus.VERIFIED:
         raise RejectedCertificate("certificate did not verify against the directory")
     for pid in cert.pids:
-        existing = repo.entries.get(pid.value)
-        if existing is None or cert.test_date < existing[1]:
-            repo.entries[pid.value] = (cert.lab_id, cert.test_date)
+        _record(repo, pid.value, cert.lab_id, cert.test_date)
     return repo
+
+
+def _record(repo: NotifiedPidRepository, pid: str, lab_id: str, test_date: date) -> None:
+    """Insert pid; the earliest test date wins."""
+    existing = repo.entries.get(pid)
+    if existing is None or test_date < existing[1]:
+        repo.entries[pid] = (lab_id, test_date)
 
 
 def is_notified_pid(repo: NotifiedPidRepository, pid: Pid) -> bool:
@@ -109,10 +114,7 @@ def _add_line(repo: NotifiedPidRepository, line: str) -> None:
     parts = line.split("|")
     if len(parts) != 4 or parts[0] != "notified":
         raise ValueError(f"malformed repository line: {line!r}")
-    pid, lab_id, test_date = parts[1], parts[2], date.fromisoformat(parts[3])
-    existing = repo.entries.get(pid)
-    if existing is None or test_date < existing[1]:
-        repo.entries[pid] = (lab_id, test_date)
+    _record(repo, parts[1], parts[2], date.fromisoformat(parts[3]))
 
 
 def load_repository(path: str) -> NotifiedPidRepository:

@@ -12,14 +12,16 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timezone
 from typing import NamedTuple
 
 from . import wire
 from .certificates import LabDirectory, LabIdentity, issue_certificate
-from .contactlog import ContactLog, LogEntry, append_entry
+from .contactlog import DEFAULT_TIME_TOLERANCE_S, ContactLog, LogEntry, append_entry
 from .encounter import (
+    DEFAULT_GAP_TIMEOUT_S,
+    POLICY_V1,
     ChannelModel,
     ContactSession,
     InformationRecord,
@@ -85,16 +87,15 @@ class Scenario:
     agent_policy: dict[int, int] = field(default_factory=dict)
     positions: dict[int, tuple[float, float]] = field(default_factory=dict)
     pid_rotation_at_s: float | None = None
-    retention_days: int = 21
-    gap_timeout_s: float = 60.0
-    time_tolerance_s: float = 300.0
+    gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S
+    time_tolerance_s: float = DEFAULT_TIME_TOLERANCE_S
     forge_fake_claims: int = 0
     forge_pid_swap: int = 0
     forge_bogus_cert: int = 0
 
     def __post_init__(self) -> None:
         if not self.policies:
-            self.policies = {1: SignificancePolicy(1, 3.0, 600.0)}
+            self.policies = {POLICY_V1.version: POLICY_V1}
         if self.default_policy_version is None:
             self.default_policy_version = min(self.policies)
         self.validate()
@@ -131,12 +132,37 @@ class Scenario:
                 raise InvalidScenario(f"agent {agent_id} position outside world")
 
 
+# Keys that set one field from one value: every field of Scenario and
+# ChannelModel, converted by its annotation, except those built by hand below
+# from the two world sides and the repeatable policy, agent_policy and position.
+_CONVERTERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "float | None": float,
+    "DeploymentMode": DeploymentMode,
+}
+_BY_HAND = ("world_size_m", "channel", "policies", "agent_policy", "positions")
+_CHANNEL_KEYS = {f.name: _CONVERTERS[f.type] for f in fields(ChannelModel)}
+_SCALAR_KEYS = {
+    **{f.name: _CONVERTERS[f.type] for f in fields(Scenario) if f.name not in _BY_HAND},
+    **_CHANNEL_KEYS,
+    "world_width_m": float,
+    "world_height_m": float,
+}
+_DEFAULT_WIDTH_M, _DEFAULT_HEIGHT_M = next(
+    f.default for f in fields(Scenario) if f.name == "world_size_m"
+)
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Parse the flat `key = value` scenario format."""
-    kv: dict[str, str] = {}
+    """Parse the flat `key = value` scenario format; an absent key keeps its
+    field's default."""
+    values: dict[str, object] = {}
     policies: dict[int, SignificancePolicy] = {}
     agent_policy: dict[int, int] = {}
     positions: dict[int, tuple[float, float]] = {}
+    unknown: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,70 +182,33 @@ def parse_scenario(text: str) -> Scenario:
             elif key == "position":
                 agent_s, x_s, y_s = value.split(":")
                 positions[int(agent_s)] = (float(x_s), float(y_s))
+            elif key in _SCALAR_KEYS:
+                values[key] = _SCALAR_KEYS[key](value)
             else:
-                kv[key] = value
+                unknown.append(key)
         except (ValueError, TypeError) as exc:
             raise InvalidScenario(f"bad value for {key}: {value!r}") from exc
+    if unknown:
+        raise InvalidScenario(f"unknown scenario keys: {sorted(unknown)}")
 
-    def take(key: str, conv, default):
-        if key in kv:
-            return conv(kv.pop(key))
-        return default
-
+    channel = {key: values.pop(key) for key in _CHANNEL_KEYS if key in values}
+    world_size_m = (
+        values.pop("world_width_m", _DEFAULT_WIDTH_M),
+        values.pop("world_height_m", _DEFAULT_HEIGHT_M),
+    )
     try:
-        channel = ChannelModel(
-            ref_power_dbm=take("ref_power_dbm", float, -59.0),
-            path_loss_exponent=take("path_loss_exponent", float, 2.0),
-            shadowing_sigma_db=take("shadowing_sigma_db", float, 0.0),
-            body_shadow_db=take("body_shadow_db", float, 0.0),
-        )
-        mode_s = take("mode", str, "required")
-        if mode_s not in ("required", "optional"):
-            raise InvalidScenario(f"mode must be required|optional, got {mode_s!r}")
-        scenario = Scenario(
-            n_agents=take("n_agents", int, 0),
-            duration_s=take("duration_s", float, 0.0),
-            world_size_m=(
-                take("world_width_m", float, 100.0),
-                take("world_height_m", float, 100.0),
-            ),
-            initial_infectious=take("initial_infectious", int, 1),
-            speed_min_mps=take("speed_min_mps", float, 0.5),
-            speed_max_mps=take("speed_max_mps", float, 1.5),
-            pause_min_s=take("pause_min_s", float, 0.0),
-            pause_max_s=take("pause_max_s", float, 30.0),
-            beacon_interval_s=take("beacon_interval_s", int, 10),
-            channel=channel,
-            body_block_prob=take("body_block_prob", float, 0.0),
-            true_radius_m=take("true_radius_m", float, 3.0),
-            exposure_seconds=take("exposure_seconds", float, 600.0),
-            transmission_prob=take("transmission_prob", float, 0.0),
-            diagnosis_delay_s=take("diagnosis_delay_s", float, 1200.0),
-            rng_seed=take("rng_seed", int, 0),
-            mode=(
-                DeploymentMode.CERTIFICATE_REQUIRED
-                if mode_s == "required"
-                else DeploymentMode.CERTIFICATE_OPTIONAL
-            ),
+        return Scenario(
+            world_size_m=world_size_m,
+            channel=ChannelModel(**channel),
             policies=policies,
-            default_policy_version=take("default_policy_version", int, None),
             agent_policy=agent_policy,
             positions=positions,
-            pid_rotation_at_s=take("pid_rotation_at_s", float, None),
-            retention_days=take("retention_days", int, 21),
-            gap_timeout_s=take("gap_timeout_s", float, 60.0),
-            time_tolerance_s=take("time_tolerance_s", float, 300.0),
-            forge_fake_claims=take("forge_fake_claims", int, 0),
-            forge_pid_swap=take("forge_pid_swap", int, 0),
-            forge_bogus_cert=take("forge_bogus_cert", int, 0),
+            **values,
         )
     except InvalidScenario:
         raise
     except (ValueError, TypeError) as exc:
         raise InvalidScenario(str(exc)) from exc
-    if kv:
-        raise InvalidScenario(f"unknown scenario keys: {sorted(kv)}")
-    return scenario
 
 
 @dataclass
@@ -239,20 +228,11 @@ class SimMetrics:
 
 
 def metrics_to_lines(m: SimMetrics) -> str:
-    fields = [
-        ("true_exposures", m.true_exposures),
-        ("notified_true", m.notified_true),
-        ("notified_false", m.notified_false),
-        ("missed", m.missed),
-        ("rejected_forgeries", m.rejected_forgeries),
-        ("forgeries_accepted", m.forgeries_accepted),
-        ("forgeries_injected", m.forgeries_injected),
-        ("notifications_built", m.notifications_built),
-        ("pending_at_end", m.pending_at_end),
-        ("infections", m.infections),
-        ("diagnoses", m.diagnoses),
+    lines = [
+        f"metric|{f.name}|{getattr(m, f.name)}"
+        for f in fields(m)
+        if f.name != "verdict_counts"
     ]
-    lines = [f"metric|{name}|{value}" for name, value in fields]
     for status in sorted(m.verdict_counts):
         lines.append(f"metric|verdict_{status}|{m.verdict_counts[status]}")
     return "".join(line + "\n" for line in lines)
@@ -345,7 +325,6 @@ class World:
         self._true_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
         self._built: list[tuple[Pad, Notification, int]] = []
-        self._had_diagnosis = False
         self._forgeries_pending = (
             scenario.forge_fake_claims > 0
             or scenario.forge_pid_swap > 0
@@ -531,7 +510,6 @@ class World:
         self.metrics.notifications_built += len(notifications)
         agent.health = Health.DIAGNOSED
         self.metrics.diagnoses += 1
-        self._had_diagnosis = True
         self._emit(f"diagnose|{agent.agent_id}|notifications={len(notifications)}")
 
     def _poll_and_verify(self) -> None:
@@ -648,7 +626,7 @@ class World:
             for closed in close_expired_sessions(agent.sessions, self.now, s.gap_timeout_s):
                 self._classify_and_log(agent, closed)
         self._diagnose_due()
-        if self._forgeries_pending and self._had_diagnosis:
+        if self._forgeries_pending and self.metrics.diagnoses > 0:
             self._inject_scheduled_forgeries()
         self._poll_and_verify()
         self.now += self.DT

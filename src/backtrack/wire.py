@@ -6,9 +6,6 @@ import os
 import tempfile
 import urllib.parse
 
-SEP = "|"
-
-
 def quote(label: str) -> str:
     """Percent-encode an opaque label so it is safe inside a `|` record."""
     return urllib.parse.quote(label, safe="")

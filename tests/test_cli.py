@@ -1,4 +1,7 @@
+import os
+import stat
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +103,23 @@ class TestCertCommands:
                       "--infectious-from", "2020-03-25",
                       "--out", str(tmp_path / "x.txt"))
         assert code == 2
+
+    def test_keygen_duplicate_lab_exits_2_and_keeps_files(self, run, tmp_path, lab_files):
+        key, directory = lab_files
+        before = (Path(key).read_bytes(), Path(directory).read_bytes())
+        code, _ = run("cert", "keygen", "--lab-id", "lab-A",
+                      "--key-out", key, "--directory", directory)
+        assert code == 2
+        assert (Path(key).read_bytes(), Path(directory).read_bytes()) == before
+        code, _ = run("cert", "keygen", "--lab-id", "lab-B",
+                      "--key-out", str(tmp_path / "b.key"), "--directory", directory)
+        assert code == 0
+        labs = [line.split("|")[1] for line in Path(directory).read_text().splitlines()]
+        assert labs == ["lab-A", "lab-B"]
+
+    def test_keygen_key_file_private(self, lab_files):
+        key, _ = lab_files
+        assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
 
 
 class TestNotifyCommands:

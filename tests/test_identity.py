@@ -53,7 +53,9 @@ class TestPad:
     def test_valid(self):
         assert Pad("me@example.org").value == "me@example.org"
 
-    @pytest.mark.parametrize("bad", ["nodomain@", "@nolocal", "noat", "a|b@c", "a@b@c"])
+    @pytest.mark.parametrize(
+        "bad", ["nodomain@", "@nolocal", "noat", "a|b@c", "a@b@c", "evil\nentry@box", "a@x\x00"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(MalformedPad):
             Pad(bad)

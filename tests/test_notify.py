@@ -1,9 +1,11 @@
+import os
 import random
 from datetime import date
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from backtrack import wire
 from backtrack.certificates import issue_certificate
 from backtrack.identity import Pad, Pid
 from backtrack.notify import (
@@ -27,6 +29,19 @@ FROM_DAY = date(1970, 1, 1)
 
 def certified(lab, pids):
     return issue_certificate(lab, pids, TEST_DAY, FROM_DAY)
+
+
+class FileBoxReader(FileMailboxStore):
+    """A file mailbox with its recipient, who reads the file and removes it."""
+
+    def poll(self, pad):
+        path = os.path.join(self.root, wire.quote(pad.value))
+        if not os.path.exists(path):
+            return []
+        with open(path, encoding="utf-8") as f:
+            notifications = parse_notifications(f.read())
+        os.remove(path)
+        return notifications
 
 
 class TestBuild:
@@ -72,7 +87,7 @@ class TestMailbox:
     def store(self, request, tmp_path):
         if request.param == "memory":
             return MailboxStore()
-        return FileMailboxStore(str(tmp_path / "boxes"))
+        return FileBoxReader(str(tmp_path / "boxes"))
 
     def notification(self, t=1.0):
         return Notification(Pid("sender"), t, "loc")

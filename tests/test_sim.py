@@ -1,6 +1,6 @@
 import pytest
 
-from backtrack.encounter import SignificancePolicy
+from backtrack.encounter import ChannelModel, SignificancePolicy
 from backtrack.notify import DeploymentMode, VerdictStatus
 from backtrack.sim import (
     ForgeryKind,
@@ -245,9 +245,89 @@ class TestScenarioParsing:
         assert s.channel.shadowing_sigma_db == 2.5
         assert s.rng_seed == 9
 
+    def test_every_key_reaches_its_field(self):
+        text = """
+        n_agents = 6
+        duration_s = 700.5
+        world_width_m = 30
+        world_height_m = 40
+        initial_infectious = 2
+        speed_min_mps = 0.25
+        speed_max_mps = 2
+        pause_min_s = 5
+        pause_max_s = 50
+        beacon_interval_s = 5
+        ref_power_dbm = -65
+        path_loss_exponent = 2.5
+        shadowing_sigma_db = 1.5
+        body_shadow_db = 3
+        body_block_prob = 0.1
+        true_radius_m = 2.5
+        exposure_seconds = 300
+        transmission_prob = 0.5
+        diagnosis_delay_s = 600
+        rng_seed = 9
+        mode = optional
+        policy = 1:3.0:600
+        policy = 2:1.5:300
+        default_policy_version = 2
+        agent_policy = 1:1
+        position = 0:5:7
+        pid_rotation_at_s = 250
+        gap_timeout_s = 45
+        time_tolerance_s = 120
+        forge_fake_claims = 1
+        forge_pid_swap = 2
+        forge_bogus_cert = 3
+        """
+        expected = Scenario(
+            n_agents=6,
+            duration_s=700.5,
+            world_size_m=(30.0, 40.0),
+            initial_infectious=2,
+            speed_min_mps=0.25,
+            speed_max_mps=2.0,
+            pause_min_s=5.0,
+            pause_max_s=50.0,
+            beacon_interval_s=5,
+            channel=ChannelModel(
+                ref_power_dbm=-65.0,
+                path_loss_exponent=2.5,
+                shadowing_sigma_db=1.5,
+                body_shadow_db=3.0,
+            ),
+            body_block_prob=0.1,
+            true_radius_m=2.5,
+            exposure_seconds=300.0,
+            transmission_prob=0.5,
+            diagnosis_delay_s=600.0,
+            rng_seed=9,
+            mode=DeploymentMode.CERTIFICATE_OPTIONAL,
+            policies={1: SignificancePolicy(1, 3.0, 600.0), 2: SignificancePolicy(2, 1.5, 300.0)},
+            default_policy_version=2,
+            agent_policy={1: 1},
+            positions={0: (5.0, 7.0)},
+            pid_rotation_at_s=250.0,
+            gap_timeout_s=45.0,
+            time_tolerance_s=120.0,
+            forge_fake_claims=1,
+            forge_pid_swap=2,
+            forge_bogus_cert=3,
+        )
+        assert parse_scenario(text) == expected
+
     def test_unknown_key(self):
         with pytest.raises(InvalidScenario):
             parse_scenario("n_agents = 2\nduration_s = 10\nbogus_key = 1\n")
+
+    def test_retention_days_is_not_a_scenario_key(self):
+        # the simulator never prunes a log, so there is no retention to set
+        with pytest.raises(InvalidScenario, match="unknown scenario key"):
+            parse_scenario("n_agents = 2\nduration_s = 10\nretention_days = 5\n")
+
+    def test_missing_n_agents(self):
+        with pytest.raises(InvalidScenario):
+            parse_scenario("duration_s = 10\n")
 
     def test_bad_value(self):
         with pytest.raises(InvalidScenario):
