@@ -34,7 +34,6 @@ class ChainedVisit:
     seq: int
     visited_at: float
     pid: Pid
-    prev_hash: str
     entry_hash: str
 
 
@@ -70,15 +69,7 @@ def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     seq = log.chain[-1].seq + 1 if log.chain else 1
     prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
     entry_hash = _hash_entry(prev_hash, seq, visited_at, pid)
-    log.chain.append(
-        ChainedVisit(
-            seq=seq,
-            visited_at=visited_at,
-            pid=pid,
-            prev_hash=prev_hash,
-            entry_hash=entry_hash,
-        )
-    )
+    log.chain.append(ChainedVisit(seq, visited_at, pid, entry_hash))
     log.head = entry_hash
     return log
 
@@ -90,19 +81,14 @@ def verify_chain(log: VisitorLog) -> ChainCheck:
     head) is reported at the sequence number after the last surviving entry.
     """
     prev_hash = GENESIS_HASH
-    expected_seq = 1
-    for visit in log.chain:
-        if (
-            visit.seq != expected_seq
-            or visit.prev_hash != prev_hash
-            or visit.entry_hash
-            != _hash_entry(visit.prev_hash, visit.seq, visit.visited_at, visit.pid)
+    for expected_seq, visit in enumerate(log.chain, start=1):
+        if visit.seq != expected_seq or visit.entry_hash != _hash_entry(
+            prev_hash, visit.seq, visit.visited_at, visit.pid
         ):
             return ChainCheck(intact=False, tampered_at=expected_seq)
         prev_hash = visit.entry_hash
-        expected_seq += 1
     if log.head != prev_hash:
-        return ChainCheck(intact=False, tampered_at=expected_seq)
+        return ChainCheck(intact=False, tampered_at=len(log.chain) + 1)
     return ChainCheck(intact=True)
 
 
@@ -128,11 +114,11 @@ def evidence_query(
 
 
 def chain_to_lines(log: VisitorLog) -> str:
-    out = []
-    for v in log.chain:
-        out.append(visit_payload(v.seq, v.visited_at, v.pid))
-        out.append(f"hash|{v.entry_hash}")
-    return "".join(line + "\n" for line in out)
+    """One `visit|<seq>|<t>|<pid>|<hash>` line per visit: the hashed payload,
+    then its entry hash."""
+    return "".join(
+        f"{visit_payload(v.seq, v.visited_at, v.pid)}|{v.entry_hash}\n" for v in log.chain
+    )
 
 
 def head_to_line(log: VisitorLog) -> str:
@@ -140,25 +126,14 @@ def head_to_line(log: VisitorLog) -> str:
 
 
 def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog:
-    lines = [line for line in chain_text.splitlines() if line]
-    if len(lines) % 2 != 0:
-        raise ValueError("chain file must pair each visit line with a hash line")
     chain: list[ChainedVisit] = []
-    prev_hash = GENESIS_HASH
-    for i in range(0, len(lines), 2):
-        vparts = lines[i].split("|")
-        hparts = lines[i + 1].split("|")
-        if len(vparts) != 4 or vparts[0] != "visit" or len(hparts) != 2 or hparts[0] != "hash":
-            raise ValueError(f"malformed chain lines: {lines[i]!r} / {lines[i + 1]!r}")
-        visit = ChainedVisit(
-            seq=int(vparts[1]),
-            visited_at=float(vparts[2]),
-            pid=Pid(vparts[3]),
-            prev_hash=prev_hash,
-            entry_hash=hparts[1],
-        )
-        chain.append(visit)
-        prev_hash = visit.entry_hash
+    for line in chain_text.splitlines():
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 5 or parts[0] != "visit":
+            raise ValueError(f"malformed visit line: {line!r}")
+        chain.append(ChainedVisit(int(parts[1]), float(parts[2]), Pid(parts[3]), parts[4]))
     head_line = head_text.strip()
     hparts = head_line.split("|")
     if len(hparts) != 2 or hparts[0] != "head":
@@ -171,11 +146,3 @@ def save_chain(log: VisitorLog, chain_path: str, head_path: str) -> None:
         f.write(chain_to_lines(log))
     with open(head_path, "w", encoding="utf-8") as f:
         f.write(head_to_line(log))
-
-
-def load_chain(business_id: str, chain_path: str, head_path: str) -> VisitorLog:
-    with open(chain_path, encoding="utf-8") as f:
-        chain_text = f.read()
-    with open(head_path, encoding="utf-8") as f:
-        head_text = f.read()
-    return parse_chain(business_id, chain_text, head_text)

@@ -18,7 +18,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .identity import Pid
+from . import wire
+from .identity import Pid, check_token
 
 SCHEME_ED25519 = "ed25519"
 
@@ -41,6 +42,9 @@ class VerificationStatus(enum.Enum):
 class LabIdentity:
     lab_id: str
     private_key: Ed25519PrivateKey
+
+    def __post_init__(self) -> None:
+        check_token(self.lab_id, "lab id")
 
     @classmethod
     def generate(cls, lab_id: str) -> "LabIdentity":
@@ -83,6 +87,7 @@ class LabDirectory:
         self._entries: dict[str, tuple[str, bytes]] = {}
 
     def add(self, lab_id: str, public_key: bytes, scheme: str = SCHEME_ED25519) -> None:
+        check_token(lab_id, "lab id")
         if lab_id in self._entries:
             raise ValueError(f"duplicate lab_id {lab_id!r}")
         self._entries[lab_id] = (scheme, public_key)
@@ -108,7 +113,7 @@ class LabDirectory:
             parts = line.split("|")
             if len(parts) != 4 or parts[0] != "lab":
                 raise ValueError(f"malformed directory line: {line!r}")
-            directory.add(parts[1], base64.b64decode(parts[3]), scheme=parts[2])
+            directory.add(parts[1], wire.b64decode(parts[3]), scheme=parts[2])
         return directory
 
 
@@ -187,32 +192,33 @@ def covers_contact(cert: CertificateOfInfection, contact_time: float) -> bool:
     return _day_start(cert.infectious_from) <= contact_time < window_end
 
 
-def certificate_to_lines(cert: CertificateOfInfection) -> str:
+def certificate_to_line(cert: CertificateOfInfection) -> str:
+    """One record: the signed payload, byte for byte, then `|` and the
+    base64 signature."""
     payload = canonical_certificate_payload(
         cert.lab_id, cert.test_date, cert.infectious_from, cert.pids
     )
-    sig = base64.b64encode(cert.signature).decode("ascii")
-    return payload.decode("utf-8") + "\n" + f"sig|{sig}\n"
+    return payload.decode("utf-8") + "|" + base64.b64encode(cert.signature).decode("ascii")
 
 
-def parse_certificate_lines(payload_line: str, sig_line: str) -> CertificateOfInfection:
-    parts = payload_line.rstrip("\n").split("|")
-    if len(parts) != 6 or parts[0] != "cert" or parts[1] != "v1":
-        raise ValueError(f"malformed certificate payload: {payload_line!r}")
-    sig_parts = sig_line.rstrip("\n").split("|")
-    if len(sig_parts) != 2 or sig_parts[0] != "sig":
-        raise ValueError(f"malformed signature line: {sig_line!r}")
-    return CertificateOfInfection(
+def parse_certificate_line(line: str) -> CertificateOfInfection:
+    """Parse `cert|v1|<lab>|<test_date>|<infectious_from>|<pids>|<sig>`.
+
+    Raises ValueError unless the line is exactly what certificate_to_line
+    writes for the certificate it holds, so that no second spelling of a
+    signed certificate is accepted.
+    """
+    parts = line.split("|")
+    if len(parts) != 7 or parts[0] != "cert" or parts[1] != "v1":
+        raise ValueError(f"malformed certificate line: {line!r}")
+    check_token(parts[2], "lab id")
+    cert = CertificateOfInfection(
         lab_id=parts[2],
         test_date=date.fromisoformat(parts[3]),
         infectious_from=date.fromisoformat(parts[4]),
         pids=tuple(Pid(v) for v in parts[5].split(",")),
-        signature=base64.b64decode(sig_parts[1]),
+        signature=wire.b64decode(parts[6]),
     )
-
-
-def parse_certificate_text(text: str) -> CertificateOfInfection:
-    lines = [line for line in text.splitlines() if line]
-    if len(lines) != 2:
-        raise ValueError("certificate file must hold a payload line and a sig line")
-    return parse_certificate_lines(lines[0], lines[1])
+    if certificate_to_line(cert) != line:
+        raise ValueError(f"non-canonical certificate line: {line!r}")
+    return cert

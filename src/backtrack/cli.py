@@ -15,12 +15,13 @@ from datetime import date
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
+    CertificateOfInfection,
     LabIdentity,
     LabDirectory,
     VerificationStatus,
-    certificate_to_lines,
+    certificate_to_line,
     issue_certificate,
-    parse_certificate_text,
+    parse_certificate_line,
     verify_certificate,
 )
 from .identity import (
@@ -76,16 +77,21 @@ def _load_lab_key(path: str) -> LabIdentity:
     if len(parts) != 4 or parts[0] != "labkey" or parts[2] != "ed25519":
         raise InputError(f"malformed lab key file {path}")
     try:
-        return LabIdentity.from_seed(parts[1], base64.b64decode(parts[3]))
+        return LabIdentity.from_seed(parts[1], wire.b64decode(parts[3]))
     except ValueError as exc:
         raise InputError(f"bad lab key material: {exc}") from exc
 
 
-def _load_log(
-    path: str, retention_days: int = contactlog.DEFAULT_RETENTION_DAYS
-) -> contactlog.ContactLog:
+def _load_cert(path: str) -> CertificateOfInfection:
     try:
-        return contactlog.parse_log(_read_text(path), retention_days=retention_days)
+        return parse_certificate_line(_read_text(path).rstrip("\n"))
+    except ValueError as exc:
+        raise InputError(f"bad certificate file {path}: {exc}") from exc
+
+
+def _load_log(path: str) -> contactlog.ContactLog:
+    try:
+        return contactlog.parse_log(_read_text(path))
     except ValueError as exc:
         raise InputError(f"bad log file {path}: {exc}") from exc
 
@@ -129,7 +135,10 @@ def cmd_sim(args) -> int:
 
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
-        lab = LabIdentity.generate(args.lab_id)
+        try:
+            lab = LabIdentity.generate(args.lab_id)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         if os.path.exists(args.directory):
             directory = _load_directory(args.directory)
         else:
@@ -155,15 +164,11 @@ def cmd_cert(args) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(certificate_to_lines(cert))
+            f.write(certificate_to_line(cert) + "\n")
         print(args.out)
         return EXIT_OK
     # verify
-    try:
-        cert = parse_certificate_text(_read_text(args.cert))
-    except ValueError as exc:
-        raise InputError(f"bad certificate file: {exc}") from exc
-    status = verify_certificate(cert, _load_directory(args.directory))
+    status = verify_certificate(_load_cert(args.cert), _load_directory(args.directory))
     print(status.value)
     return EXIT_OK if status is VerificationStatus.VERIFIED else EXIT_REJECTED
 
@@ -171,12 +176,7 @@ def cmd_cert(args) -> int:
 def cmd_notify(args) -> int:
     if args.notify_mode == "build":
         log = _load_log(args.log)
-        cert = None
-        if args.cert:
-            try:
-                cert = parse_certificate_text(_read_text(args.cert))
-            except ValueError as exc:
-                raise InputError(f"bad certificate file: {exc}") from exc
+        cert = _load_cert(args.cert) if args.cert else None
         try:
             pairs = build_notifications(log, _parse_pids(args.own_pids), cert)
         except ValueError as exc:
@@ -234,11 +234,7 @@ def cmd_registry(args) -> int:
             print(response)
             return EXIT_OK if response == "CONFIRMED" else EXIT_REJECTED
         # ingest
-        try:
-            cert = parse_certificate_text(_read_text(args.cert))
-        except ValueError as exc:
-            raise InputError(f"bad certificate file: {exc}") from exc
-        response = registry.client_ingest(args.host, args.port, cert)
+        response = registry.client_ingest(args.host, args.port, _load_cert(args.cert))
         print(response)
         return EXIT_OK if response == "OK" else EXIT_REJECTED
     except OSError as exc:
@@ -283,13 +279,13 @@ def cmd_bizlog(args) -> int:
 
 
 def cmd_log(args) -> int:
-    log = _load_log(args.log, retention_days=args.retention_days)
+    log = _load_log(args.log)
     if args.log_mode == "show":
         sys.stdout.write(contactlog.serialize_log(log))
         return EXIT_OK
     if args.log_mode == "prune":
         before = len(log.entries)
-        contactlog.prune(log, args.now)
+        contactlog.prune(log, args.now, args.retention_days)
         contactlog.save_log(log, args.log)
         print(f"pruned|{before - len(log.entries)}")
         return EXIT_OK
@@ -415,11 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("show", "prune", "stats"):
         p = log_sub.add_parser(name)
         p.add_argument("--log", required=True)
-        p.add_argument(
-            "--retention-days", type=int, default=contactlog.DEFAULT_RETENTION_DAYS
-        )
         if name == "prune":
             p.add_argument("--now", type=float, required=True)
+            p.add_argument(
+                "--retention-days", type=int, default=contactlog.DEFAULT_RETENTION_DAYS
+            )
     p_log.set_defaults(func=cmd_log)
 
     return parser

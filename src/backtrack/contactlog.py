@@ -37,7 +37,6 @@ class LogEntry:
 @dataclass
 class ContactLog:
     entries: list[LogEntry] = field(default_factory=list)
-    retention_days: int = DEFAULT_RETENTION_DAYS
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,11 @@ def append_entry(log: ContactLog, entry: LogEntry) -> ContactLog:
     return log
 
 
-def prune(log: ContactLog, now: float) -> ContactLog:
+def prune(
+    log: ContactLog, now: float, retention_days: int = DEFAULT_RETENTION_DAYS
+) -> ContactLog:
     """Drop entries older than the retention window; boundary entries stay."""
-    cutoff = now - log.retention_days * 86400.0
+    cutoff = now - retention_days * 86400.0
     log.entries = [e for e in log.entries if e.recorded_at >= cutoff]
     return log
 
@@ -136,9 +137,8 @@ def serialize_log(log: ContactLog) -> str:
     return "".join(entry_to_line(e) + "\n" for e in log.entries)
 
 
-def parse_log(text: str, retention_days: int = DEFAULT_RETENTION_DAYS) -> ContactLog:
-    entries = [parse_entry_line(line) for line in text.splitlines() if line]
-    return ContactLog(entries=entries, retention_days=retention_days)
+def parse_log(text: str) -> ContactLog:
+    return ContactLog([parse_entry_line(line) for line in text.splitlines() if line])
 
 
 def save_log(log: ContactLog, path: str) -> None:
@@ -146,7 +146,7 @@ def save_log(log: ContactLog, path: str) -> None:
     wire.write_atomic(path, serialize_log(log))
 
 
-def load_log(path: str, retention_days: int = DEFAULT_RETENTION_DAYS) -> ContactLog:
+def load_log(path: str) -> ContactLog:
     with open(path, "rb") as f:
         text = f.read().decode("utf-8")
-    return parse_log(text, retention_days=retention_days)
+    return parse_log(text)

@@ -16,7 +16,7 @@ from . import wire
 PID_HEX_LEN = 32
 # byte separator in the commitment preimage; prevents ("ab","c") == ("a","bc")
 _COMMIT_SEP = "\x1f"
-_FORBIDDEN_PID_CHARS = frozenset("|,")
+_FORBIDDEN_TOKEN_CHARS = frozenset("|,")
 
 
 class EmptyInput(ValueError):
@@ -31,6 +31,16 @@ class MalformedPad(ValueError):
     """A pseudo-address that is not of the form local@domain."""
 
 
+def check_token(value: str, what: str) -> None:
+    """Raise ValueError unless value is 1-64 printable non-whitespace chars
+    without `|` or `,`: the rule for every id written raw into a record."""
+    if not 1 <= len(value) <= 64:
+        raise ValueError(f"{what} length must be 1-64, got {len(value)}")
+    for c in value:
+        if c in _FORBIDDEN_TOKEN_CHARS or c.isspace() or not c.isprintable():
+            raise ValueError(f"{what} contains forbidden character {c!r}")
+
+
 @dataclass(frozen=True, order=True)
 class Pid:
     """Opaque pseudo-ID: 1-64 printable non-whitespace chars, no `|` or `,`."""
@@ -38,12 +48,7 @@ class Pid:
     value: str
 
     def __post_init__(self) -> None:
-        v = self.value
-        if not 1 <= len(v) <= 64:
-            raise ValueError(f"PID length must be 1-64, got {len(v)}")
-        for c in v:
-            if c in _FORBIDDEN_PID_CHARS or c.isspace() or not c.isprintable():
-                raise ValueError(f"PID contains forbidden character {c!r}")
+        check_token(self.value, "PID")
 
     def __str__(self) -> str:
         return self.value

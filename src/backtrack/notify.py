@@ -16,9 +16,9 @@ from .certificates import (
     CertificateOfInfection,
     LabDirectory,
     VerificationStatus,
-    certificate_to_lines,
+    certificate_to_line,
     covers_contact,
-    parse_certificate_lines,
+    parse_certificate_line,
     verify_certificate,
 )
 from .contactlog import (
@@ -135,41 +135,35 @@ def verify_notification(
     return VerificationVerdict(VerdictStatus.ACCEPTED, entry)
 
 
-def notification_to_lines(n: Notification) -> str:
-    head = (
+def notification_to_line(n: Notification) -> str:
+    """`notif|v1|<pid>|<time>|<loc%>`, continued by `|` and the certificate
+    line when the notification carries one."""
+    line = (
         f"notif|v1|{n.sender_pid.value}|{wire.fmt_num(n.echoed_time)}"
-        f"|{wire.quote(n.echoed_location)}\n"
+        f"|{wire.quote(n.echoed_location)}"
     )
     if n.certificate is None:
-        return head
-    return head + certificate_to_lines(n.certificate)
+        return line
+    return line + "|" + certificate_to_line(n.certificate)
 
 
 def parse_notifications(text: str) -> list[Notification]:
-    """Parse a stream of wire-format notifications (1 or 3 lines each)."""
+    """Parse a stream of wire-format notifications, one per line."""
     out: list[Notification] = []
-    lines = [line for line in text.splitlines() if line]
-    i = 0
-    while i < len(lines):
-        parts = lines[i].split("|")
-        if len(parts) != 5 or parts[0] != "notif" or parts[1] != "v1":
-            raise ValueError(f"malformed notification line: {lines[i]!r}")
-        cert = None
-        consumed = 1
-        if i + 1 < len(lines) and lines[i + 1].startswith("cert|"):
-            if i + 2 >= len(lines):
-                raise ValueError("certificate payload without signature line")
-            cert = parse_certificate_lines(lines[i + 1], lines[i + 2])
-            consumed = 3
+    for line in text.splitlines():
+        if not line:
+            continue
+        parts = line.split("|", 5)
+        if len(parts) < 5 or parts[0] != "notif" or parts[1] != "v1":
+            raise ValueError(f"malformed notification line: {line!r}")
         out.append(
             Notification(
                 sender_pid=Pid(parts[2]),
                 echoed_time=float(parts[3]),
                 echoed_location=wire.unquote(parts[4]),
-                certificate=cert,
+                certificate=parse_certificate_line(parts[5]) if len(parts) == 6 else None,
             )
         )
-        i += consumed
     return out
 
 
@@ -215,4 +209,4 @@ class FileMailboxStore:
     def deliver(self, pad: Pad, n: Notification) -> None:
         with self._lock:
             with open(self._path(pad), "a", encoding="utf-8") as f:
-                f.write(notification_to_lines(n))
+                f.write(notification_to_line(n) + "\n")

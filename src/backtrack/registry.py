@@ -20,7 +20,8 @@ from .certificates import (
     CertificateOfInfection,
     LabDirectory,
     VerificationStatus,
-    parse_certificate_lines,
+    certificate_to_line,
+    parse_certificate_line,
     verify_certificate,
 )
 from .identity import Pid, prove_pid_ownership
@@ -128,10 +129,12 @@ def load_repository(path: str) -> NotifiedPidRepository:
 class RegistryService:
     """Transport-independent request processor for the registry protocol.
 
-    Requests (one logical message each):
+    Requests (one line each):
       QUERY <pid>                                     -> YES | NO
       CLAIM <contact_pid> <claimant_pid> <name%> <phrase%> -> CONFIRMED | UNKNOWN | OWNERSHIP-FAILED
-      INGEST + certificate payload line + sig line    -> OK | REJECTED
+      INGEST <certificate line>                       -> OK | REJECTED
+    Anything else gets `ERROR malformed request` (`ERROR empty request`
+    for no lines).
     """
 
     def __init__(
@@ -169,9 +172,9 @@ class RegistryService:
                 claimant_pid,
             )
             return verdict.value
-        if head[0] == "INGEST" and len(lines) == 3:
+        if head[0] == "INGEST" and len(head) == 2 and len(lines) == 1:
             try:
-                cert = parse_certificate_lines(lines[1], lines[2])
+                cert = parse_certificate_line(head[1])
             except ValueError:
                 return "REJECTED"
             with self._lock:
@@ -194,19 +197,12 @@ class _Handler(socketserver.StreamRequestHandler):
             line = self.rfile.readline()
             if not line:
                 return
-            raw = [line]
-            if line.rstrip(b"\n") == b"INGEST":
-                for _ in range(2):
-                    extra = self.rfile.readline()
-                    if not extra:
-                        break
-                    raw.append(extra)
             try:
-                lines = [r.decode("utf-8").rstrip("\n") for r in raw]
+                request = line.decode("utf-8").rstrip("\n")
             except UnicodeDecodeError:
                 response = "ERROR malformed request"
             else:
-                response = service.handle_request(lines)
+                response = service.handle_request([request])
             self.wfile.write((response + "\n").encode("utf-8"))
 
 
@@ -248,16 +244,16 @@ def _ends_mid_record(path: str) -> bool:
         return False
 
 
-def _roundtrip(host: str, port: int, request_lines: list[str]) -> str:
+def _roundtrip(host: str, port: int, request: str) -> str:
     with socket.create_connection((host, port), timeout=10) as sock:
-        sock.sendall(("".join(line + "\n" for line in request_lines)).encode("utf-8"))
+        sock.sendall((request + "\n").encode("utf-8"))
         f = sock.makefile("r", encoding="utf-8")
         response = f.readline().rstrip("\n")
     return response
 
 
 def client_query(host: str, port: int, pid: Pid) -> str:
-    return _roundtrip(host, port, [f"QUERY {pid.value}"])
+    return _roundtrip(host, port, f"QUERY {pid.value}")
 
 
 def client_claim(
@@ -271,15 +267,10 @@ def client_claim(
     return _roundtrip(
         host,
         port,
-        [
-            f"CLAIM {contact_pid.value} {claimant_pid.value} "
-            f"{wire.quote(personal_data)} {wire.quote(phrase)}"
-        ],
+        f"CLAIM {contact_pid.value} {claimant_pid.value} "
+        f"{wire.quote(personal_data)} {wire.quote(phrase)}",
     )
 
 
 def client_ingest(host: str, port: int, cert: CertificateOfInfection) -> str:
-    from .certificates import certificate_to_lines
-
-    cert_lines = certificate_to_lines(cert).splitlines()
-    return _roundtrip(host, port, ["INGEST", *cert_lines])
+    return _roundtrip(host, port, f"INGEST {certificate_to_line(cert)}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import os
 import tempfile
 import urllib.parse
@@ -13,6 +14,16 @@ def quote(label: str) -> str:
 
 def unquote(encoded: str) -> str:
     return urllib.parse.unquote(encoded)
+
+
+def b64decode(text: str) -> bytes:
+    """Decode base64, raising ValueError unless text is the one canonical
+    encoding of the result, so that no other spelling of a key or signature
+    is accepted."""
+    raw = base64.b64decode(text, validate=True)
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise ValueError(f"non-canonical base64: {text!r}")
+    return raw
 
 
 def fmt_num(x: float) -> str:

@@ -38,8 +38,8 @@ def make_entry(own_pid="aaaa", peer_pid="bbbb", peer_pad="peer@box", t=1000.0,
     )
 
 
-def make_log(*entries, retention_days=21):
-    log = ContactLog(retention_days=retention_days)
+def make_log(*entries):
+    log = ContactLog()
     for e in entries:
         append_entry(log, e)
     return log

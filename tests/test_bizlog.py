@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -12,10 +13,10 @@ from backtrack.bizlog import (
     VisitorLog,
     append_visit,
     evidence_query,
-    load_chain,
     parse_chain,
     save_chain,
     verify_chain,
+    visit_payload,
 )
 from backtrack.identity import Pid
 
@@ -27,15 +28,25 @@ def chain_of(n, business="cafe"):
     return log
 
 
+def linked_hash(prev_hash, visit):
+    payload = visit_payload(visit.seq, visit.visited_at, visit.pid)
+    return hashlib.sha256(bytes.fromhex(prev_hash) + payload.encode("utf-8")).hexdigest()
+
+
+def load(business_id, chain_path, head_path):
+    with open(chain_path) as chain, open(head_path) as head:
+        return parse_chain(business_id, chain.read(), head.read())
+
+
 class TestAppend:
     def test_genesis(self):
         log = chain_of(1)
         assert log.chain[0].seq == 1
-        assert log.chain[0].prev_hash == GENESIS_HASH
+        assert log.chain[0].entry_hash == linked_hash(GENESIS_HASH, log.chain[0])
 
     def test_link(self):
         log = chain_of(2)
-        assert log.chain[1].prev_hash == log.chain[0].entry_hash
+        assert log.chain[1].entry_hash == linked_hash(log.chain[0].entry_hash, log.chain[1])
         assert log.head == log.chain[1].entry_hash
 
     def test_out_of_order(self):
@@ -91,15 +102,13 @@ class TestVerify:
             n = rng.randrange(2, 120)
             log = chain_of(n)
             victim = rng.randrange(n)
-            field = rng.choice(["pid", "visited_at", "entry_hash", "prev_hash"])
+            field = rng.choice(["pid", "visited_at", "entry_hash"])
             if field == "pid":
                 mutated = replace(log.chain[victim], pid=Pid("tampered"))
             elif field == "visited_at":
                 mutated = replace(log.chain[victim], visited_at=log.chain[victim].visited_at + 1)
-            elif field == "entry_hash":
-                mutated = replace(log.chain[victim], entry_hash="f" * 64)
             else:
-                mutated = replace(log.chain[victim], prev_hash="f" * 64)
+                mutated = replace(log.chain[victim], entry_hash="f" * 64)
             log.chain[victim] = mutated
             check = verify_chain(log)
             assert not check.intact
@@ -146,7 +155,7 @@ class TestFiles:
         log = chain_of(7)
         chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
         save_chain(log, chain_path, head_path)
-        loaded = load_chain("cafe", chain_path, head_path)
+        loaded = load("cafe", chain_path, head_path)
         assert loaded.chain == log.chain
         assert loaded.head == log.head
         assert verify_chain(loaded).intact
@@ -157,9 +166,20 @@ class TestFiles:
         save_chain(log, chain_path, head_path)
         text = open(chain_path).read().replace("pid0001", "pid9999")
         open(chain_path, "w").write(text)
-        loaded = load_chain("cafe", chain_path, head_path)
+        loaded = load("cafe", chain_path, head_path)
         assert verify_chain(loaded).tampered_at == 2
 
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_chain("cafe", "visit|1|1|x\n", "head|00\n")
+
+    def test_one_line_per_visit_and_hashes_unchanged(self, tmp_path):
+        # the hashes the two-line format (`visit|...` then `hash|...`) stored
+        chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        save_chain(chain_of(3), chain_path, head_path)
+        assert open(chain_path).read() == (
+            "visit|1|100|pid0000|f5b2ea143e0d6900eef920096e122b30fb55c1b832ca1a16c283d20eccdf3ea8\n"
+            "visit|2|200|pid0001|fd93b8e1786b3bc453605135846cd6fad7a68b387ca095d9c5baef8bcac245da\n"
+            "visit|3|300|pid0002|129821fd3afd022cd58ce6221dca794f334ca7e27e1ad207e647a7fab98705bd\n"
+        )
+        assert verify_chain(load("cafe", chain_path, head_path)).intact

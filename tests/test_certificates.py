@@ -12,13 +12,19 @@ from backtrack.certificates import (
     LabIdentity,
     VerificationStatus,
     canonical_certificate_payload,
-    certificate_to_lines,
+    certificate_to_line,
     covers_contact,
     issue_certificate,
-    parse_certificate_text,
+    parse_certificate_line,
     verify_certificate,
 )
 from backtrack.identity import Pid
+
+
+PARENT_CERT_PAYLOAD = "cert|v1|lab-A|2020-04-01|2020-03-25|P1,P2"
+PARENT_CERT_SIG = (
+    "dBQwbvQbBB1gkiBDBaWCbBWOSOh+CJMnqjMrPh0tngvXYuWGA1ti8J15/Bat13RHQ6+BYgR1ViUwLwMaDB+HCA=="
+)
 
 
 def ts(y, m, d, hh=0):
@@ -142,16 +148,60 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             d.add_lab(lab)
 
+    @pytest.mark.parametrize("lab_id", ["x|y", "a b", "a,b", "", "x" * 65])
+    def test_lab_id_follows_pid_rule(self, lab_id):
+        with pytest.raises(ValueError):
+            LabIdentity.from_seed(lab_id, bytes(32))
+        with pytest.raises(ValueError):
+            LabDirectory().add(lab_id, bytes(32))
+
     def test_certificate_file_round_trip(self, lab, directory):
         cert = issue_certificate(lab, [Pid("P1"), Pid("P2")], date(2020, 4, 1), date(2020, 3, 25))
-        text = certificate_to_lines(cert)
-        again = parse_certificate_text(text)
+        text = certificate_to_line(cert)
+        assert "\n" not in text
+        again = parse_certificate_line(text)
         assert again == cert
         assert verify_certificate(again, directory) is VerificationStatus.VERIFIED
 
+    def test_certificate_from_two_line_format_verifies_on_one_line(self, lab, directory):
+        # issued by the two-line format (payload line, then `sig|<base64>`);
+        # the one-line format keeps the signed payload byte for byte
+        line = PARENT_CERT_PAYLOAD + "|" + PARENT_CERT_SIG
+        cert = parse_certificate_line(line)
+        assert verify_certificate(cert, directory) is VerificationStatus.VERIFIED
+        assert cert == issue_certificate(lab, [Pid("P1"), Pid("P2")], date(2020, 4, 1), date(2020, 3, 25))
+        assert certificate_to_line(cert) == line
+
+    def test_signature_tail_mutations_never_verify(self, lab, directory):
+        # base64 leaves spare bits in the last characters of a 64-byte
+        # signature; a lax decoder maps several spellings to one signature
+        text = certificate_to_line(
+            issue_certificate(lab, [Pid("P1")], date(2020, 4, 1), date(2020, 3, 25))
+        )
+        for pos in range(len(text) - 4, len(text)):
+            for repl in map(chr, range(32, 127)):
+                if repl == text[pos]:
+                    continue
+                try:
+                    tampered = parse_certificate_line(text[:pos] + repl + text[pos + 1:])
+                except ValueError:
+                    continue
+                assert verify_certificate(tampered, directory) is not VerificationStatus.VERIFIED
+
+    @pytest.mark.parametrize("text", [
+        "cert|v1|lab-A|20200401|2020-03-25|P1|AAAA",
+        "cert|v1|lab-A|2020-04-01|2020-03-25|P1\nsig|AAAA",
+        "cert|v1|lab A|2020-04-01|2020-03-25|P1|AAAA",
+        "cert|v1|lab-A|2020-04-01|2020-03-25|P1|AA AA",
+        "cert|v1|lab-A|2020-04-01|2020-03-25||AAAA",
+    ])
+    def test_malformed_certificate_line(self, text):
+        with pytest.raises(ValueError):
+            parse_certificate_line(text)
+
     def test_single_byte_mutations_never_verify(self, lab, directory):
         cert = issue_certificate(lab, [Pid("P1")], date(2020, 4, 1), date(2020, 3, 25))
-        text = certificate_to_lines(cert)
+        text = certificate_to_line(cert)
         rng = random.Random(9)
         flipped = 0
         for _ in range(200):
@@ -161,7 +211,7 @@ class TestFileFormats:
                 continue
             mutated = text[:pos] + repl + text[pos + 1:]
             try:
-                tampered = parse_certificate_text(mutated)
+                tampered = parse_certificate_line(mutated)
             except ValueError:
                 continue  # unparsable mutants count as rejected
             assert verify_certificate(tampered, directory) in (

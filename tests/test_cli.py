@@ -117,6 +117,14 @@ class TestCertCommands:
         labs = [line.split("|")[1] for line in Path(directory).read_text().splitlines()]
         assert labs == ["lab-A", "lab-B"]
 
+    @pytest.mark.parametrize("lab_id", ["x|y", "a b"])
+    def test_keygen_bad_lab_id_exits_2_and_writes_nothing(self, run, tmp_path, lab_id):
+        code, out = run("cert", "keygen", "--lab-id", lab_id,
+                        "--key-out", str(tmp_path / "lab.key"),
+                        "--directory", str(tmp_path / "labs.txt"))
+        assert (code, out) == (2, "")
+        assert os.listdir(tmp_path) == []
+
     def test_keygen_key_file_private(self, lab_files):
         key, _ = lab_files
         assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
@@ -189,7 +197,7 @@ class TestNotifyCommands:
         from dataclasses import replace
 
         from backtrack import wire
-        from backtrack.notify import notification_to_lines, parse_notifications
+        from backtrack.notify import notification_to_line, parse_notifications
 
         cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path)
         boxes = str(tmp_path / "boxes")
@@ -198,7 +206,7 @@ class TestNotifyCommands:
         mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
         (genuine,) = parse_notifications(mailbox.read_text())
         forged = replace(genuine, sender_pid=Pid("mallory"))
-        mailbox.write_text(notification_to_lines(genuine) + notification_to_lines(forged))
+        mailbox.write_text("".join(notification_to_line(n) + "\n" for n in (genuine, forged)))
         code, out = run("notify", "verify", "--log", victim_log,
                         "--directory", directory,
                         "--notification", str(mailbox))
@@ -383,6 +391,13 @@ class TestLogCommands:
         assert code == 0
         assert out.strip() == "pruned|1"
         assert len(open(path).read().splitlines()) == 2
+
+    def test_prune_retention_days(self, run, tmp_path):
+        path = self.log_file(tmp_path)
+        code, out = run("log", "prune", "--log", path, "--now", "2592000",
+                        "--retention-days", "1")
+        assert (code, out.strip()) == (0, "pruned|2")
+        assert len(open(path).read().splitlines()) == 1
 
     def test_malformed_log_exits_2(self, run, tmp_path):
         path = write(tmp_path / "bad.log", "entry|nonsense\n")

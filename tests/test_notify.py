@@ -16,7 +16,7 @@ from backtrack.notify import (
     UncoveredPid,
     VerdictStatus,
     build_notifications,
-    notification_to_lines,
+    notification_to_line,
     parse_notifications,
     verify_notification,
 )
@@ -116,17 +116,19 @@ class TestMailbox:
 class TestWireFormat:
     def test_round_trip_without_cert(self):
         n = Notification(Pid("abc"), 1234.5, "on the walk")
-        text = notification_to_lines(n)
+        text = notification_to_line(n)
         assert parse_notifications(text) == [n]
 
     def test_round_trip_with_cert(self, lab):
         n = Notification(Pid("abc"), 1234.5, "on the walk", certified(lab, [Pid("abc")]))
-        assert parse_notifications(notification_to_lines(n)) == [n]
+        text = notification_to_line(n)
+        assert "\n" not in text
+        assert parse_notifications(text) == [n]
 
     def test_stream_of_mixed_messages(self, lab):
         n1 = Notification(Pid("a1"), 1.0, "x", certified(lab, [Pid("a1")]))
         n2 = Notification(Pid("a2"), 2.0, "y")
-        text = notification_to_lines(n1) + notification_to_lines(n2)
+        text = notification_to_line(n1) + "\n" + notification_to_line(n2) + "\n"
         assert parse_notifications(text) == [n1, n2]
 
     def test_malformed(self):

@@ -6,7 +6,7 @@ from datetime import date
 
 import pytest
 
-from backtrack.certificates import issue_certificate
+from backtrack.certificates import certificate_to_line, issue_certificate
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import (
     ClaimVerdict,
@@ -28,6 +28,10 @@ from backtrack.registry import (
 
 def cert_for(lab, pids, test_date=date(2020, 4, 1)):
     return issue_certificate(lab, pids, test_date, date(2020, 3, 25))
+
+
+def ingest_line(lab, pids):
+    return f"INGEST {certificate_to_line(cert_for(lab, pids))}"
 
 
 @contextmanager
@@ -151,25 +155,20 @@ class TestWireProtocol:
         return RegistryService(NotifiedPidRepository(), directory, persist)
 
     def test_ingest_then_query(self, lab, directory):
-        from backtrack.certificates import certificate_to_lines
-
         svc = self.service(lab, directory)
-        cert_lines = certificate_to_lines(cert_for(lab, [Pid("P1")])).splitlines()
-        assert svc.handle_request(["INGEST", *cert_lines]) == "OK"
+        assert svc.handle_request([ingest_line(lab, [Pid("P1")])]) == "OK"
         assert svc.handle_request(["QUERY P1"]) == "YES"
         assert svc.handle_request(["QUERY P2"]) == "NO"
 
     def test_ingest_garbage_rejected(self, lab, directory):
         svc = self.service(lab, directory)
-        assert svc.handle_request(["INGEST", "not-a-cert", "nope"]) == "REJECTED"
+        assert svc.handle_request(["INGEST not-a-cert"]) == "REJECTED"
 
     def test_claim_responses(self, lab, directory):
-        from backtrack.certificates import certificate_to_lines
         from backtrack import wire
 
         svc = self.service(lab, directory)
-        cert_lines = certificate_to_lines(cert_for(lab, [Pid("sickpid")])).splitlines()
-        svc.handle_request(["INGEST", *cert_lines])
+        svc.handle_request([ingest_line(lab, [Pid("sickpid")])])
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
         name, phrase = wire.quote(c.personal_data), wire.quote(c.phrase)
         assert svc.handle_request([f"CLAIM sickpid {c.pid.value} {name} {phrase}"]) == "CONFIRMED"
@@ -181,12 +180,9 @@ class TestWireProtocol:
         assert svc.handle_request(["HELLO"]).startswith("ERROR")
 
     def test_persistence_appended_on_ingest(self, lab, directory, tmp_path):
-        from backtrack.certificates import certificate_to_lines
-
         path = str(tmp_path / "state.txt")
         svc = self.service(lab, directory, persist=path)
-        cert_lines = certificate_to_lines(cert_for(lab, [Pid("P1")])).splitlines()
-        svc.handle_request(["INGEST", *cert_lines])
+        svc.handle_request([ingest_line(lab, [Pid("P1")])])
         replayed = load_repository(path)
         assert is_notified_pid(replayed, Pid("P1"))
 
