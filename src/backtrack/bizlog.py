@@ -113,12 +113,14 @@ def evidence_query(
     return EvidenceVerdict.VISIT_AND_CERTIFIED
 
 
+def _visit_line(v: ChainedVisit) -> str:
+    return f"{visit_payload(v.seq, v.visited_at, v.pid)}|{v.entry_hash}"
+
+
 def chain_to_lines(log: VisitorLog) -> str:
     """One `visit|<seq>|<t>|<pid>|<hash>` line per visit: the hashed payload,
     then its entry hash."""
-    return "".join(
-        f"{visit_payload(v.seq, v.visited_at, v.pid)}|{v.entry_hash}\n" for v in log.chain
-    )
+    return "".join(_visit_line(v) + "\n" for v in log.chain)
 
 
 def head_to_line(log: VisitorLog) -> str:
@@ -133,7 +135,12 @@ def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog
         parts = line.split("|")
         if len(parts) != 5 or parts[0] != "visit":
             raise ValueError(f"malformed visit line: {line!r}")
-        chain.append(ChainedVisit(int(parts[1]), float(parts[2]), Pid(parts[3]), parts[4]))
+        visit = ChainedVisit(int(parts[1]), float(parts[2]), Pid(parts[3]), parts[4])
+        # the hash covers the re-rendered payload, so only the canonical
+        # spelling may stand in the file
+        if _visit_line(visit) != line:
+            raise ValueError(f"non-canonical visit line: {line!r}")
+        chain.append(visit)
     head_line = head_text.strip()
     hparts = head_line.split("|")
     if len(hparts) != 2 or hparts[0] != "head":

@@ -6,8 +6,11 @@ validate incoming notifications, and a bit-exact line serialization.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import wire
 from .encounter import InformationRecord
@@ -18,7 +21,7 @@ DEFAULT_TIME_TOLERANCE_S = 300.0
 
 
 class OutOfOrderEntry(ValueError):
-    """Append violated the monotone recorded_at order."""
+    """An entry older than the one before it, on append or on load."""
 
 
 @dataclass(frozen=True)
@@ -32,11 +35,28 @@ class LogEntry:
     def __post_init__(self) -> None:
         if self.own_record.pid == self.peer_record.pid:
             raise ValueError("own and peer PID must differ")
+        if math.isnan(self.recorded_at):
+            raise ValueError("recorded_at is NaN; the log is kept in its order")
 
 
 @dataclass
 class ContactLog:
+    """Entries in `recorded_at` order, and `by_peer`: each peer PID's entries
+    in the same order.  `append_entry` and `prune` keep both up to date;
+    code outside this module only reads them."""
+
     entries: list[LogEntry] = field(default_factory=list)
+    by_peer: dict[Pid, list[LogEntry]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        last = -math.inf
+        for entry in self.entries:
+            if entry.recorded_at < last:
+                raise OutOfOrderEntry(f"entry at {entry.recorded_at} older than {last}")
+            last = entry.recorded_at
+            self.by_peer.setdefault(entry.peer_record.pid, []).append(entry)
 
 
 @dataclass(frozen=True)
@@ -52,6 +72,7 @@ def append_entry(log: ContactLog, entry: LogEntry) -> ContactLog:
             f"entry at {entry.recorded_at} older than last {log.entries[-1].recorded_at}"
         )
     log.entries.append(entry)
+    log.by_peer.setdefault(entry.peer_record.pid, []).append(entry)
     return log
 
 
@@ -60,7 +81,14 @@ def prune(
 ) -> ContactLog:
     """Drop entries older than the retention window; boundary entries stay."""
     cutoff = now - retention_days * 86400.0
-    log.entries = [e for e in log.entries if e.recorded_at >= cutoff]
+    cut = bisect_left(log.entries, cutoff, key=attrgetter("recorded_at"))
+    # each peer's dropped entries are the front of its list
+    for pid, n in Counter(e.peer_record.pid for e in log.entries[:cut]).items():
+        peer_entries = log.by_peer[pid]
+        del peer_entries[:n]
+        if not peer_entries:
+            del log.by_peer[pid]
+    del log.entries[:cut]
     return log
 
 
@@ -76,10 +104,9 @@ def find_matching_contact(
     The claim must name a logged peer PID and echo back the own announced
     location (exact string) and own announced time (within tolerance).
     """
-    for entry in log.entries:
+    for entry in log.by_peer.get(claimed_peer_pid, ()):
         if (
-            entry.peer_record.pid == claimed_peer_pid
-            and entry.own_record.local_location == echoed_location
+            entry.own_record.local_location == echoed_location
             and abs(entry.own_record.local_time - echoed_time) <= time_tolerance_s
         ):
             return entry
@@ -90,7 +117,7 @@ def exposure_statistics(log: ContactLog) -> ExposureSummary:
     locations = Counter(e.own_record.local_location for e in log.entries)
     return ExposureSummary(
         entry_count=len(log.entries),
-        distinct_peer_pids=len({e.peer_record.pid for e in log.entries}),
+        distinct_peer_pids=len(log.by_peer),
         location_counts=dict(sorted(locations.items())),
     )
 

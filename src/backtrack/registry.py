@@ -190,12 +190,23 @@ class RegistryService:
         return "ERROR malformed request"
 
 
+# Longest request line the server reads, newline included.  The longest valid
+# request is an INGEST, whose certificate line grows by at most 65 bytes per
+# listed PID (64 characters and a comma): 1 MiB holds over 16,000 PIDs, where
+# two weeks of PIDs rotated every 10 minutes are 2,016.
+MAX_REQUEST_BYTES = 1 << 20
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service: RegistryService = self.server.service  # type: ignore[attr-defined]
         while True:
-            line = self.rfile.readline()
+            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
             if not line:
+                return
+            if len(line) > MAX_REQUEST_BYTES:
+                # the rest of the line is never read: answer, then hang up
+                self.wfile.write(b"ERROR request too long\n")
                 return
             try:
                 request = line.decode("utf-8").rstrip("\n")

@@ -12,7 +12,9 @@ from backtrack.bizlog import (
     OutOfOrderVisit,
     VisitorLog,
     append_visit,
+    chain_to_lines,
     evidence_query,
+    head_to_line,
     parse_chain,
     save_chain,
     verify_chain,
@@ -172,6 +174,16 @@ class TestFiles:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_chain("cafe", "visit|1|1|x\n", "head|00\n")
+
+    @pytest.mark.parametrize(
+        "edit", [("visit|1|100|", "visit|01|1e2|"), ("|100|", "|100.0|"), ("visit|1|", "visit|+1|")]
+    )
+    def test_non_canonical_visit_line_refused(self, edit):
+        # each spelling reads back as the same visit, so its hash still checks
+        text = chain_to_lines(chain_of(2)).replace(*edit, 1)
+        assert text != chain_to_lines(chain_of(2))
+        with pytest.raises(ValueError):
+            parse_chain("cafe", text, head_to_line(chain_of(2)))
 
     def test_one_line_per_visit_and_hashes_unchanged(self, tmp_path):
         # the hashes the two-line format (`visit|...` then `hash|...`) stored

@@ -347,6 +347,16 @@ class TestBizlogCommands:
         assert (code, out) == (2, "")
         assert (open(chain, "rb").read(), open(head, "rb").read()) == before
 
+    def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
+        self.append(run, tmp_path, "v1", 100.0)
+        chain, head, _ = self.append(run, tmp_path, "v2", 200.0)
+        text = open(chain).read()
+        assert text.startswith("visit|1|100|v1|")
+        open(chain, "w").write(text.replace("visit|1|100|", "visit|01|1e2|", 1))
+        code, out = run("bizlog", "verify", "--chain", chain, "--head", head,
+                        "--business-id", "cafe")
+        assert (code, out) == (2, "")
+
     def test_evidence(self, run, tmp_path):
         self.append(run, tmp_path, "visitor1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "visitor2", 200.0)

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from backtrack.contactlog import (
     ContactLog,
@@ -111,6 +112,94 @@ class TestFindMatchingContact:
         assert find_matching_contact(log, Pid("claimee"), 5000.0, "on the walk", 300.0) is None
         assert find_matching_contact(log, Pid("claimed"), 5601.0, "on the walk", 300.0) is None
         assert find_matching_contact(log, Pid("claimed"), 5000.0, "on the walk ", 300.0) is None
+
+
+def scan_for_match(log, pid, echoed_time, echoed_location, tolerance):
+    """The linear scan the peer index replaced: the oracle for lookups."""
+    for entry in log.entries:
+        if (
+            entry.peer_record.pid == pid
+            and entry.own_record.local_location == echoed_location
+            and abs(entry.own_record.local_time - echoed_time) <= tolerance
+        ):
+            return entry
+    return None
+
+
+PEERS = ["p0", "p1", "p2", "p3"]
+LOCATIONS = ["gym", "walk"]
+ops = st.one_of(
+    # append: recorded_at advances by 0-3 days, so equal timestamps occur
+    st.tuples(
+        st.just("append"), st.integers(0, 3), st.sampled_from(PEERS),
+        st.sampled_from(LOCATIONS), st.integers(0, 4),
+    ),
+    # prune at a time up to 30 days past the last append
+    st.tuples(st.just("prune"), st.integers(0, 30)),
+    st.tuples(
+        st.just("lookup"), st.sampled_from(PEERS + ["absent"]),
+        st.sampled_from(LOCATIONS), st.integers(0, 4), st.sampled_from([0.0, 300.0, 1e9]),
+    ),
+)
+
+
+class TestPeerIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ops, max_size=60))
+    def test_index_matches_scan_after_every_step(self, steps):
+        log = ContactLog()
+        expected = []  # what the log must hold, kept by brute force
+        clock = 0.0
+        for op in steps:
+            if op[0] == "append":
+                _, days, peer, loc, slot = op
+                clock += days * DAY
+                entry = make_entry(
+                    peer_pid=peer, own_loc=loc, t=slot * 200.0, recorded_at=clock
+                )
+                append_entry(log, entry)
+                expected.append(entry)
+            elif op[0] == "prune":
+                now = clock + op[1] * DAY
+                prune(log, now)
+                expected = [e for e in expected if e.recorded_at >= now - 21 * DAY]
+            else:
+                _, peer, loc, slot, tolerance = op
+                args = (Pid(peer), slot * 200.0 + 100.0, loc, tolerance)
+                assert find_matching_contact(log, *args) is scan_for_match(log, *args)
+            assert log.entries == expected
+            assert log.by_peer == ContactLog(list(log.entries)).by_peer
+
+    def test_first_match_in_log_order(self):
+        first = make_entry(peer_pid="p", t=1000.0, recorded_at=1.0)
+        second = make_entry(peer_pid="p", t=1000.0, recorded_at=2.0)
+        log = make_log(first, make_entry(peer_pid="q", recorded_at=1.5), second)
+        assert find_matching_contact(log, Pid("p"), 1000.0, "gym") is first
+        prune(log, 2.0, retention_days=0)
+        assert find_matching_contact(log, Pid("p"), 1000.0, "gym") is second
+        assert list(log.by_peer) == [Pid("p")]
+
+    def test_index_not_part_of_equality_or_repr(self):
+        log = make_log(make_entry())
+        assert log == ContactLog(list(log.entries))
+        assert "by_peer" not in repr(log)
+
+    def test_out_of_order_log_refused(self, tmp_path):
+        newer, older = make_entry(recorded_at=2.0), make_entry(recorded_at=1.0)
+        path = tmp_path / "log.txt"
+        path.write_text(entry_to_line(newer) + "\n" + entry_to_line(older) + "\n")
+        with pytest.raises(OutOfOrderEntry):
+            parse_log(path.read_text())
+        with pytest.raises(OutOfOrderEntry):
+            load_log(str(path))
+        with pytest.raises(OutOfOrderEntry):
+            ContactLog([newer, older])
+
+    def test_nan_recorded_at_refused(self):
+        with pytest.raises(ValueError):
+            make_entry(recorded_at=float("nan"))
+        with pytest.raises(ValueError):
+            parse_entry_line(entry_to_line(make_entry()).replace("entry|1000|", "entry|nan|"))
 
 
 class TestStatistics:

@@ -9,6 +9,7 @@ import pytest
 from backtrack.certificates import certificate_to_line, issue_certificate
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import (
+    MAX_REQUEST_BYTES,
     ClaimVerdict,
     NotifiedPidRepository,
     RegistryService,
@@ -245,3 +246,44 @@ class TestServer:
                 assert replies.readline() == b"ERROR malformed request\n"
                 sock.sendall(b"QUERY P1\n")
                 assert replies.readline() == b"NO\n"
+
+    def test_request_line_cap(self, directory, tmp_path):
+        # a line of MAX_REQUEST_BYTES, newline included, is served; a line one
+        # byte longer is refused and the connection closed
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(b"QUERY " + b"x" * (MAX_REQUEST_BYTES - 7) + b"\n")
+                assert replies.readline() == b"NO\n"
+                sock.sendall(b"y" * (MAX_REQUEST_BYTES + 1))
+                assert replies.readline() == b"ERROR request too long\n"
+                assert replies.readline() == b""
+
+    def test_endless_line_does_not_stop_other_clients(self, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as flooder:
+
+                def flood():
+                    try:
+                        flooder.sendall(b"x" * 10_000_000)  # no newline
+                    except OSError:
+                        pass  # the server hung up mid-send
+
+                sender = threading.Thread(target=flood, daemon=True)
+                sender.start()
+                assert client_query(*address, Pid("P1")) == "NO"
+                sender.join(timeout=10)
+                assert not sender.is_alive()
+                try:
+                    reply = flooder.makefile("rb").readline()
+                except ConnectionResetError:
+                    reply = b""  # the unread rest of the flood reset the connection
+                assert reply in (b"ERROR request too long\n", b"")
+            assert client_query(*address, Pid("P1")) == "NO"
+
+    def test_two_weeks_of_longest_pids_fit_one_request(self, lab, directory, tmp_path):
+        pids = [Pid(f"{i:064d}") for i in range(2016)]
+        assert len(ingest_line(lab, pids)) < MAX_REQUEST_BYTES
+        with running(directory, str(tmp_path / "state.txt")) as (host, port):
+            assert client_ingest(host, port, cert_for(lab, pids)) == "OK"
+            assert client_query(host, port, pids[-1]) == "YES"
