@@ -8,7 +8,7 @@ as beacons arrive, and the versioned significant-contact decision rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .identity import Pad, Pid
 
@@ -56,7 +56,7 @@ class SignificancePolicy:
     def __post_init__(self) -> None:
         if self.version < 1:
             raise ValueError("policy version must be positive")
-        if self.max_distance_m <= 0 or self.min_duration_s < 0:
+        if not (0 < self.max_distance_m < math.inf and 0 <= self.min_duration_s < math.inf):
             raise ValueError("policy thresholds out of range")
 
 
@@ -77,10 +77,14 @@ class ChannelModel:
     body_shadow_db: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("channel parameters must be finite")
         if not 1.0 <= self.path_loss_exponent <= 6.0:
             raise ValueError("path loss exponent must be in [1, 6]")
         if self.shadowing_sigma_db < 0:
             raise ValueError("shadowing sigma must be >= 0")
+        if self.body_shadow_db < 0:
+            raise ValueError("body shadow must be >= 0: blocking only weakens a signal")
 
 
 @dataclass(slots=True)
@@ -126,7 +130,10 @@ class SessionTable(dict):
 def rssi_to_distance(rssi_dbm: float, model: ChannelModel) -> float:
     """Invert the log-distance model: d = 10^((ref - rssi) / (10 n))."""
     exponent = (model.ref_power_dbm - rssi_dbm) / (10.0 * model.path_loss_exponent)
-    return 10.0 ** exponent
+    try:
+        return 10.0 ** exponent
+    except OverflowError:  # farther than the largest float
+        return math.inf
 
 
 def distance_to_rssi(

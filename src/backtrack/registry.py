@@ -195,13 +195,20 @@ class RegistryService:
 # listed PID (64 characters and a comma): 1 MiB holds over 16,000 PIDs, where
 # two weeks of PIDs rotated every 10 minutes are 2,016.
 MAX_REQUEST_BYTES = 1 << 20
+# Seconds a connection may stay silent before the server hangs up, so that an
+# idle client does not hold its thread forever.
+IDLE_TIMEOUT_S = 30.0
 
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         service: RegistryService = self.server.service  # type: ignore[attr-defined]
+        self.connection.settimeout(IDLE_TIMEOUT_S)
         while True:
-            line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            try:
+                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
+            except TimeoutError:
+                return
             if not line:
                 return
             if len(line) > MAX_REQUEST_BYTES:

@@ -45,6 +45,10 @@ from .registry import NotifiedPidRepository, ingest_certificate
 
 RADIO_CUTOFF_DBM = -100.0
 LOCATION_BUCKET_S = 600.0
+# Relative widening of a beacon tick's reach, far above the rounding error of
+# the log-distance arithmetic, so that no pair the exact per-pair check would
+# hear, and no pair within true_radius_m, is left outside it.
+REACH_MARGIN = 1e-6
 
 
 class InvalidScenario(ValueError):
@@ -101,6 +105,12 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", "float | None") and not math.isfinite(value or 0.0):
+                raise InvalidScenario(f"{f.name} must be finite")
+        if not all(map(math.isfinite, self.world_size_m)):
+            raise InvalidScenario("world size must be finite")
         if self.n_agents < 1:
             raise InvalidScenario("n_agents must be >= 1")
         if not 0 <= self.initial_infectious <= self.n_agents:
@@ -117,6 +127,8 @@ class Scenario:
             raise InvalidScenario("bad pause range")
         if not 0.0 <= self.transmission_prob <= 1.0:
             raise InvalidScenario("transmission_prob must be in [0, 1]")
+        if not 0.0 <= self.body_block_prob <= 1.0:
+            raise InvalidScenario("body_block_prob must be in [0, 1]")
         if self.default_policy_version not in self.policies:
             raise InvalidScenario("default policy version not declared")
         for agent_id, version in self.agent_policy.items():
@@ -265,13 +277,6 @@ class _Delivery(NamedTuple):
     source_id: int | None
 
 
-@dataclass
-class _PairState:
-    prev_in_radius: bool = False
-    dwell: float = 0.0
-    qualified: bool = False
-
-
 class World:
     """Mutable simulation state; step() advances time by 1 s."""
 
@@ -321,7 +326,9 @@ class World:
                 agent.diagnose_at = scenario.diagnosis_delay_s
             self.agents.append(agent)
 
-        self._pair_state: dict[tuple[int, int], _PairState] = {}
+        # in-radius dwell of each pair of agents within true_radius_m at the
+        # latest beacon tick; every other pair is apart
+        self._pair_state: dict[tuple[int, int], float] = {}
         self._true_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
         self._built: list[tuple[Pad, Notification, int]] = []
@@ -404,28 +411,53 @@ class World:
                     agent.position[1] + dy / dist * step,
                 )
 
+    def _channel_draws(self, n_pairs: int) -> tuple[list[float], list[bool]]:
+        """Each pair's shadowing draw and body-blocking outcome, in pair order;
+        a pair draws its shadowing before its blocking, and only what is on."""
+        s = self.scenario
+        gauss, uniform = self._channel_rng.gauss, self._channel_rng.random
+        shadowed, p = s.channel.shadowing_sigma_db > 0, s.body_block_prob
+        if shadowed and p > 0:
+            drawn = [(gauss(0.0, 1.0), uniform() < p) for _ in range(n_pairs)]
+            return [noise for noise, _ in drawn], [blocked for _, blocked in drawn]
+        return (
+            [gauss(0.0, 1.0) for _ in range(n_pairs)] if shadowed else [0.0] * n_pairs,
+            [uniform() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs,
+        )
+
     def _beacon_tick(self) -> None:
+        """Exchange beacons between every pair of active agents that can hear
+        each other.  Every pair's channel draws are made, in pair order; only
+        pairs within the tick's reach are evaluated, found through a grid of
+        reach-sized cells and visited in pair order."""
         s = self.scenario
         active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
+        m = len(active)
+        noise, blocked = self._channel_draws(m * (m - 1) // 2)
+        reach = _reach(s, max(noise, default=0.0))
+        cells = [(int(a.position[0] // reach), int(a.position[1] // reach)) for a in active]
+        grid: dict[tuple[int, int], list[int]] = {}
+        for i, cell in enumerate(cells):
+            grid.setdefault(cell, []).append(i)
         records = {a.agent_id: self._own_record(a) for a in active}
-        for idx, a in enumerate(active):
-            for b in active[idx + 1 :]:
-                true_d = max(
-                    0.01,
-                    math.hypot(
-                        a.position[0] - b.position[0], a.position[1] - b.position[1]
-                    ),
-                )
-                noise = (
-                    self._channel_rng.gauss(0.0, 1.0)
-                    if s.channel.shadowing_sigma_db > 0
-                    else 0.0
-                )
-                blocked = (
-                    s.body_block_prob > 0
-                    and self._channel_rng.random() < s.body_block_prob
-                )
-                rssi = distance_to_rssi(true_d, s.channel, noise, blocked)
+        dwell_before, self._pair_state = self._pair_state, {}
+        for i, a in enumerate(active):
+            cx, cy = cells[i]
+            near = sorted(
+                j
+                for gx in (cx - 1, cx, cx + 1)
+                for gy in (cy - 1, cy, cy + 1)
+                for j in grid.get((gx, gy), ())
+                if j > i
+            )
+            row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
+            for j in near:
+                b = active[j]
+                d = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+                if d > reach:
+                    continue
+                true_d = max(0.01, d)
+                rssi = distance_to_rssi(true_d, s.channel, noise[row + j], blocked[row + j])
                 if rssi >= RADIO_CUTOFF_DBM:
                     rssi = min(rssi, 0.0)
                     sample = RssiSample(at=self.now, rssi_dbm=rssi)
@@ -441,23 +473,19 @@ class World:
                         )
                         if closed is not None:
                             self._classify_and_log(receiver, closed)
-                self._ground_truth_update(a, b, true_d)
+                if true_d <= s.true_radius_m:
+                    key = (a.agent_id, b.agent_id)
+                    self._pair_state[key] = self._ground_truth_update(
+                        a, b, dwell_before.get(key)
+                    )
 
-    def _ground_truth_update(self, a: Agent, b: Agent, true_d: float) -> None:
+    def _ground_truth_update(self, a: Agent, b: Agent, before: float | None) -> float:
+        """Advance the dwell of a pair within true_radius_m, from its dwell at
+        the previous beacon tick (None if it was apart then), and expose it
+        the tick its dwell reaches exposure_seconds.  Returns the new dwell."""
         s = self.scenario
-        key = (a.agent_id, b.agent_id)
-        state = self._pair_state.setdefault(key, _PairState())
-        in_radius = true_d <= s.true_radius_m
-        if in_radius and state.prev_in_radius:
-            state.dwell += s.beacon_interval_s
-        elif in_radius:
-            state.dwell = 0.0
-        else:
-            state.dwell = 0.0
-            state.qualified = False
-        state.prev_in_radius = in_radius
-        if in_radius and not state.qualified and state.dwell >= s.exposure_seconds:
-            state.qualified = True
+        dwell = 0.0 if before is None else before + s.beacon_interval_s
+        if dwell >= s.exposure_seconds and (before is None or before < s.exposure_seconds):
             for src, dst in ((a, b), (b, a)):
                 if src.health is Health.INFECTIOUS:
                     if (src.agent_id, dst.agent_id) not in self._true_pairs:
@@ -472,6 +500,7 @@ class World:
                         dst.diagnose_at = self.now + s.diagnosis_delay_s
                         self.metrics.infections += 1
                         self._emit(f"infect|{dst.agent_id}")
+        return dwell
 
     def _rotate_pids(self) -> None:
         pid_rng = random.Random(self.scenario.rng_seed ^ 0x9E3779B9)
@@ -652,6 +681,21 @@ class World:
 
 def _utc_date(timestamp: float) -> date:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
+
+
+def _reach(scenario: Scenario, max_noise: float) -> float:
+    """Farthest distance at which a pair matters in a beacon tick whose
+    largest shadowing draw is max_noise: no pair farther apart reaches
+    RADIO_CUTOFF_DBM (body blocking only weakens a signal) or is within
+    true_radius_m.  Capped at the world's width plus height, which puts every
+    agent in one cell, so the power of ten is never taken of a huge exponent."""
+    c = scenario.channel
+    w, h = scenario.world_size_m
+    exponent = (c.ref_power_dbm + max_noise * c.shadowing_sigma_db - RADIO_CUTOFF_DBM) / (
+        10.0 * c.path_loss_exponent
+    )
+    radio_m = 10.0 ** min(exponent, math.log10(w + h))
+    return max(radio_m, scenario.true_radius_m) * (1.0 + REACH_MARGIN)
 
 
 def run_scenario(scenario: Scenario) -> tuple[SimMetrics, list[str]]:

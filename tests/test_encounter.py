@@ -91,6 +91,10 @@ class TestPathLoss:
             ChannelModel(path_loss_exponent=0.5)
         with pytest.raises(ValueError):
             ChannelModel(shadowing_sigma_db=-1.0)
+        with pytest.raises(ValueError, match="body shadow"):
+            ChannelModel(body_shadow_db=-1.0)
+        with pytest.raises(ValueError, match="finite"):
+            ChannelModel(ref_power_dbm=float("nan"))
 
 
 class TestIngestBeacon:

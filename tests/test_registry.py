@@ -1,11 +1,13 @@
 import socket
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
+from backtrack import registry
 from backtrack.certificates import certificate_to_line, issue_certificate
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import (
@@ -280,6 +282,15 @@ class TestServer:
                     reply = b""  # the unread rest of the flood reset the connection
                 assert reply in (b"ERROR request too long\n", b"")
             assert client_query(*address, Pid("P1")) == "NO"
+
+    def test_silent_client_is_hung_up_on(self, directory, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry, "IDLE_TIMEOUT_S", 1.0)
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            start = time.monotonic()
+            with socket.create_connection(address, timeout=10) as silent:
+                assert client_query(*address, Pid("P1")) == "NO"
+                assert silent.makefile("rb").readline() == b""
+                assert time.monotonic() - start >= 0.9
 
     def test_two_weeks_of_longest_pids_fit_one_request(self, lab, directory, tmp_path):
         pids = [Pid(f"{i:064d}") for i in range(2016)]

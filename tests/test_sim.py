@@ -1,8 +1,21 @@
-import pytest
+import math
+from dataclasses import dataclass, replace
 
-from backtrack.encounter import ChannelModel, SignificancePolicy
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from backtrack import sim
+from backtrack.encounter import (
+    POLICY_V1,
+    ChannelModel,
+    RssiSample,
+    SignificancePolicy,
+    distance_to_rssi,
+    ingest_beacon,
+)
 from backtrack.notify import DeploymentMode, VerdictStatus
 from backtrack.sim import (
+    RADIO_CUTOFF_DBM,
     ForgeryKind,
     Health,
     InvalidScenario,
@@ -341,6 +354,42 @@ class TestScenarioParsing:
         with pytest.raises(InvalidScenario):
             parse_scenario("n_agents 2\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "duration_s", "world_width_m", "world_height_m", "speed_min_mps",
+            "speed_max_mps", "pause_min_s", "pause_max_s", "ref_power_dbm",
+            "path_loss_exponent", "shadowing_sigma_db", "body_shadow_db",
+            "body_block_prob", "true_radius_m", "exposure_seconds", "transmission_prob",
+            "diagnosis_delay_s", "pid_rotation_at_s", "gap_timeout_s", "time_tolerance_s",
+        ],
+    )
+    def test_non_finite_number(self, key, value):
+        with pytest.raises(InvalidScenario):
+            parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "body_shadow_db = -1", "body_block_prob = 1.5", "policy = 1:nan:600",
+            "policy = 1:inf:600", "policy = 1:3:nan", "position = 0:nan:5",
+        ],
+    )
+    def test_out_of_range_value(self, text):
+        with pytest.raises(InvalidScenario):
+            parse_scenario(f"n_agents = 2\nduration_s = 10\n{text}\n")
+
+    def test_huge_reference_power_runs(self):
+        # every pair is in range and the reach's power of ten would overflow
+        world = World(parse_scenario(
+            "n_agents = 4\nduration_s = 30\nref_power_dbm = 1e6\nshadowing_sigma_db = 2\n"
+        ))
+        while world.now < 30:
+            world.step()
+        assert all(len(a.sessions) == 3 for a in world.agents)
+        world.finalize()
+
 
 class TestScenarioValidation:
     def test_no_agents(self):
@@ -376,3 +425,168 @@ class TestMetricsFormat:
         assert "metric|true_exposures|1" in lines
         assert "metric|missed|0" in lines
         assert any(line.startswith("metric|verdict_ACCEPTED|") for line in lines)
+
+
+@dataclass
+class _PairState:
+    prev_in_radius: bool = False
+    dwell: float = 0.0
+    qualified: bool = False
+
+
+class FullPairLoopWorld(World):
+    """Reference for the culled beacon tick: the tick as it was before
+    culling, which evaluates every pair of active agents and keeps a state for
+    every pair it ever evaluated."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self._every_pair = {}
+
+    def _beacon_tick(self):
+        s = self.scenario
+        active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
+        records = {a.agent_id: self._own_record(a) for a in active}
+        for idx, a in enumerate(active):
+            for b in active[idx + 1 :]:
+                true_d = max(
+                    0.01,
+                    math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1]),
+                )
+                noise = (
+                    self._channel_rng.gauss(0.0, 1.0)
+                    if s.channel.shadowing_sigma_db > 0
+                    else 0.0
+                )
+                blocked = (
+                    s.body_block_prob > 0 and self._channel_rng.random() < s.body_block_prob
+                )
+                rssi = distance_to_rssi(true_d, s.channel, noise, blocked)
+                if rssi >= RADIO_CUTOFF_DBM:
+                    rssi = min(rssi, 0.0)
+                    sample = RssiSample(at=self.now, rssi_dbm=rssi)
+                    for receiver, sender in ((a, b), (b, a)):
+                        closed = ingest_beacon(
+                            receiver.sessions,
+                            own=records[receiver.agent_id],
+                            peer=records[sender.agent_id],
+                            sample=sample,
+                            policy=receiver.policy,
+                            model=s.channel,
+                            gap_timeout_s=s.gap_timeout_s,
+                        )
+                        if closed is not None:
+                            self._classify_and_log(receiver, closed)
+                self._full_ground_truth_update(a, b, true_d)
+
+    def _full_ground_truth_update(self, a, b, true_d):
+        s = self.scenario
+        state = self._every_pair.setdefault((a.agent_id, b.agent_id), _PairState())
+        in_radius = true_d <= s.true_radius_m
+        if in_radius and state.prev_in_radius:
+            state.dwell += s.beacon_interval_s
+        elif in_radius:
+            state.dwell = 0.0
+        else:
+            state.dwell = 0.0
+            state.qualified = False
+        state.prev_in_radius = in_radius
+        if in_radius and not state.qualified and state.dwell >= s.exposure_seconds:
+            state.qualified = True
+            for src, dst in ((a, b), (b, a)):
+                if src.health is Health.INFECTIOUS:
+                    if (src.agent_id, dst.agent_id) not in self._true_pairs:
+                        self._true_pairs.add((src.agent_id, dst.agent_id))
+                        self._emit(f"exposure|{src.agent_id}|{dst.agent_id}")
+                    if (
+                        dst.health is Health.SUSCEPTIBLE
+                        and self._infect_rng.random() < s.transmission_prob
+                    ):
+                        dst.health = Health.INFECTIOUS
+                        dst.infected_at = self.now
+                        dst.diagnose_at = self.now + s.diagnosis_delay_s
+                        self.metrics.infections += 1
+                        self._emit(f"infect|{dst.agent_id}")
+
+
+class NearPairsCheckedWorld(World):
+    """The program's World, checking after every beacon tick that pair state
+    is held for exactly the active pairs within true_radius_m."""
+
+    def _beacon_tick(self):
+        super()._beacon_tick()
+        active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
+        near = {
+            (a.agent_id, b.agent_id)
+            for i, a in enumerate(active)
+            for b in active[i + 1 :]
+            if max(0.01, math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1]))
+            <= self.scenario.true_radius_m
+        }
+        assert set(self._pair_state) == near
+
+
+@st.composite
+def culling_scenarios(draw):
+    """Small worlds, from one grid cell to many, with agents placed anywhere,
+    on the edges of the grid's cells, or a few ulps either side of the
+    noiseless radio reach from the world's edge."""
+    n = draw(st.integers(2, 30))
+    w, h = draw(st.floats(2.0, 2000.0)), draw(st.floats(2.0, 2000.0))
+    channel = ChannelModel(
+        ref_power_dbm=draw(st.floats(-95.0, -30.0)),
+        path_loss_exponent=draw(st.floats(1.0, 6.0)),
+        shadowing_sigma_db=draw(st.sampled_from([0.0, 0.0, 2.0]) | st.floats(0.0, 8.0)),
+        body_shadow_db=draw(st.floats(0.0, 20.0)),
+    )
+    speed = draw(st.sampled_from([0.0, 1.5]))
+    scenario = Scenario(
+        n_agents=n,
+        duration_s=draw(st.integers(10, 200)),
+        world_size_m=(w, h),
+        initial_infectious=draw(st.integers(0, n)),
+        speed_min_mps=speed / 3,
+        speed_max_mps=speed,
+        pause_max_s=20.0,
+        channel=channel,
+        body_block_prob=draw(st.sampled_from([0.0, 0.3])),
+        true_radius_m=draw(st.floats(0.5, 60.0)),
+        exposure_seconds=draw(st.sampled_from([0.0, 20.0, 60.0])),
+        transmission_prob=draw(st.floats(0.0, 1.0)),
+        diagnosis_delay_s=draw(st.integers(20, 300)),
+        # a policy that logs any contact heard at all makes a pair at the
+        # edge of radio reach show in the trace
+        policies={1: draw(st.sampled_from([POLICY_V1, SignificancePolicy(1, 1e9, 0.0)]))},
+        gap_timeout_s=draw(st.sampled_from([15.0, 60.0])),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    cell = sim._reach(scenario, 0.0)
+    radio_m = 10.0 ** (
+        (channel.ref_power_dbm - RADIO_CUTOFF_DBM) / (10.0 * channel.path_loss_exponent)
+    )
+    around = [radio_m]
+    for _ in range(3):
+        around = [math.nextafter(around[0], 0.0), *around, math.nextafter(around[-1], math.inf)]
+
+    edges = st.tuples(
+        *(
+            st.sampled_from([k * cell for k in range(min(int(side // cell), 5) + 1)])
+            for side in (w, h)
+        )
+    )
+    reach_edge = st.tuples(st.sampled_from([0.0, *[d for d in around if d <= w]]), st.just(0.0))
+    anywhere = st.tuples(st.floats(0.0, w), st.floats(0.0, h))
+    positions = {i: draw(anywhere | edges | reach_edge) for i in range(n)}
+    return replace(scenario, positions=positions)
+
+
+class TestCulledBeaconTick:
+    @settings(max_examples=150, deadline=None)
+    @given(culling_scenarios())
+    def test_matches_full_pair_loop(self, scenario):
+        culled, full = NearPairsCheckedWorld(scenario), FullPairLoopWorld(scenario)
+        culled_metrics, full_metrics = culled.run(), full.run()
+        assert culled.trace == full.trace
+        assert metrics_to_lines(culled_metrics) == metrics_to_lines(full_metrics)
+        assert culled._channel_rng.getstate() == full._channel_rng.getstate()
+        assert culled._infect_rng.getstate() == full._infect_rng.getstate()
