@@ -57,6 +57,7 @@ GOLDEN = {
     "criterion-02-seed4": "6dc0dc997294b2bcd9e615d2cca098425a5ceb621e14852edd85ef7394cc64f8",
     "criterion-09": "6ee1c73443b34accc93c179a948ae4be9a1ceb0ef5d138be9a1ba9e07c55286a",
     "small-shadowed": "8bf7ec87fc23457803228b16d0eaff66bd483177e6b357ec202084a1dbd64643",
+    "small-optional": "80d4c7f65d9c3fbd45b4ebb82260c90666325f1a68d3e5dcd4b4055872bbe06c",
 }
 
 
@@ -72,7 +73,13 @@ def test_criterion_02_digest(seed):
     assert output_digest(*run_dense_world(seed)) == GOLDEN[f"criterion-02-seed{seed}"]
 
 
-SCENARIOS = {"criterion-09": CRITERION_09_SCENARIO, "small-shadowed": SMALL_SCENARIO}
+# The same scenario in optional mode takes the uncertified path through
+# diagnosis and verification (ACCEPTED-UNCERTIFIED verdicts).
+SCENARIOS = {
+    "criterion-09": CRITERION_09_SCENARIO,
+    "small-shadowed": SMALL_SCENARIO,
+    "small-optional": SMALL_SCENARIO + "mode = optional\n",
+}
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
