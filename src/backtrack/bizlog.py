@@ -149,7 +149,7 @@ def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog
 
 
 def save_chain(log: VisitorLog, chain_path: str, head_path: str) -> None:
-    with open(chain_path, "w", encoding="utf-8") as f:
-        f.write(chain_to_lines(log))
-    with open(head_path, "w", encoding="utf-8") as f:
-        f.write(head_to_line(log))
+    """Replace each file atomically.  A crash between the two replacements
+    still leaves the new chain under the old head."""
+    wire.write_atomic(chain_path, chain_to_lines(log))
+    wire.write_atomic(head_path, head_to_line(log))

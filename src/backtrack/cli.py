@@ -114,8 +114,7 @@ def cmd_pid(args) -> int:
         return EXIT_OK
     commitment = generate_trusted_pid(args.name, args.phrase)
     if args.commitment_file:
-        with open(args.commitment_file, "w", encoding="utf-8") as f:
-            f.write(commitment_to_line(commitment) + "\n")
+        wire.write_atomic(args.commitment_file, commitment_to_line(commitment) + "\n")
     print(commitment.pid.value)
     return EXIT_OK
 
@@ -127,8 +126,7 @@ def cmd_sim(args) -> int:
         raise InputError(f"bad scenario: {exc}") from exc
     metrics, trace = run_scenario(scenario)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as f:
-            f.write("".join(line + "\n" for line in trace))
+        wire.write_atomic(args.trace, "".join(line + "\n" for line in trace))
     sys.stdout.write(metrics_to_lines(metrics))
     return EXIT_OK
 
@@ -163,8 +161,7 @@ def cmd_cert(args) -> int:
             )
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(certificate_to_line(cert) + "\n")
+        wire.write_atomic(args.out, certificate_to_line(cert) + "\n")
         print(args.out)
         return EXIT_OK
     # verify
@@ -189,8 +186,13 @@ def cmd_notify(args) -> int:
     # verify
     log = _load_log(args.log)
     directory = _load_directory(args.directory)
+    # a mailbox gets whole lines only, so an unterminated last line is an
+    # append cut short by a crash: it was never delivered, and is not read
+    complete, _, torn = _read_text(args.notification).rpartition("\n")
+    if torn:
+        print("torn|1", file=sys.stderr)
     try:
-        notifications = parse_notifications(_read_text(args.notification))
+        notifications = parse_notifications(complete)
     except ValueError as exc:
         raise InputError(f"bad notification file: {exc}") from exc
     if not notifications:

@@ -14,7 +14,6 @@ import math
 import random
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timezone
-from typing import NamedTuple
 
 from . import wire
 from .certificates import LabDirectory, LabIdentity, issue_certificate
@@ -62,6 +61,8 @@ class Health(enum.Enum):
 
 
 class ForgeryKind(enum.Enum):
+    """Declared in the order a scenario's forgeries are injected."""
+
     FAKE_CONTACT_CLAIM = "FakeContactClaim"
     PID_SWAP = "PidSwap"
     BOGUS_CERTIFICATE = "BogusCertificate"
@@ -260,21 +261,11 @@ class Agent:
     position: tuple[float, float]
     health: Health = Health.SUSCEPTIBLE
     infected_at: float | None = None
-    diagnose_at: float | None = None
     waypoint: tuple[float, float] | None = None
     speed: float = 0.0
     pause_until: float = 0.0
     sessions: SessionTable = field(default_factory=SessionTable)
     log: ContactLog = field(default_factory=ContactLog)
-    verdicts: list = field(default_factory=list)
-
-
-class _Delivery(NamedTuple):
-    """What the simulator posts to a mailbox: the notification and the agent
-    that sent it, or None for an injected forgery."""
-
-    notification: Notification
-    source_id: int | None
 
 
 class World:
@@ -323,7 +314,6 @@ class World:
             if i < scenario.initial_infectious:
                 agent.health = Health.INFECTIOUS
                 agent.infected_at = 0.0
-                agent.diagnose_at = scenario.diagnosis_delay_s
             self.agents.append(agent)
 
         # in-radius dwell of each pair of agents within true_radius_m at the
@@ -331,29 +321,24 @@ class World:
         self._pair_state: dict[tuple[int, int], float] = {}
         self._true_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
+        # the scenario's forgeries, injected in the step of the first
+        # diagnosis, and the notifications built until then for PidSwap to copy
+        counts = (scenario.forge_fake_claims, scenario.forge_pid_swap, scenario.forge_bogus_cert)
+        self._forgeries = [(kind, n) for kind, n in zip(ForgeryKind, counts) if n > 0]
         self._built: list[tuple[Pad, Notification, int]] = []
-        self._forgeries_pending = (
-            scenario.forge_fake_claims > 0
-            or scenario.forge_pid_swap > 0
-            or scenario.forge_bogus_cert > 0
-        )
-        self._rotated = False
+        self._rotate_at = scenario.pid_rotation_at_s  # None once rotated
 
     # -- helpers -----------------------------------------------------------
 
     def _emit(self, event: str) -> None:
         self.trace.append(f"trace|{wire.fmt_num(self.now)}|{event}")
 
-    def _location_label(self, agent: Agent) -> str:
-        bucket = int(self.now // LOCATION_BUCKET_S)
-        return f"loc-{agent.agent_id}-{bucket}"
-
     def _own_record(self, agent: Agent) -> InformationRecord:
         return InformationRecord(
             pid=agent.pid,
             pad=agent.pad,
             local_time=self.now,
-            local_location=self._location_label(agent),
+            local_location=f"loc-{agent.agent_id}-{int(self.now // LOCATION_BUCKET_S)}",
         )
 
     def _classify_and_log(self, agent: Agent, session: ContactSession) -> None:
@@ -373,12 +358,13 @@ class World:
             f"|dwell={wire.fmt_num(verdict.dwell_s)}"
         )
 
-    def _flush_session(self, agent: Agent, peer_pid: Pid) -> None:
-        """Close and classify any open session with a peer PID (used before
-        verifying a notification naming that PID)."""
-        session = agent.sessions.pop(peer_pid.value, None)
-        if session is not None:
-            self._classify_and_log(agent, session)
+    def _close_sessions(self, agent: Agent, peer_pids: list[str]) -> None:
+        """Close and classify the agent's open sessions with these peer PIDs,
+        in the order given; a PID with no open session is skipped."""
+        for key in peer_pids:
+            session = agent.sessions.pop(key, None)
+            if session is not None:
+                self._classify_and_log(agent, session)
 
     # -- per-step phases ---------------------------------------------------
 
@@ -497,7 +483,6 @@ class World:
                     ):
                         dst.health = Health.INFECTIOUS
                         dst.infected_at = self.now
-                        dst.diagnose_at = self.now + s.diagnosis_delay_s
                         self.metrics.infections += 1
                         self._emit(f"infect|{dst.agent_id}")
         return dwell
@@ -513,14 +498,13 @@ class World:
             self._emit(f"pid-rotation|{agent.agent_id}")
 
     def _diagnose_due(self) -> None:
+        delay = self.scenario.diagnosis_delay_s
         for agent in self.agents:
-            if agent.health is Health.INFECTIOUS and agent.diagnose_at is not None:
-                if agent.diagnose_at <= self.now:
-                    self._diagnose(agent)
+            if agent.health is Health.INFECTIOUS and agent.infected_at + delay <= self.now:
+                self._diagnose(agent)
 
     def _diagnose(self, agent: Agent) -> None:
-        for key in sorted(agent.sessions):
-            self._classify_and_log(agent, agent.sessions.pop(key))
+        self._close_sessions(agent, sorted(agent.sessions))
         # disclose only the PIDs used while infectious
         own_pids = active_pids_in_window(agent.pids_used, agent.infected_at or 0.0, self.now)
         cert = None
@@ -534,8 +518,9 @@ class World:
             ingest_certificate(self.repo, cert, self.directory)
         notifications = build_notifications(agent.log, own_pids, cert)
         for pad, n in notifications:
-            self._built.append((pad, n, agent.agent_id))
-            self.mailboxes.deliver(pad, _Delivery(n, agent.agent_id))
+            if self._forgeries:
+                self._built.append((pad, n, agent.agent_id))
+            self.mailboxes.deliver(pad, (n, agent.agent_id))
         self.metrics.notifications_built += len(notifications)
         agent.health = Health.DIAGNOSED
         self.metrics.diagnoses += 1
@@ -544,7 +529,8 @@ class World:
     def _poll_and_verify(self) -> None:
         for agent in self.agents:
             for n, source_id in self.mailboxes.poll(agent.pad):
-                self._flush_session(agent, n.sender_pid)
+                # the contact the notification names may still be open
+                self._close_sessions(agent, [n.sender_pid.value])
                 verdict = verify_notification(
                     n,
                     agent.log,
@@ -552,7 +538,6 @@ class World:
                     mode=self.scenario.mode,
                     time_tolerance_s=self.scenario.time_tolerance_s,
                 )
-                agent.verdicts.append(verdict)
                 counts = self.metrics.verdict_counts
                 counts[verdict.status.value] = counts.get(verdict.status.value, 0) + 1
                 forged = source_id is None
@@ -621,41 +606,32 @@ class World:
                         echoed_location=f"loc-{victim.agent_id}-0",
                         certificate=fake_cert,
                     )
-            self.mailboxes.deliver(victim.pad, _Delivery(n, None))
+            self.mailboxes.deliver(victim.pad, (n, None))
             injected += 1
             self._emit(f"forgery|{kind.value}|target={victim.agent_id}")
         self.metrics.forgeries_injected += injected
         return injected
 
     def _inject_scheduled_forgeries(self) -> None:
-        s = self.scenario
-        if s.forge_fake_claims:
-            self.inject_forgeries(ForgeryKind.FAKE_CONTACT_CLAIM, s.forge_fake_claims)
-        if s.forge_pid_swap:
-            self.inject_forgeries(ForgeryKind.PID_SWAP, s.forge_pid_swap)
-        if s.forge_bogus_cert:
-            self.inject_forgeries(ForgeryKind.BOGUS_CERTIFICATE, s.forge_bogus_cert)
-        self._forgeries_pending = False
+        for kind, count in self._forgeries:
+            self.inject_forgeries(kind, count)
+        self._forgeries, self._built = [], []
 
     # -- driving -------------------------------------------------------------
 
     def step(self) -> None:
         s = self.scenario
         self._move()
-        if (
-            s.pid_rotation_at_s is not None
-            and not self._rotated
-            and self.now >= s.pid_rotation_at_s
-        ):
+        if self._rotate_at is not None and self.now >= self._rotate_at:
             self._rotate_pids()
-            self._rotated = True
+            self._rotate_at = None
         if int(self.now) % s.beacon_interval_s == 0:
             self._beacon_tick()
         for agent in self.agents:
             for closed in close_expired_sessions(agent.sessions, self.now, s.gap_timeout_s):
                 self._classify_and_log(agent, closed)
         self._diagnose_due()
-        if self._forgeries_pending and self.metrics.diagnoses > 0:
+        if self._forgeries and self.metrics.diagnoses > 0:
             self._inject_scheduled_forgeries()
         self._poll_and_verify()
         self.now += self.DT
@@ -663,8 +639,7 @@ class World:
     def finalize(self) -> SimMetrics:
         """Close remaining sessions, settle metrics against ground truth."""
         for agent in self.agents:
-            for key in sorted(agent.sessions):
-                self._classify_and_log(agent, agent.sessions.pop(key))
+            self._close_sessions(agent, sorted(agent.sessions))
         m = self.metrics
         m.true_exposures = len(self._true_pairs)
         m.notified_true = len(self._true_pairs & self._accepted_pairs)

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 from dataclasses import replace
 
@@ -170,6 +171,20 @@ class TestFiles:
         open(chain_path, "w").write(text)
         loaded = load("cafe", chain_path, head_path)
         assert verify_chain(loaded).tampered_at == 2
+
+    def test_failed_save_leaves_old_files(self, tmp_path, monkeypatch):
+        chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        save_chain(chain_of(3), chain_path, head_path)
+        before = open(chain_path, "rb").read(), open(head_path, "rb").read()
+
+        def crash(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            save_chain(chain_of(5), chain_path, head_path)
+        assert (open(chain_path, "rb").read(), open(head_path, "rb").read()) == before
+        assert sorted(os.listdir(tmp_path)) == ["chain.txt", "head.txt"]
 
     def test_malformed(self):
         with pytest.raises(ValueError):

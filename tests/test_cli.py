@@ -216,6 +216,38 @@ class TestNotifyCommands:
         assert lines[1].startswith("entry|")
         assert lines[2:] == ["REJECTED-NO-MATCHING-CONTACT"]
 
+    def test_verify_drops_torn_last_record(self, tmp_path, capsys):
+        from dataclasses import replace
+
+        from backtrack import wire
+        from backtrack.notify import notification_to_line, parse_notifications
+
+        def run(*argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path)
+        boxes = str(tmp_path / "boxes")
+        run("notify", "build", "--log", sender_log, "--own-pids", "sick",
+            "--cert", cert, "--mailbox-dir", boxes)
+        mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
+        first = mailbox.read_text()
+        (genuine,) = parse_notifications(first)
+        # the last record is certified, so a cut can fall in either part
+        last = notification_to_line(replace(genuine, sender_pid=Pid("mallory")))
+        argv = ("notify", "verify", "--log", victim_log, "--directory", directory,
+                "--notification", str(mailbox))
+        mailbox.write_text(first)
+        alone = run(*argv)
+        assert alone[0] == 0 and alone[2] == ""
+        mailbox.write_text(first + last + "\n")
+        assert run(*argv)[0] == 1
+        # every cut inside the last record, up to its missing newline
+        for cut in range(1, len(last) + 1):
+            mailbox.write_text(first + last[:cut])
+            assert run(*argv) == (0, alone[1], "torn|1\n"), cut
+
     def test_build_uncovered_pid_exits_2(self, run, tmp_path):
         _, _, sender_log, _ = self.setup_files(run, tmp_path)
         # certificate covers a different PID than the one the log was kept under

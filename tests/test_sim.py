@@ -26,6 +26,17 @@ from backtrack.sim import (
     run_scenario,
 )
 
+from test_golden import SMALL_SCENARIO
+
+
+def verdicts(trace, agent_id):
+    """The verdict statuses an agent reached, in order, read from the trace."""
+    return [
+        fields[4]
+        for fields in (line.split("|") for line in trace)
+        if fields[2] == "verdict" and fields[3] == str(agent_id)
+    ]
+
 
 def static_pair(distance_m, duration_s=1200.0, diagnosis_delay_s=900.0, **kw):
     """Two motionless agents a fixed distance apart, agent 0 infectious."""
@@ -51,8 +62,7 @@ class TestStaticPairs:
         assert metrics.notified_true == 1
         assert metrics.missed == 0
         assert metrics.notified_false == 0
-        statuses = [v.status for v in world.agents[1].verdicts]
-        assert statuses == [VerdictStatus.ACCEPTED]
+        assert verdicts(world.trace, 1) == [VerdictStatus.ACCEPTED.value]
 
     def test_far_pair_nothing_logged(self):
         world = World(static_pair(50.0))
@@ -99,10 +109,8 @@ class TestStaticPairs:
         assert len(world.agents[0].log.entries) == 1
         assert len(world.agents[1].log.entries) == 0
         assert metrics.notifications_built == 1
-        assert [v.status for v in world.agents[1].verdicts] == [
-            VerdictStatus.REJECTED_NO_MATCHING_CONTACT
-        ]
-        assert world.agents[0].verdicts == []
+        assert verdicts(world.trace, 1) == [VerdictStatus.REJECTED_NO_MATCHING_CONTACT.value]
+        assert verdicts(world.trace, 0) == []
 
     def test_pid_rotation_still_notifiable(self):
         scenario = static_pair(
@@ -227,6 +235,16 @@ class TestConservation:
             m.notifications_built + m.forgeries_injected
             == sum(m.verdict_counts.values()) + m.pending_at_end
         )
+
+
+    def test_mail_never_outlives_a_step(self):
+        # each notification is polled in the step it is posted in: this is why
+        # pending_at_end is 0, and why PidSwap needs only that step's mail
+        world = World(parse_scenario(SMALL_SCENARIO))
+        while world.now < world.scenario.duration_s:
+            world.step()
+            assert world.mailboxes.pending_count() == 0, world.now
+        assert sum(world.metrics.verdict_counts.values()) > 0
 
 
 class TestScenarioParsing:
@@ -504,7 +522,6 @@ class FullPairLoopWorld(World):
                     ):
                         dst.health = Health.INFECTIOUS
                         dst.infected_at = self.now
-                        dst.diagnose_at = self.now + s.diagnosis_delay_s
                         self.metrics.infections += 1
                         self._emit(f"infect|{dst.agent_id}")
 
