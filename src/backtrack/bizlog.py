@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,7 +21,8 @@ GENESIS_HASH = "0" * 64
 
 
 class OutOfOrderVisit(ValueError):
-    pass
+    """A visit earlier than the chain's last one, or at a time that is not
+    finite and so has no place in the chain's order."""
 
 
 class EvidenceVerdict(enum.Enum):
@@ -39,7 +41,7 @@ class ChainedVisit:
 
 @dataclass
 class VisitorLog:
-    business_id: str
+    business_id: str = ""
     chain: list[ChainedVisit] = field(default_factory=list)
     head: str = GENESIS_HASH
 
@@ -62,6 +64,8 @@ def _hash_entry(prev_hash: str, seq: int, visited_at: float, pid: Pid) -> str:
 
 
 def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
+    if not math.isfinite(visited_at):
+        raise OutOfOrderVisit(f"visit time {visited_at} is not finite")
     if log.chain and visited_at < log.chain[-1].visited_at:
         raise OutOfOrderVisit(
             f"visit at {visited_at} precedes head visit {log.chain[-1].visited_at}"
@@ -127,7 +131,18 @@ def head_to_line(log: VisitorLog) -> str:
     return f"head|{log.head}\n"
 
 
-def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog:
+def parse_head(text: str) -> str:
+    """The hash in a head file's `head|<hash>` line."""
+    line = text.strip()
+    parts = line.split("|")
+    if len(parts) != 2 or parts[0] != "head":
+        raise ValueError(f"malformed head line: {line!r}")
+    return parts[1]
+
+
+def parse_chain(chain_text: str, head: str) -> VisitorLog:
+    """The log of the visits in chain_text under head, the hash that
+    `parse_head` read from the head file."""
     chain: list[ChainedVisit] = []
     for line in chain_text.splitlines():
         if not line:
@@ -140,12 +155,10 @@ def parse_chain(business_id: str, chain_text: str, head_text: str) -> VisitorLog
         # spelling may stand in the file
         if _visit_line(visit) != line:
             raise ValueError(f"non-canonical visit line: {line!r}")
+        if not math.isfinite(visit.visited_at):
+            raise ValueError(f"visit time is not finite: {line!r}")
         chain.append(visit)
-    head_line = head_text.strip()
-    hparts = head_line.split("|")
-    if len(hparts) != 2 or hparts[0] != "head":
-        raise ValueError(f"malformed head line: {head_line!r}")
-    return VisitorLog(business_id=business_id, chain=chain, head=hparts[1])
+    return VisitorLog(chain=chain, head=head)
 
 
 def save_chain(log: VisitorLog, chain_path: str, head_path: str) -> None:

@@ -1,8 +1,9 @@
 """Command-line entry points for every protocol role.
 
 Exit codes: 0 success, 1 protocol-level rejection (verification failed,
-unknown PID, tampered chain, ...), 2 usage or input error. Machine-readable
-output goes to stdout only.
+unknown PID, tampered chain, ...), 2 usage, input or I/O error: every
+ValueError or OSError a command raises reaches `main`, which prints it to
+stderr. Machine-readable output goes to stdout only.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import base64
 import os
 import sys
 from datetime import date
+from typing import Callable, TypeVar
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
@@ -25,7 +27,6 @@ from .certificates import (
     verify_certificate,
 )
 from .identity import (
-    MalformedPad,
     Pid,
     commitment_to_line,
     generate_random_pid,
@@ -34,75 +35,67 @@ from .identity import (
 from .notify import (
     DeploymentMode,
     FileMailboxStore,
+    Notification,
     build_notifications,
     parse_notifications,
     verify_notification,
 )
-from .sim import InvalidScenario, metrics_to_lines, parse_scenario, run_scenario
+from .sim import metrics_to_lines, parse_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
-
-class InputError(Exception):
-    """Malformed or missing input file / value; maps to exit code 2."""
+T = TypeVar("T")
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse: Callable[[str], T]) -> T:
+    """Parse the UTF-8 text of the file at path; a ValueError names the file."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+            return parse(f.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_pids(csv: str) -> list[Pid]:
-    try:
-        return [Pid(v) for v in csv.split(",") if v]
-    except ValueError as exc:
-        raise InputError(f"bad PID list {csv!r}: {exc}") from exc
+    return [Pid(v) for v in csv.split(",") if v]
 
 
-def _load_directory(path: str) -> LabDirectory:
-    try:
-        return LabDirectory.from_lines(_read_text(path))
-    except ValueError as exc:
-        raise InputError(f"bad directory file {path}: {exc}") from exc
-
-
-def _load_lab_key(path: str) -> LabIdentity:
-    line = _read_text(path).strip()
-    parts = line.split("|")
+def _parse_lab_key(text: str) -> LabIdentity:
+    parts = text.strip().split("|")
     if len(parts) != 4 or parts[0] != "labkey" or parts[2] != "ed25519":
-        raise InputError(f"malformed lab key file {path}")
-    try:
-        return LabIdentity.from_seed(parts[1], wire.b64decode(parts[3]))
-    except ValueError as exc:
-        raise InputError(f"bad lab key material: {exc}") from exc
+        raise ValueError("malformed lab key line")
+    return LabIdentity.from_seed(parts[1], wire.b64decode(parts[3]))
 
 
-def _load_cert(path: str) -> CertificateOfInfection:
-    try:
-        return parse_certificate_line(_read_text(path).rstrip("\n"))
-    except ValueError as exc:
-        raise InputError(f"bad certificate file {path}: {exc}") from exc
+def _parse_cert(text: str) -> CertificateOfInfection:
+    return parse_certificate_line(text.rstrip("\n"))
 
 
-def _load_log(path: str) -> contactlog.ContactLog:
-    try:
-        return contactlog.parse_log(_read_text(path))
-    except ValueError as exc:
-        raise InputError(f"bad log file {path}: {exc}") from exc
+def _parse_mailbox(text: str) -> list[Notification]:
+    # a mailbox gets whole lines only, so an unterminated last line is an
+    # append cut short by a crash: it was never delivered, and is not read
+    complete, _, torn = text.rpartition("\n")
+    if torn:
+        print("torn|1", file=sys.stderr)
+    notifications = parse_notifications(complete)
+    if not notifications:
+        raise ValueError("no complete notification")
+    return notifications
 
 
 def _load_chain(args) -> bizlog.VisitorLog:
+    head = _load(args.head, bizlog.parse_head)
+    return _load(args.chain, lambda text: bizlog.parse_chain(text, head))
+
+
+def _at_registry(args, call: Callable[..., T], *fields) -> T:
+    """call(host, port, *fields); an OSError names the registry address."""
     try:
-        return bizlog.parse_chain(
-            args.business_id, _read_text(args.chain), _read_text(args.head)
-        )
-    except ValueError as exc:
-        raise InputError(f"bad chain files: {exc}") from exc
+        return call(args.host, args.port, *fields)
+    except OSError as exc:
+        raise OSError(f"registry at {args.host}:{args.port}: {exc}") from exc
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -120,11 +113,7 @@ def cmd_pid(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    try:
-        scenario = parse_scenario(_read_text(args.scenario))
-    except InvalidScenario as exc:
-        raise InputError(f"bad scenario: {exc}") from exc
-    metrics, trace = run_scenario(scenario)
+    metrics, trace = run_scenario(_load(args.scenario, parse_scenario))
     if args.trace:
         wire.write_atomic(args.trace, "".join(line + "\n" for line in trace))
     sys.stdout.write(metrics_to_lines(metrics))
@@ -133,70 +122,48 @@ def cmd_sim(args) -> int:
 
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
-        try:
-            lab = LabIdentity.generate(args.lab_id)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        lab = LabIdentity.generate(args.lab_id)
         if os.path.exists(args.directory):
-            directory = _load_directory(args.directory)
+            directory = _load(args.directory, LabDirectory.from_lines)
         else:
             directory = LabDirectory()
-        try:
-            directory.add_lab(lab)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        directory.add_lab(lab)
         seed = base64.b64encode(lab.private_bytes()).decode("ascii")
         wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|ed25519|{seed}\n")
         wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK
     if args.cert_mode == "issue":
-        lab = _load_lab_key(args.key)
-        try:
-            cert = issue_certificate(
-                lab,
-                _parse_pids(args.pids),
-                test_date=date.fromisoformat(args.test_date),
-                infectious_from=date.fromisoformat(args.infectious_from),
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        cert = issue_certificate(
+            _load(args.key, _parse_lab_key),
+            _parse_pids(args.pids),
+            test_date=date.fromisoformat(args.test_date),
+            infectious_from=date.fromisoformat(args.infectious_from),
+        )
         wire.write_atomic(args.out, certificate_to_line(cert) + "\n")
         print(args.out)
         return EXIT_OK
     # verify
-    status = verify_certificate(_load_cert(args.cert), _load_directory(args.directory))
+    status = verify_certificate(
+        _load(args.cert, _parse_cert), _load(args.directory, LabDirectory.from_lines)
+    )
     print(status.value)
     return EXIT_OK if status is VerificationStatus.VERIFIED else EXIT_REJECTED
 
 
 def cmd_notify(args) -> int:
+    log = _load(args.log, contactlog.parse_log)
     if args.notify_mode == "build":
-        log = _load_log(args.log)
-        cert = _load_cert(args.cert) if args.cert else None
-        try:
-            pairs = build_notifications(log, _parse_pids(args.own_pids), cert)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        cert = _load(args.cert, _parse_cert) if args.cert else None
+        pairs = build_notifications(log, _parse_pids(args.own_pids), cert)
         store = FileMailboxStore(args.mailbox_dir)
         for pad, n in pairs:
             store.deliver(pad, n)
             print(f"sent|{pad.value}")
         return EXIT_OK
     # verify
-    log = _load_log(args.log)
-    directory = _load_directory(args.directory)
-    # a mailbox gets whole lines only, so an unterminated last line is an
-    # append cut short by a crash: it was never delivered, and is not read
-    complete, _, torn = _read_text(args.notification).rpartition("\n")
-    if torn:
-        print("torn|1", file=sys.stderr)
-    try:
-        notifications = parse_notifications(complete)
-    except ValueError as exc:
-        raise InputError(f"bad notification file: {exc}") from exc
-    if not notifications:
-        raise InputError("notification file is empty")
+    directory = _load(args.directory, LabDirectory.from_lines)
+    notifications = _load(args.notification, _parse_mailbox)
     mode = DeploymentMode(args.mode)
     all_accepted = True
     for notification in notifications:
@@ -212,47 +179,37 @@ def cmd_notify(args) -> int:
 
 def cmd_registry(args) -> int:
     if args.registry_mode == "serve":
-        directory = _load_directory(args.directory)
-        server = registry.serve(args.host, args.port, directory, args.state)
+        directory = _load(args.directory, LabDirectory.from_lines)
+        server = _at_registry(args, registry.serve, directory, args.state)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
             server.shutdown()
         return EXIT_OK
-    try:
-        if args.registry_mode == "query":
-            response = registry.client_query(args.host, args.port, Pid(args.pid))
-            print(response)
-            return EXIT_OK if response == "YES" else EXIT_REJECTED
-        if args.registry_mode == "claim":
-            response = registry.client_claim(
-                args.host,
-                args.port,
-                Pid(args.contact_pid),
-                Pid(args.claimant_pid),
-                args.name,
-                args.phrase,
-            )
-            print(response)
-            return EXIT_OK if response == "CONFIRMED" else EXIT_REJECTED
-        # ingest
-        response = registry.client_ingest(args.host, args.port, _load_cert(args.cert))
-        print(response)
-        return EXIT_OK if response == "OK" else EXIT_REJECTED
-    except OSError as exc:
-        raise InputError(f"cannot reach registry at {args.host}:{args.port}: {exc}") from exc
+    if args.registry_mode == "query":
+        response = _at_registry(args, registry.client_query, Pid(args.pid))
+        ok = "YES"
+    elif args.registry_mode == "claim":
+        response = _at_registry(
+            args,
+            registry.client_claim,
+            Pid(args.contact_pid),
+            Pid(args.claimant_pid),
+            args.name,
+            args.phrase,
+        )
+        ok = "CONFIRMED"
+    else:  # ingest
+        response = _at_registry(args, registry.client_ingest, _load(args.cert, _parse_cert))
+        ok = "OK"
+    print(response)
+    return EXIT_OK if response == ok else EXIT_REJECTED
 
 
 def cmd_bizlog(args) -> int:
     if args.bizlog_mode == "append":
-        if os.path.exists(args.chain):
-            log = _load_chain(args)
-        else:
-            log = bizlog.VisitorLog(business_id=args.business_id)
-        try:
-            bizlog.append_visit(log, Pid(args.pid), args.at)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        log = _load_chain(args) if os.path.exists(args.chain) else bizlog.VisitorLog()
+        bizlog.append_visit(log, Pid(args.pid), args.at)
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")
         return EXIT_OK
@@ -265,23 +222,20 @@ def cmd_bizlog(args) -> int:
         return EXIT_REJECTED
     # evidence
     log = _load_chain(args)
-    repo = registry.parse_repository(_read_text(args.repo))
-    try:
-        verdict = bizlog.evidence_query(
-            log,
-            Pid(args.pid),
-            args.window_from,
-            args.window_to,
-            lambda pid: registry.is_notified_pid(repo, pid),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    repo = _load(args.repo, registry.parse_repository)
+    verdict = bizlog.evidence_query(
+        log,
+        Pid(args.pid),
+        args.window_from,
+        args.window_to,
+        lambda pid: registry.is_notified_pid(repo, pid),
+    )
     print(verdict.value)
     return EXIT_OK if verdict is bizlog.EvidenceVerdict.VISIT_AND_CERTIFIED else EXIT_REJECTED
 
 
 def cmd_log(args) -> int:
-    log = _load_log(args.log)
+    log = _load(args.log, contactlog.parse_log)
     if args.log_mode == "show":
         sys.stdout.write(contactlog.serialize_log(log))
         return EXIT_OK
@@ -391,17 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_append = bizlog_sub.add_parser("append")
     p_append.add_argument("--chain", required=True)
     p_append.add_argument("--head", required=True)
-    p_append.add_argument("--business-id", required=True)
     p_append.add_argument("--pid", required=True)
     p_append.add_argument("--at", type=float, required=True)
     p_bverify = bizlog_sub.add_parser("verify")
     p_bverify.add_argument("--chain", required=True)
     p_bverify.add_argument("--head", required=True)
-    p_bverify.add_argument("--business-id", default="business")
     p_evidence = bizlog_sub.add_parser("evidence")
     p_evidence.add_argument("--chain", required=True)
     p_evidence.add_argument("--head", required=True)
-    p_evidence.add_argument("--business-id", default="business")
     p_evidence.add_argument("--pid", required=True)
     p_evidence.add_argument("--from", dest="window_from", type=float, required=True)
     p_evidence.add_argument("--to", dest="window_to", type=float, required=True)
@@ -428,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MalformedPad as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -124,6 +124,8 @@ def load_repository(path: str) -> NotifiedPidRepository:
             return parse_repository(f.read())
     except FileNotFoundError:
         return NotifiedPidRepository()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 class RegistryService:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from backtrack.bizlog import (
     GENESIS_HASH,
+    ChainedVisit,
     EvidenceVerdict,
     InvalidWindow,
     OutOfOrderVisit,
@@ -15,8 +16,8 @@ from backtrack.bizlog import (
     append_visit,
     chain_to_lines,
     evidence_query,
-    head_to_line,
     parse_chain,
+    parse_head,
     save_chain,
     verify_chain,
     visit_payload,
@@ -36,9 +37,9 @@ def linked_hash(prev_hash, visit):
     return hashlib.sha256(bytes.fromhex(prev_hash) + payload.encode("utf-8")).hexdigest()
 
 
-def load(business_id, chain_path, head_path):
+def load(chain_path, head_path):
     with open(chain_path) as chain, open(head_path) as head:
-        return parse_chain(business_id, chain.read(), head.read())
+        return parse_chain(chain.read(), parse_head(head.read()))
 
 
 class TestAppend:
@@ -56,6 +57,15 @@ class TestAppend:
         log = chain_of(2)
         with pytest.raises(OutOfOrderVisit):
             append_visit(log, Pid("late"), 50.0)
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_refused(self, at):
+        log = chain_of(2)
+        with pytest.raises(OutOfOrderVisit):
+            append_visit(log, Pid("late"), at)
+        assert log == chain_of(2)
+        with pytest.raises(OutOfOrderVisit):
+            append_visit(VisitorLog(), Pid("first"), at)
 
     def test_equal_timestamp_allowed(self):
         log = chain_of(1)
@@ -158,7 +168,7 @@ class TestFiles:
         log = chain_of(7)
         chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
         save_chain(log, chain_path, head_path)
-        loaded = load("cafe", chain_path, head_path)
+        loaded = load(chain_path, head_path)
         assert loaded.chain == log.chain
         assert loaded.head == log.head
         assert verify_chain(loaded).intact
@@ -169,7 +179,7 @@ class TestFiles:
         save_chain(log, chain_path, head_path)
         text = open(chain_path).read().replace("pid0001", "pid9999")
         open(chain_path, "w").write(text)
-        loaded = load("cafe", chain_path, head_path)
+        loaded = load(chain_path, head_path)
         assert verify_chain(loaded).tampered_at == 2
 
     def test_failed_save_leaves_old_files(self, tmp_path, monkeypatch):
@@ -188,7 +198,7 @@ class TestFiles:
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            parse_chain("cafe", "visit|1|1|x\n", "head|00\n")
+            parse_chain("visit|1|1|x\n", GENESIS_HASH)
 
     @pytest.mark.parametrize(
         "edit", [("visit|1|100|", "visit|01|1e2|"), ("|100|", "|100.0|"), ("visit|1|", "visit|+1|")]
@@ -198,7 +208,17 @@ class TestFiles:
         text = chain_to_lines(chain_of(2)).replace(*edit, 1)
         assert text != chain_to_lines(chain_of(2))
         with pytest.raises(ValueError):
-            parse_chain("cafe", text, head_to_line(chain_of(2)))
+            parse_chain(text, chain_of(2).head)
+
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_non_finite_time_refused(self, at):
+        # a correctly hashed line, so only its time can refuse it
+        visit = ChainedVisit(1, float(at), Pid("v"), "")
+        visit = replace(visit, entry_hash=linked_hash(GENESIS_HASH, visit))
+        log = VisitorLog(chain=[visit], head=visit.entry_hash)
+        assert verify_chain(log).intact
+        with pytest.raises(ValueError, match="not finite"):
+            parse_chain(chain_to_lines(log), log.head)
 
     def test_one_line_per_visit_and_hashes_unchanged(self, tmp_path):
         # the hashes the two-line format (`visit|...` then `hash|...`) stored
@@ -209,4 +229,4 @@ class TestFiles:
             "visit|2|200|pid0001|fd93b8e1786b3bc453605135846cd6fad7a68b387ca095d9c5baef8bcac245da\n"
             "visit|3|300|pid0002|129821fd3afd022cd58ce6221dca794f334ca7e27e1ad207e647a7fab98705bd\n"
         )
-        assert verify_chain(load("cafe", chain_path, head_path)).intact
+        assert verify_chain(load(chain_path, head_path)).intact

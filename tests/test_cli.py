@@ -347,7 +347,7 @@ class TestBizlogCommands:
         chain = str(tmp_path / "chain.txt")
         head = str(tmp_path / "head.txt")
         code, out = run("bizlog", "append", "--chain", chain, "--head", head,
-                        "--business-id", "cafe", "--pid", pid, "--at", str(at))
+                        "--pid", pid, "--at", str(at))
         assert code == 0
         return chain, head, out
 
@@ -355,8 +355,7 @@ class TestBizlogCommands:
         self.append(run, tmp_path, "visitor1", 100.0)
         chain, head, out = self.append(run, tmp_path, "visitor2", 200.0)
         assert out.strip() == "appended|2"
-        code, out = run("bizlog", "verify", "--chain", chain, "--head", head,
-                        "--business-id", "cafe")
+        code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out.strip()) == (0, "INTACT")
 
     def test_tamper_detected(self, run, tmp_path):
@@ -364,8 +363,7 @@ class TestBizlogCommands:
         chain, head, _ = self.append(run, tmp_path, "visitor2", 200.0)
         text = open(chain).read().replace("visitor1", "intruder")
         open(chain, "w").write(text)
-        code, out = run("bizlog", "verify", "--chain", chain, "--head", head,
-                        "--business-id", "cafe")
+        code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out.strip()) == (1, "TAMPERED-AT 1")
 
     def test_append_to_malformed_chain_exits_2(self, run, tmp_path):
@@ -375,8 +373,20 @@ class TestBizlogCommands:
             f.write("visit|garbage\n")
         before = open(chain, "rb").read(), open(head, "rb").read()
         code, out = run("bizlog", "append", "--chain", chain, "--head", head,
-                        "--business-id", "cafe", "--pid", "visitor9", "--at", "900")
+                        "--pid", "visitor9", "--at", "900")
         assert (code, out) == (2, "")
+        assert (open(chain, "rb").read(), open(head, "rb").read()) == before
+
+    @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
+    def test_append_non_finite_time_exits_2(self, run, tmp_path, at):
+        chain, head = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        argv = ("bizlog", "append", "--chain", chain, "--head", head,
+                "--pid", "v2", f"--at={at}")
+        assert run(*argv) == (2, "")
+        assert os.listdir(tmp_path) == []
+        self.append(run, tmp_path, "v1", 100.0)
+        before = open(chain, "rb").read(), open(head, "rb").read()
+        assert run(*argv) == (2, "")
         assert (open(chain, "rb").read(), open(head, "rb").read()) == before
 
     def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
@@ -385,8 +395,7 @@ class TestBizlogCommands:
         text = open(chain).read()
         assert text.startswith("visit|1|100|v1|")
         open(chain, "w").write(text.replace("visit|1|100|", "visit|01|1e2|", 1))
-        code, out = run("bizlog", "verify", "--chain", chain, "--head", head,
-                        "--business-id", "cafe")
+        code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out) == (2, "")
 
     def test_evidence(self, run, tmp_path):
@@ -394,11 +403,11 @@ class TestBizlogCommands:
         chain, head, _ = self.append(run, tmp_path, "visitor2", 200.0)
         repo = write(tmp_path / "repo.txt", "notified|visitor1|lab-A|2020-04-01\n")
         code, out = run("bizlog", "evidence", "--chain", chain, "--head", head,
-                        "--business-id", "cafe", "--pid", "visitor1",
+                        "--pid", "visitor1",
                         "--from", "0", "--to", "500", "--repo", repo)
         assert (code, out.strip()) == (0, "VISIT-AND-CERTIFIED")
         code, out = run("bizlog", "evidence", "--chain", chain, "--head", head,
-                        "--business-id", "cafe", "--pid", "visitor2",
+                        "--pid", "visitor2",
                         "--from", "0", "--to", "500", "--repo", repo)
         assert (code, out.strip()) == (1, "NOT-CERTIFIED-SICK")
 
@@ -441,7 +450,65 @@ class TestLogCommands:
         assert (code, out.strip()) == (0, "pruned|2")
         assert len(open(path).read().splitlines()) == 1
 
+    @pytest.mark.parametrize("bad", [
+        ["--now", "2592000", "--retention-days", "-1"],
+        ["--now", "inf"], ["--now=-inf"], ["--now", "nan"],
+    ])
+    def test_prune_bad_parameters_exit_2_and_keep_file(self, run, tmp_path, bad):
+        path = self.log_file(tmp_path)
+        before = open(path, "rb").read()
+        code, out = run("log", "prune", "--log", path, *bad)
+        assert (code, out) == (2, "")
+        assert open(path, "rb").read() == before
+
     def test_malformed_log_exits_2(self, run, tmp_path):
         path = write(tmp_path / "bad.log", "entry|nonsense\n")
         code, _ = run("log", "show", "--log", path)
         assert code == 2
+
+
+def tree(root):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["registry", "query", "--port", "1", "--pid", "a|b"],
+    ["registry", "claim", "--port", "1", "--contact-pid", "a b",
+     "--claimant-pid", "c", "--name", "n", "--phrase", "p"],
+    ["pid", "trusted", "--name", "", "--phrase", "x",
+     "--commitment-file", "{d}/commitment.txt"],
+    ["bizlog", "evidence", "--chain", "{d}/chain.txt", "--head", "{d}/head.txt",
+     "--pid", "v", "--from", "0", "--to", "1", "--repo", "{d}/garbage.txt"],
+    ["notify", "build", "--log", "{d}/empty.log", "--own-pids", "p",
+     "--mailbox-dir", "{d}/plain.txt/boxes"],
+    ["notify", "verify", "--log", "{d}/empty.log", "--directory", "{d}/empty.log",
+     "--notification", "{d}/latin1.txt"],
+])
+def test_bad_input_exits_2_and_writes_nothing(run, tmp_path, argv):
+    write(tmp_path / "empty.log", "")
+    write(tmp_path / "chain.txt", "")
+    write(tmp_path / "head.txt", "head|" + "0" * 64 + "\n")
+    write(tmp_path / "garbage.txt", "garbage\n")
+    write(tmp_path / "plain.txt", "")
+    (tmp_path / "latin1.txt").write_bytes("notif|v1|p|1|caf\xe9\n".encode("latin-1"))
+    before = tree(tmp_path)
+    code, out = run(*(a.format(d=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert tree(tmp_path) == before
+
+
+def test_error_names_file_and_registry(tmp_path, capsys):
+    bad = write(tmp_path / "bad.log", "entry|nonsense\n")
+    assert main(["log", "show", "--log", bad]) == 2
+    assert bad in capsys.readouterr().err
+    chain = write(tmp_path / "chain.txt", "")
+    head = write(tmp_path / "head.txt", "garbage\n")
+    assert main(["bizlog", "verify", "--chain", chain, "--head", head]) == 2
+    err = capsys.readouterr().err
+    assert head in err and chain not in err
+    state = write(tmp_path / "state.txt", "garbage\n")
+    assert main(["registry", "serve", "--port", "0", "--directory", chain,
+                 "--state", state]) == 2
+    assert state in capsys.readouterr().err
+    assert main(["registry", "query", "--port", "1", "--pid", "x"]) == 2
+    assert "127.0.0.1:1" in capsys.readouterr().err

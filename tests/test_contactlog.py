@@ -1,3 +1,4 @@
+import math
 import os
 
 import pytest
@@ -63,6 +64,16 @@ class TestPrune:
         log = make_log(make_entry(recorded_at=now - DAY), make_entry(recorded_at=now))
         prune(log, now)
         assert len(log.entries) == 2
+
+    @pytest.mark.parametrize(
+        "now, days", [(30 * DAY, -1), (math.inf, 21), (-math.inf, 21), (math.nan, 21)]
+    )
+    def test_bad_parameters_refused(self, now, days):
+        log = make_log(make_entry(recorded_at=DAY), make_entry(recorded_at=29 * DAY))
+        before = list(log.entries)
+        with pytest.raises(ValueError):
+            prune(log, now, retention_days=days)
+        assert log.entries == before
 
     def test_idempotent(self):
         now = 30 * DAY

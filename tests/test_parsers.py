@@ -61,8 +61,8 @@ PARSERS = {
     "log": (parse_log, serialize_log(make_log(make_entry(), make_entry(t=2000.0)))),
     "directory": (LabDirectory.from_lines, DIRECTORY.to_lines()),
     "repository": (parse_repository, "notified|P1|lab-A|2020-04-01\nnotified|P2|lab-A|2020-04-02\n"),
-    "chain": (lambda text: bizlog.parse_chain("cafe", text, HEAD_TEXT), CHAIN_TEXT),
-    "head": (lambda text: bizlog.parse_chain("cafe", CHAIN_TEXT, text), HEAD_TEXT),
+    "chain": (lambda text: bizlog.parse_chain(text, CHAIN.head), CHAIN_TEXT),
+    "head": (bizlog.parse_head, HEAD_TEXT),
     "registry-ingest": (registry_request, f"INGEST {CERT_LINE}"),
     "registry-query": (registry_request, "QUERY P1"),
     "registry-claim": (
