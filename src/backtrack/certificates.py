@@ -57,51 +57,38 @@ class LabIdentity:
             raise ValueError("seed must be exactly 32 bytes")
         return cls(lab_id=lab_id, private_key=Ed25519PrivateKey.from_private_bytes(seed))
 
-    def public_key(self) -> Ed25519PublicKey:
-        return self.private_key.public_key()
-
     def public_bytes(self) -> bytes:
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            PublicFormat,
-        )
-
-        return self.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
+        return self.private_key.public_key().public_bytes_raw()
 
     def private_bytes(self) -> bytes:
-        from cryptography.hazmat.primitives.serialization import (
-            Encoding,
-            NoEncryption,
-            PrivateFormat,
-        )
-
-        return self.private_key.private_bytes(
-            Encoding.Raw, PrivateFormat.Raw, NoEncryption()
-        )
+        return self.private_key.private_bytes_raw()
 
 
 class LabDirectory:
-    """Published lab_id -> (scheme, raw public key) map; immutable after load."""
+    """Published lab_id -> Ed25519 public key map; immutable after load."""
 
     def __init__(self) -> None:
-        self._entries: dict[str, tuple[str, bytes]] = {}
+        self._keys: dict[str, Ed25519PublicKey] = {}
 
-    def add(self, lab_id: str, public_key: bytes, scheme: str = SCHEME_ED25519) -> None:
+    def add(self, lab_id: str, public_key: bytes) -> None:
+        """Raises ValueError for a bad lab id, a duplicate, or a key that is
+        not 32 bytes."""
         check_token(lab_id, "lab id")
-        if lab_id in self._entries:
+        if lab_id in self._keys:
             raise ValueError(f"duplicate lab_id {lab_id!r}")
-        self._entries[lab_id] = (scheme, public_key)
+        self._keys[lab_id] = Ed25519PublicKey.from_public_bytes(public_key)
 
     def add_lab(self, lab: LabIdentity) -> None:
         self.add(lab.lab_id, lab.public_bytes())
 
-    def lookup(self, lab_id: str) -> tuple[str, bytes] | None:
-        return self._entries.get(lab_id)
+    def lookup(self, lab_id: str) -> Ed25519PublicKey | None:
+        return self._keys.get(lab_id)
 
     def to_lines(self) -> str:
         return "".join(
-            f"lab|{lab_id}|{scheme}|{base64.b64encode(key).decode('ascii')}\n"
-            for lab_id, (scheme, key) in sorted(self._entries.items())
+            f"lab|{lab_id}|{SCHEME_ED25519}|"
+            f"{base64.b64encode(key.public_bytes_raw()).decode('ascii')}\n"
+            for lab_id, key in sorted(self._keys.items())
         )
 
     @classmethod
@@ -111,9 +98,12 @@ class LabDirectory:
             if not line:
                 continue
             parts = line.split("|")
-            if len(parts) != 4 or parts[0] != "lab":
+            if len(parts) != 4 or parts[0] != "lab" or parts[2] != SCHEME_ED25519:
                 raise ValueError(f"malformed directory line: {line!r}")
-            directory.add(parts[1], wire.b64decode(parts[3]), scheme=parts[2])
+            try:
+                directory.add(parts[1], wire.b64decode(parts[3]))
+            except ValueError as exc:
+                raise ValueError(f"bad directory line {line!r}: {exc}") from exc
         return directory
 
 
@@ -165,18 +155,15 @@ def issue_certificate(
 def verify_certificate(
     cert: CertificateOfInfection, directory: LabDirectory
 ) -> VerificationStatus:
-    entry = directory.lookup(cert.lab_id)
-    if entry is None:
-        return VerificationStatus.UNKNOWN_LAB
-    scheme, key_bytes = entry
-    if scheme != SCHEME_ED25519:
+    key = directory.lookup(cert.lab_id)
+    if key is None:
         return VerificationStatus.UNKNOWN_LAB
     payload = canonical_certificate_payload(
         cert.lab_id, cert.test_date, cert.infectious_from, cert.pids
     )
     try:
-        Ed25519PublicKey.from_public_bytes(key_bytes).verify(cert.signature, payload)
-    except (InvalidSignature, ValueError):
+        key.verify(cert.signature, payload)
+    except InvalidSignature:
         return VerificationStatus.BAD_SIGNATURE
     return VerificationStatus.VERIFIED
 

@@ -105,7 +105,10 @@ def find_matching_contact(
 
     The claim must name a logged peer PID and echo back the own announced
     location (exact string) and own announced time (within tolerance).
+    Raises ValueError for a negative or non-finite tolerance.
     """
+    if not 0 <= time_tolerance_s < math.inf:
+        raise ValueError(f"time tolerance must be finite and >= 0, got {time_tolerance_s}")
     for entry in log.by_peer.get(claimed_peer_pid, ()):
         if (
             entry.own_record.local_location == echoed_location

@@ -101,7 +101,6 @@ class ContactSession:
     policy: SignificancePolicy
     # only the latest sample: the next dwell increment is measured from it
     samples: list[RssiSample]
-    started: float
     last_seen: float
     last_within: bool  # the latest sample is within the policy distance
     any_within: bool  # some sample was within the policy distance
@@ -113,18 +112,6 @@ class ContactSession:
 class SignificanceVerdict:
     significant: bool
     dwell_s: float
-
-
-class SessionTable(dict):
-    """One receiver's open sessions, keyed by peer PID value.
-
-    earliest_seen is a lower bound on every session's last_seen: opening a
-    session lowers it, and a later sample or a removed session can only raise
-    the true minimum, so the bound stays valid without being touched.
-    Sessions must be opened by ingest_beacon for the bound to hold.
-    """
-
-    earliest_seen: float = math.inf
 
 
 def rssi_to_distance(rssi_dbm: float, model: ChannelModel) -> float:
@@ -154,7 +141,7 @@ def distance_to_rssi(
 
 
 def ingest_beacon(
-    session_table: SessionTable,
+    session_table: dict[str, ContactSession],
     own: InformationRecord,
     peer: InformationRecord,
     sample: RssiSample,
@@ -188,13 +175,10 @@ def ingest_beacon(
             peer_record=peer,
             policy=policy,
             samples=[sample],
-            started=sample.at,
             last_seen=sample.at,
             last_within=within,
             any_within=within,
         )
-        if sample.at < session_table.earliest_seen:
-            session_table.earliest_seen = sample.at
     else:
         if within and open_session.last_within:
             open_session.run_s += sample.at - open_session.last_seen
@@ -217,19 +201,13 @@ def classify_contact(session: ContactSession) -> SignificanceVerdict:
 
 
 def close_expired_sessions(
-    session_table: SessionTable,
+    session_table: dict[str, ContactSession],
     now: float,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> list[ContactSession]:
     """Remove and return, in key order, every session idle for longer than
-    gap_timeout_s.  The table is scanned only once now passes its bound."""
-    if session_table.earliest_seen + gap_timeout_s >= now:
-        return []
+    gap_timeout_s."""
     stale_keys = sorted(
         k for k, s in session_table.items() if s.last_seen + gap_timeout_s < now
     )
-    closed = [session_table.pop(k) for k in stale_keys]
-    session_table.earliest_seen = min(
-        (s.last_seen for s in session_table.values()), default=math.inf
-    )
-    return closed
+    return [session_table.pop(k) for k in stale_keys]

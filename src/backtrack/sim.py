@@ -25,7 +25,6 @@ from .encounter import (
     ContactSession,
     InformationRecord,
     RssiSample,
-    SessionTable,
     SignificancePolicy,
     classify_contact,
     close_expired_sessions,
@@ -116,6 +115,9 @@ class Scenario:
             raise InvalidScenario("n_agents must be >= 1")
         if not 0 <= self.initial_infectious <= self.n_agents:
             raise InvalidScenario("initial_infectious out of range")
+        for name in ("gap_timeout_s", "time_tolerance_s", "exposure_seconds", "diagnosis_delay_s"):
+            if getattr(self, name) < 0:
+                raise InvalidScenario(f"{name} must be >= 0")
         if self.duration_s <= 0:
             raise InvalidScenario("duration_s must be > 0")
         if self.true_radius_m <= 0:
@@ -264,7 +266,7 @@ class Agent:
     waypoint: tuple[float, float] | None = None
     speed: float = 0.0
     pause_until: float = 0.0
-    sessions: SessionTable = field(default_factory=SessionTable)
+    sessions: dict[str, ContactSession] = field(default_factory=dict)  # by peer PID value
     log: ContactLog = field(default_factory=ContactLog)
 
 
@@ -627,9 +629,11 @@ class World:
             self._rotate_at = None
         if int(self.now) % s.beacon_interval_s == 0:
             self._beacon_tick()
-        for agent in self.agents:
-            for closed in close_expired_sessions(agent.sessions, self.now, s.gap_timeout_s):
-                self._classify_and_log(agent, closed)
+        # sessions change only at ticks, so they expire floor(gap_timeout_s) + 1 s after one
+        if (int(self.now) - math.floor(s.gap_timeout_s) - 1) % s.beacon_interval_s == 0:
+            for agent in self.agents:
+                for closed in close_expired_sessions(agent.sessions, self.now, s.gap_timeout_s):
+                    self._classify_and_log(agent, closed)
         self._diagnose_due()
         if self._forgeries and self.metrics.diagnoses > 0:
             self._inject_scheduled_forgeries()

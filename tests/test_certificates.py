@@ -1,3 +1,4 @@
+import base64
 import random
 from datetime import date, datetime, timezone
 
@@ -141,6 +142,23 @@ class TestFileFormats:
         again = LabDirectory.from_lines(text)
         assert again.to_lines() == text
         assert again.lookup("lab-A") == d.lookup("lab-A")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "lab|lab-A|ed25519|AAAA",  # 3 bytes, not a 32-byte key
+            "lab|lab-A|ed25519|" + base64.b64encode(bytes(33)).decode("ascii"),
+            "lab|lab-A|rsa|" + base64.b64encode(bytes(32)).decode("ascii"),
+            "lab|lab-A||" + base64.b64encode(bytes(32)).decode("ascii"),
+        ],
+    )
+    def test_directory_refuses_bad_scheme_or_key(self, line):
+        with pytest.raises(ValueError, match="directory line"):
+            LabDirectory.from_lines(line + "\n")
+
+    def test_directory_refuses_short_key_on_add(self):
+        with pytest.raises(ValueError):
+            LabDirectory().add("lab-A", bytes(31))
 
     def test_duplicate_lab_rejected(self, lab):
         d = LabDirectory()

@@ -125,6 +125,19 @@ class TestCertCommands:
         assert (code, out) == (2, "")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("line", ["lab|lab-A|ed25519|AAAA", "lab|lab-A|rsa|{key}"])
+    def test_bad_directory_line_exits_2_and_names_file(
+        self, run, tmp_path, capsys, lab_files, line
+    ):
+        key, directory = lab_files
+        cert = self.issue(run, tmp_path, key)
+        published = Path(directory).read_text().split("|")[3].strip()
+        bad = write(tmp_path / "bad-labs.txt", line.format(key=published) + "\n")
+        assert main(["cert", "verify", "--cert", cert, "--directory", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert bad in captured.err
+
     def test_keygen_key_file_private(self, lab_files):
         key, _ = lab_files
         assert stat.S_IMODE(os.stat(key).st_mode) == 0o600
@@ -247,6 +260,20 @@ class TestNotifyCommands:
         for cut in range(1, len(last) + 1):
             mailbox.write_text(first + last[:cut])
             assert run(*argv) == (0, alone[1], "torn|1\n"), cut
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_verify_bad_tolerance_exits_2(self, run, tmp_path, tolerance):
+        from backtrack import wire
+
+        cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path)
+        boxes = str(tmp_path / "boxes")
+        run("notify", "build", "--log", sender_log, "--own-pids", "sick",
+            "--cert", cert, "--mailbox-dir", boxes)
+        mailbox_file = str(tmp_path / "boxes" / wire.quote("victim@boxes"))
+        code, out = run("notify", "verify", "--log", victim_log,
+                        "--directory", directory, "--notification", mailbox_file,
+                        "--tolerance", tolerance)
+        assert (code, out) == (2, "")
 
     def test_build_uncovered_pid_exits_2(self, run, tmp_path):
         _, _, sender_log, _ = self.setup_files(run, tmp_path)

@@ -124,6 +124,18 @@ class TestFindMatchingContact:
         assert find_matching_contact(log, Pid("claimed"), 5601.0, "on the walk", 300.0) is None
         assert find_matching_contact(log, Pid("claimed"), 5000.0, "on the walk ", 300.0) is None
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -0.5, math.nan, math.inf, -math.inf])
+    def test_bad_tolerance_refused(self, tolerance):
+        # refused before the lookup, whether or not the log holds a match
+        for log in (make_log(self.entry()), ContactLog()):
+            with pytest.raises(ValueError, match="tolerance"):
+                find_matching_contact(log, Pid("claimed"), 5000.0, "on the walk", tolerance)
+
+    def test_zero_tolerance_needs_exact_time(self):
+        log = make_log(self.entry())
+        assert find_matching_contact(log, Pid("claimed"), 5000.0, "on the walk", 0.0)
+        assert find_matching_contact(log, Pid("claimed"), 5000.5, "on the walk", 0.0) is None
+
 
 def scan_for_match(log, pid, echoed_time, echoed_location, tolerance):
     """The linear scan the peer index replaced: the oracle for lookups."""

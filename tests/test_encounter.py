@@ -9,7 +9,6 @@ from backtrack.encounter import (
     POLICY_V1,
     POLICY_V2,
     RssiSample,
-    SessionTable,
     SignificancePolicy,
     SignificanceVerdict,
     classify_contact,
@@ -35,7 +34,7 @@ def ingest(table, sample, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
 
 def fed_session(samples, policy):
     """The open session after feeding every sample, in order, to a new table."""
-    table = SessionTable()
+    table = {}
     for sample in samples:
         assert ingest(table, sample, policy) is None
     return table["peer1"]
@@ -99,32 +98,37 @@ class TestPathLoss:
 
 class TestIngestBeacon:
     def test_first_beacon_opens_session(self):
-        table = SessionTable()
+        table = {}
         closed = ingest(table, RssiSample(0.0, -60.0))
         assert closed is None
         assert len(table) == 1
         assert len(table["peer1"].samples) == 1
 
     def test_close_beacons_share_session(self):
-        table = SessionTable()
+        table = {}
         ingest(table, RssiSample(0.0, -60.0))
+        opened = table["peer1"]
         closed = ingest(table, RssiSample(5.0, -61.0))
         assert closed is None
-        assert len(table) == 1
-        session = table["peer1"]
-        assert (session.started, session.last_seen) == (0.0, 5.0)
+        # the session opened at 0 s took the sample at 5 s
+        assert list(table) == ["peer1"] and table["peer1"] is opened
+        assert opened.last_seen == 5.0
         # the session keeps only the latest sample, however many arrived
-        assert session.samples == [RssiSample(5.0, -61.0)]
+        assert opened.samples == [RssiSample(5.0, -61.0)]
 
     def test_gap_closes_and_reopens(self):
-        table = SessionTable()
+        table = {}
         ingest(table, RssiSample(0.0, -60.0), gap_timeout_s=60)
+        opened = table["peer1"]
         closed = ingest(table, RssiSample(120.0, -61.0), gap_timeout_s=60)
-        assert closed is not None and (closed.started, closed.last_seen) == (0.0, 0.0)
-        assert table["peer1"].started == 120.0
+        assert closed is opened and closed.last_seen == 0.0
+        # a new session, holding only the sample after the gap, took its place
+        assert list(table) == ["peer1"] and table["peer1"] is not opened
+        assert table["peer1"].last_seen == 120.0
+        assert table["peer1"].samples == [RssiSample(120.0, -61.0)]
 
     def test_clock_regression_rejected(self):
-        table = SessionTable()
+        table = {}
         ingest(table, RssiSample(50.0, -60.0))
         with pytest.raises(ClockRegression):
             ingest(table, RssiSample(40.0, -60.0))
@@ -143,13 +147,16 @@ class TestIngestBeacon:
                 current.append(t)
         expected_segments.append(current)
 
-        table = SessionTable()
-        got_segments = []
+        table = {}
+        opened, closed = [], []  # (time of its first sample, session), in order
         for t in times:
-            closed = ingest(table, RssiSample(float(t), -60.0), gap_timeout_s=timeout)
-            if closed is not None:
-                got_segments.append((closed.started, closed.last_seen))
-        got_segments.append((table["peer1"].started, table["peer1"].last_seen))
+            ended = ingest(table, RssiSample(float(t), -60.0), gap_timeout_s=timeout)
+            if ended is not None:
+                closed.append(ended)
+            if not opened or opened[-1][1] is not table["peer1"]:
+                opened.append((float(t), table["peer1"]))
+        assert list(map(id, closed)) == [id(session) for _, session in opened[:-1]]
+        got_segments = [(first, session.last_seen) for first, session in opened]
         assert got_segments == [(float(seg[0]), float(seg[-1])) for seg in expected_segments]
 
 
@@ -211,17 +218,17 @@ class TestClassify:
 
 class TestCloseExpired:
     def test_empty_table(self):
-        assert close_expired_sessions(SessionTable(), now=100.0) == []
+        assert close_expired_sessions({}, now=100.0) == []
 
     def test_stale_session_returned_and_removed(self):
-        table = SessionTable()
+        table = {}
         ingest(table, RssiSample(0.0, -60.0))
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
         assert len(closed) == 1
         assert table == {}
 
     def test_only_stale_sessions_closed(self):
-        table = SessionTable()
+        table = {}
         ingest(table, RssiSample(0.0, -60.0), peer="stale")
         ingest(table, RssiSample(110.0, -60.0), peer="fresh")
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
@@ -279,7 +286,7 @@ class TestStreamingEquivalence:
         for gap, rssi in steps:
             at += gap
             samples.append(RssiSample(at=at, rssi_dbm=rssi))
-        table = SessionTable()
+        table = {}
         sessions = []
         for sample in samples:
             closed = ingest_beacon(
@@ -303,7 +310,7 @@ class TestStreamingEquivalence:
         st.floats(1.0, 90.0),
     )
     def test_bounded_expiry_matches_full_scan(self, events, gap_timeout_s):
-        table = SessionTable()
+        table = {}
         now = 0.0
         for dt, kind, peer in events:
             now += dt

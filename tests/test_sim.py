@@ -10,6 +10,7 @@ from backtrack.encounter import (
     ChannelModel,
     RssiSample,
     SignificancePolicy,
+    close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
 )
@@ -433,6 +434,17 @@ class TestScenarioValidation:
         with pytest.raises(InvalidScenario):
             Scenario(n_agents=2, duration_s=10.0, transmission_prob=1.5)
 
+    @pytest.mark.parametrize(
+        "key", ["gap_timeout_s", "time_tolerance_s", "exposure_seconds", "diagnosis_delay_s"]
+    )
+    def test_negative_duration(self, key):
+        with pytest.raises(InvalidScenario, match=key):
+            Scenario(n_agents=2, duration_s=10.0, **{key: -5.0})
+        with pytest.raises(InvalidScenario, match=key):
+            parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = -5\n")
+        # zero stays valid
+        assert getattr(parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = 0\n"), key) == 0
+
 
 class TestMetricsFormat:
     def test_lines_shape(self):
@@ -607,3 +619,76 @@ class TestCulledBeaconTick:
         assert metrics_to_lines(culled_metrics) == metrics_to_lines(full_metrics)
         assert culled._channel_rng.getstate() == full._channel_rng.getstate()
         assert culled._infect_rng.getstate() == full._infect_rng.getstate()
+
+
+class EverySecondExpiryWorld(World):
+    """Reference for the expiry schedule: the step as it was before expiry
+    followed the beacon schedule, scanning every agent's sessions every second."""
+
+    def step(self):
+        s = self.scenario
+        self._move()
+        if self._rotate_at is not None and self.now >= self._rotate_at:
+            self._rotate_pids()
+            self._rotate_at = None
+        if int(self.now) % s.beacon_interval_s == 0:
+            self._beacon_tick()
+        for agent in self.agents:
+            for closed in close_expired_sessions(agent.sessions, self.now, s.gap_timeout_s):
+                self._classify_and_log(agent, closed)
+        self._diagnose_due()
+        if self._forgeries and self.metrics.diagnoses > 0:
+            self._inject_scheduled_forgeries()
+        self._poll_and_verify()
+        self.now += self.DT
+
+
+@st.composite
+def expiry_scenarios(draw):
+    """Small crowded worlds with a short radio reach, so contacts come and go
+    as agents move, PIDs rotate, agents are diagnosed and the channel fades."""
+    n = draw(st.integers(2, 16))
+    side = draw(st.floats(3.0, 40.0))
+    interval = draw(st.integers(1, 15))
+    gap = draw(
+        st.sampled_from([0.0, 0.5, 59.5, float(interval), interval - 0.25, interval * 2 + 0.5])
+        | st.floats(0.0, interval)
+        | st.floats(0.0, 100.0)
+    )
+    speed = draw(st.sampled_from([0.5, 1.5, 3.0]))
+    return Scenario(
+        n_agents=n,
+        duration_s=draw(st.integers(20, 300)),
+        world_size_m=(side, side),
+        initial_infectious=draw(st.integers(0, n)),
+        speed_min_mps=speed / 3,
+        speed_max_mps=speed,
+        pause_max_s=draw(st.sampled_from([0.0, 20.0])),
+        beacon_interval_s=interval,
+        channel=ChannelModel(
+            ref_power_dbm=draw(st.floats(-95.0, -80.0)),
+            path_loss_exponent=draw(st.floats(2.0, 4.0)),
+            shadowing_sigma_db=draw(st.sampled_from([0.0, 4.0])),
+            body_shadow_db=10.0,
+        ),
+        body_block_prob=draw(st.sampled_from([0.0, 0.3])),
+        exposure_seconds=draw(st.sampled_from([0.0, 30.0])),
+        transmission_prob=draw(st.sampled_from([0.0, 0.5])),
+        diagnosis_delay_s=draw(st.integers(0, 200)),
+        policies={1: draw(st.sampled_from([POLICY_V1, SignificancePolicy(1, 1e9, 0.0)]))},
+        pid_rotation_at_s=draw(st.none() | st.floats(0.0, 300.0)),
+        gap_timeout_s=gap,
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestExpirySchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(expiry_scenarios())
+    def test_matches_every_second_expiry(self, scenario):
+        gated, every_second = World(scenario), EverySecondExpiryWorld(scenario)
+        gated_metrics, every_second_metrics = gated.run(), every_second.run()
+        assert gated.trace == every_second.trace
+        assert metrics_to_lines(gated_metrics) == metrics_to_lines(every_second_metrics)
+        assert gated._channel_rng.getstate() == every_second._channel_rng.getstate()
+        assert gated._infect_rng.getstate() == every_second._infect_rng.getstate()
