@@ -53,7 +53,7 @@ class ChainCheck:
 
 
 def visit_payload(seq: int, visited_at: float, pid: Pid) -> str:
-    return f"visit|{seq}|{wire.fmt_num(visited_at)}|{pid.value}"
+    return f"visit|{seq}|{wire.fmt_num(visited_at)}|{pid}"
 
 
 def _hash_entry(prev_hash: str, seq: int, visited_at: float, pid: Pid) -> str:

@@ -123,7 +123,7 @@ def canonical_certificate_payload(
     pids: tuple[Pid, ...],
 ) -> bytes:
     """Deterministic signing payload; injective because PIDs exclude `|` and `,`."""
-    joined = ",".join(p.value for p in pids)
+    joined = ",".join(pids)
     return (
         f"cert|v1|{lab_id}|{test_date.isoformat()}|{infectious_from.isoformat()}|{joined}"
     ).encode("utf-8")

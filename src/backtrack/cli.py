@@ -79,7 +79,13 @@ def _parse_mailbox(text: str) -> list[Notification]:
     complete, _, torn = text.rpartition("\n")
     if torn:
         print("torn|1", file=sys.stderr)
-    notifications = parse_notifications(complete)
+    # `notify build` retried after a failed delivery appends its earlier mail
+    # again, so a line identical to an earlier one is a copy and is not read
+    lines = [line for line in complete.splitlines() if line]
+    unique = list(dict.fromkeys(lines))
+    if len(unique) < len(lines):
+        print(f"dup|{len(lines) - len(unique)}", file=sys.stderr)
+    notifications = parse_notifications("\n".join(unique))
     if not notifications:
         raise ValueError("no complete notification")
     return notifications
@@ -103,12 +109,12 @@ def _at_registry(args, call: Callable[..., T], *fields) -> T:
 
 def cmd_pid(args) -> int:
     if args.pid_mode == "random":
-        print(generate_random_pid(args.seed).value)
+        print(generate_random_pid(args.seed))
         return EXIT_OK
     commitment = generate_trusted_pid(args.name, args.phrase)
     if args.commitment_file:
         wire.write_atomic(args.commitment_file, commitment_to_line(commitment) + "\n")
-    print(commitment.pid.value)
+    print(commitment.pid)
     return EXIT_OK
 
 
@@ -159,7 +165,7 @@ def cmd_notify(args) -> int:
         store = FileMailboxStore(args.mailbox_dir)
         for pad, n in pairs:
             store.deliver(pad, n)
-            print(f"sent|{pad.value}")
+            print(f"sent|{pad}")
         return EXIT_OK
     # verify
     directory = _load(args.directory, LabDirectory.from_lines)

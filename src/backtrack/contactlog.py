@@ -129,7 +129,7 @@ def exposure_statistics(log: ContactLog) -> ExposureSummary:
 
 def _record_fields(r: InformationRecord) -> str:
     return (
-        f"{r.pid.value}|{r.pad.value}|{wire.fmt_num(r.local_time)}"
+        f"{r.pid}|{r.pad}|{wire.fmt_num(r.local_time)}"
         f"|{wire.quote(r.local_location)}"
     )
 

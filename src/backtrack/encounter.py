@@ -141,7 +141,7 @@ def distance_to_rssi(
 
 
 def ingest_beacon(
-    session_table: dict[str, ContactSession],
+    session_table: dict[Pid, ContactSession],
     own: InformationRecord,
     peer: InformationRecord,
     sample: RssiSample,
@@ -157,7 +157,7 @@ def ingest_beacon(
     samples counts only when both per-sample distance estimates are within
     the receiver's policy threshold.
     """
-    key = peer.pid.value
+    key = peer.pid
     open_session = session_table.get(key)
     closed: ContactSession | None = None
     if open_session is not None:
@@ -201,13 +201,13 @@ def classify_contact(session: ContactSession) -> SignificanceVerdict:
 
 
 def close_expired_sessions(
-    session_table: dict[str, ContactSession],
+    session_table: dict[Pid, ContactSession],
     now: float,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> list[ContactSession]:
     """Remove and return, in key order, every session idle for longer than
-    gap_timeout_s."""
+    gap_timeout_s, by the idle-time test `ingest_beacon` splits sessions with."""
     stale_keys = sorted(
-        k for k, s in session_table.items() if s.last_seen + gap_timeout_s < now
+        k for k, s in session_table.items() if now - s.last_seen > gap_timeout_s
     )
     return [session_table.pop(k) for k in stale_keys]

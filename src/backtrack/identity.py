@@ -41,36 +41,36 @@ def check_token(value: str, what: str) -> None:
             raise ValueError(f"{what} contains forbidden character {c!r}")
 
 
-@dataclass(frozen=True, order=True)
-class Pid:
-    """Opaque pseudo-ID: 1-64 printable non-whitespace chars, no `|` or `,`."""
+class Pid(str):
+    """Opaque pseudo-ID: 1-64 printable non-whitespace chars, no `|` or `,`.
+    Checked on construction; after that it is its text, and keys tables."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_token(self.value, "PID")
+    def __new__(cls, value: str) -> Pid:
+        check_token(value, "PID")
+        return super().__new__(cls, value)
 
-    def __str__(self) -> str:
-        return self.value
+    @property
+    def value(self) -> str:
+        """The PID as a plain `str`.  The program never reads it; the
+        benchmark's workloads do, from when `Pid` wrapped its text."""
+        return str(self)
 
 
-@dataclass(frozen=True, order=True)
-class Pad:
+class Pad(str):
     """Mailbox-style pseudo-address `local@domain`; routing is opaque.  It is
     written raw into log lines, so it holds no `|` and no line break."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if "|" in v or not v.isprintable():
-            raise MalformedPad(f"PAD must be printable and must not contain '|', got {v!r}")
-        local, sep, domain = v.partition("@")
+    def __new__(cls, value: str) -> Pad:
+        if "|" in value or not value.isprintable():
+            raise MalformedPad(f"PAD must be printable and must not contain '|', got {value!r}")
+        local, sep, domain = value.partition("@")
         if not sep or not local or not domain or "@" in domain:
-            raise MalformedPad(f"PAD must be local@domain, got {v!r}")
-
-    def __str__(self) -> str:
-        return self.value
+            raise MalformedPad(f"PAD must be local@domain, got {value!r}")
+        return super().__new__(cls, value)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def prove_pid_ownership(personal_data: str, phrase: str, claimed: Pid) -> bool:
     """True iff the claimed PID was derived from exactly this data/phrase pair."""
     if not personal_data or not phrase:
         return False
-    return _commitment_digest(personal_data, phrase) == claimed.value
+    return _commitment_digest(personal_data, phrase) == claimed
 
 
 def active_pids_in_window(
@@ -128,4 +128,4 @@ def active_pids_in_window(
 
 def commitment_to_line(c: TrustedPidCommitment) -> str:
     """Persisted commitment record; the secret phrase is never written."""
-    return f"trusted-pid|{c.pid.value}|{wire.quote(c.personal_data)}|"
+    return f"trusted-pid|{c.pid}|{wire.quote(c.personal_data)}|"

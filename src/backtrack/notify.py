@@ -91,7 +91,7 @@ def build_notifications(
             continue
         if certificate is not None and entry.own_record.pid not in certificate.pids:
             raise UncoveredPid(
-                f"log entry PID {entry.own_record.pid.value} not in certificate"
+                f"log entry PID {entry.own_record.pid} not in certificate"
             )
         out.append(
             (
@@ -139,7 +139,7 @@ def notification_to_line(n: Notification) -> str:
     """`notif|v1|<pid>|<time>|<loc%>`, continued by `|` and the certificate
     line when the notification carries one."""
     line = (
-        f"notif|v1|{n.sender_pid.value}|{wire.fmt_num(n.echoed_time)}"
+        f"notif|v1|{n.sender_pid}|{wire.fmt_num(n.echoed_time)}"
         f"|{wire.quote(n.echoed_location)}"
     )
     if n.certificate is None:
@@ -175,16 +175,16 @@ class MailboxStore:
     """
 
     def __init__(self) -> None:
-        self._boxes: dict[str, list] = {}
+        self._boxes: dict[Pad, list] = {}
         self._lock = threading.Lock()
 
     def deliver(self, pad: Pad, message) -> None:
         with self._lock:
-            self._boxes.setdefault(pad.value, []).append(message)
+            self._boxes.setdefault(pad, []).append(message)
 
     def poll(self, pad: Pad) -> list:
         with self._lock:
-            return self._boxes.pop(pad.value, [])
+            return self._boxes.pop(pad, [])
 
     def pending_count(self) -> int:
         with self._lock:
@@ -204,7 +204,7 @@ class FileMailboxStore:
         self._lock = threading.Lock()
 
     def _path(self, pad: Pad) -> str:
-        return os.path.join(self.root, wire.quote(pad.value))
+        return os.path.join(self.root, wire.quote(pad))
 
     def deliver(self, pad: Pad, n: Notification) -> None:
         with self._lock:

@@ -266,7 +266,7 @@ class Agent:
     waypoint: tuple[float, float] | None = None
     speed: float = 0.0
     pause_until: float = 0.0
-    sessions: dict[str, ContactSession] = field(default_factory=dict)  # by peer PID value
+    sessions: dict[Pid, ContactSession] = field(default_factory=dict)
     log: ContactLog = field(default_factory=ContactLog)
 
 
@@ -356,11 +356,11 @@ class World:
         )
         append_entry(agent.log, entry)
         self._emit(
-            f"log-entry|{agent.agent_id}|peer={session.peer_record.pid.value}"
+            f"log-entry|{agent.agent_id}|peer={session.peer_record.pid}"
             f"|dwell={wire.fmt_num(verdict.dwell_s)}"
         )
 
-    def _close_sessions(self, agent: Agent, peer_pids: list[str]) -> None:
+    def _close_sessions(self, agent: Agent, peer_pids: list[Pid]) -> None:
         """Close and classify the agent's open sessions with these peer PIDs,
         in the order given; a PID with no open session is skipped."""
         for key in peer_pids:
@@ -532,7 +532,7 @@ class World:
         for agent in self.agents:
             for n, source_id in self.mailboxes.poll(agent.pad):
                 # the contact the notification names may still be open
-                self._close_sessions(agent, [n.sender_pid.value])
+                self._close_sessions(agent, [n.sender_pid])
                 verdict = verify_notification(
                     n,
                     agent.log,

@@ -261,6 +261,43 @@ class TestNotifyCommands:
             mailbox.write_text(first + last[:cut])
             assert run(*argv) == (0, alone[1], "torn|1\n"), cut
 
+    def test_retried_build_is_verified_once(self, tmp_path, capsys):
+        from backtrack import wire
+
+        def run(*argv):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        cert, directory, _, victim_log = self.setup_files(run, tmp_path)
+        sender_log = write(
+            tmp_path / "two.log",
+            contactlog.serialize_log(make_log(
+                make_entry(own_pid="sick", peer_pid="victim", peer_pad="victim@boxes",
+                           t=5000.0, own_loc="cafe", peer_loc="cafe"),
+                make_entry(own_pid="sick", peer_pid="other", peer_pad="b@x",
+                           t=6000.0, own_loc="cafe", peer_loc="cafe"),
+            )),
+        )
+        boxes = tmp_path / "boxes"
+        blocked = boxes / wire.quote("b@x")
+        blocked.mkdir(parents=True)
+        build = ("notify", "build", "--log", sender_log, "--own-pids", "sick",
+                 "--cert", cert, "--mailbox-dir", str(boxes))
+        # the second delivery fails after the first was made
+        code, out, _ = run(*build)
+        assert (code, out) == (2, "sent|victim@boxes\n")
+        blocked.rmdir()
+        assert run(*build)[:2] == (0, "sent|victim@boxes\nsent|b@x\n")
+        mailbox = boxes / wire.quote("victim@boxes")
+        assert len(mailbox.read_text().splitlines()) == 2
+        code, out, err = run("notify", "verify", "--log", victim_log,
+                             "--directory", directory, "--notification", str(mailbox))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "ACCEPTED" and lines[1].startswith("entry|") and len(lines) == 2
+        assert err == "dup|1\n"
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     def test_verify_bad_tolerance_exits_2(self, run, tmp_path, tolerance):
         from backtrack import wire

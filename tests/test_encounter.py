@@ -127,6 +127,14 @@ class TestIngestBeacon:
         assert table["peer1"].last_seen == 120.0
         assert table["peer1"].samples == [RssiSample(120.0, -61.0)]
 
+    def test_table_keyed_by_peer_pid(self):
+        table = {}
+        ingest(table, RssiSample(0.0, -60.0), peer="peer1")
+        ingest(table, RssiSample(0.0, -60.0), peer="peer2")
+        assert all(type(k) is Pid for k in table)
+        assert sorted(table) == [Pid("peer1"), Pid("peer2")]
+        assert all(table[pid].peer_record.pid is pid for pid in table)
+
     def test_clock_regression_rejected(self):
         table = {}
         ingest(table, RssiSample(50.0, -60.0))
@@ -235,6 +243,16 @@ class TestCloseExpired:
         assert [s.peer_record.pid.value for s in closed] == ["stale"]
         assert set(table) == {"fresh"}
 
+    def test_expiry_agrees_with_the_split_rule(self):
+        # 128 + gap rounds to 130.0, yet 2 s of silence exceed the gap
+        gap = 1.9999999999999858
+        split = {}
+        ingest(split, RssiSample(128.0, -60.0), gap_timeout_s=gap)
+        assert ingest(split, RssiSample(130.0, -60.0), gap_timeout_s=gap) is not None
+        table = {}
+        ingest(table, RssiSample(128.0, -60.0), gap_timeout_s=gap)
+        assert len(close_expired_sessions(table, now=130.0, gap_timeout_s=gap)) == 1
+
 
 def batch_classify(samples, policy, model):
     """Oracle: the classifier that stored every sample and rescanned them."""
@@ -319,7 +337,7 @@ class TestStreamingEquivalence:
             elif kind == "flush":
                 table.pop(peer, None)
             else:
-                stale = sorted(k for k, s in table.items() if s.last_seen + gap_timeout_s < now)
+                stale = sorted(k for k, s in table.items() if now - s.last_seen > gap_timeout_s)
                 remaining = set(table) - set(stale)
                 closed = close_expired_sessions(table, now, gap_timeout_s)
                 assert [s.peer_record.pid.value for s in closed] == stale

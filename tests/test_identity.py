@@ -40,6 +40,20 @@ class TestPid:
         assert Pid("abc") == Pid("abc")
         assert Pid("abc") != Pid("abC")
 
+    def test_is_the_text_itself(self):
+        # a Pid keys a table exactly as its text does
+        assert Pid("ab") == "ab"
+        assert hash(Pid("ab")) == hash("ab")
+        assert {"ab": 1}[Pid("ab")] == 1
+
+    @pytest.mark.parametrize("make", [lambda: Pid("ab"), lambda: Pad("a@b")])
+    def test_no_instance_dict(self, make):
+        assert not hasattr(make(), "__dict__")
+
+    def test_value_is_a_plain_str(self):
+        value = Pid("ab").value
+        assert type(value) is str and value == "ab"
+
     @given(st.text(min_size=1, max_size=64))
     def test_constructed_pids_never_contain_separator(self, s):
         try:
@@ -51,7 +65,7 @@ class TestPid:
 
 class TestPad:
     def test_valid(self):
-        assert Pad("me@example.org").value == "me@example.org"
+        assert Pad("me@example.org") == "me@example.org"
 
     @pytest.mark.parametrize(
         "bad", ["nodomain@", "@nolocal", "noat", "a|b@c", "a@b@c", "evil\nentry@box", "a@x\x00"]

@@ -35,7 +35,7 @@ class FileBoxReader(FileMailboxStore):
     """A file mailbox with its recipient, who reads the file and removes it."""
 
     def poll(self, pad):
-        path = os.path.join(self.root, wire.quote(pad.value))
+        path = os.path.join(self.root, wire.quote(pad))
         if not os.path.exists(path):
             return []
         with open(path, encoding="utf-8") as f:
@@ -53,7 +53,7 @@ class TestBuild:
         )
         cert = certified(lab, [Pid("mine")])
         out = build_notifications(log, [Pid("mine")], cert)
-        assert [pad.value for pad, _ in out] == ["p1@box", "p2@box", "p3@box"]
+        assert [pad for pad, _ in out] == ["p1@box", "p2@box", "p3@box"]
         assert all(n.sender_pid == Pid("mine") for _, n in out)
         assert all(n.certificate is cert for _, n in out)
 

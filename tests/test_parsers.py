@@ -36,7 +36,7 @@ CLAIMANT = generate_trusted_pid("Ada Lovelace", "tea at noon")
 
 REGISTRY_RESPONSES = {
     "YES", "NO", "CONFIRMED", "UNKNOWN", "OWNERSHIP-FAILED", "OK", "REJECTED",
-    "ERROR empty request", "ERROR malformed request",
+    "ERROR malformed request",
 }
 
 

@@ -90,6 +90,12 @@ class TestMembership:
         ingest_certificate(repo, cert_for(lab, [Pid("abcd")]), directory)
         assert not is_notified_pid(repo, Pid("abce"))
 
+    def test_fresh_pid_found_among_parsed_str_keys(self):
+        repo = parse_repository("notified|P1|lab-A|2020-04-05\n")
+        assert all(type(k) is str for k in repo.entries)
+        assert is_notified_pid(repo, Pid("P1"))
+        assert not is_notified_pid(repo, Pid("P2"))
+
 
 class TestClaims:
     def setup_repo(self, lab, directory):
@@ -180,7 +186,8 @@ class TestWireProtocol:
 
     def test_malformed_request(self, lab, directory):
         svc = self.service(lab, directory)
-        assert svc.handle_request(["HELLO"]).startswith("ERROR")
+        for lines in (["HELLO"], [""], [], ["QUERY P1", "QUERY P1"], ["QUERY P1 P2"]):
+            assert svc.handle_request(lines) == "ERROR malformed request", lines
 
     def test_persistence_appended_on_ingest(self, lab, directory, tmp_path):
         path = str(tmp_path / "state.txt")
