@@ -15,14 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import wire
-from .identity import InvalidWindow, Pid
+from .identity import Pid
 
 GENESIS_HASH = "0" * 64
-
-
-class OutOfOrderVisit(ValueError):
-    """A visit earlier than the chain's last one, or at a time that is not
-    finite and so has no place in the chain's order."""
 
 
 class EvidenceVerdict(enum.Enum):
@@ -65,11 +60,9 @@ def _hash_entry(prev_hash: str, seq: int, visited_at: float, pid: Pid) -> str:
 
 def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     if not math.isfinite(visited_at):
-        raise OutOfOrderVisit(f"visit time {visited_at} is not finite")
+        raise ValueError(f"visit time {visited_at} is not finite")
     if log.chain and visited_at < log.chain[-1].visited_at:
-        raise OutOfOrderVisit(
-            f"visit at {visited_at} precedes head visit {log.chain[-1].visited_at}"
-        )
+        raise ValueError(f"visit at {visited_at} precedes head visit {log.chain[-1].visited_at}")
     seq = log.chain[-1].seq + 1 if log.chain else 1
     prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
     entry_hash = _hash_entry(prev_hash, seq, visited_at, pid)
@@ -105,7 +98,7 @@ def evidence_query(
 ) -> EvidenceVerdict:
     """Did the claimant visit during the window, and are they certified sick?"""
     if window_from > window_to:
-        raise InvalidWindow(f"from {window_from} > to {window_to}")
+        raise ValueError(f"from {window_from} > to {window_to}")
     visited = any(
         v.pid == claimant_pid and window_from <= v.visited_at <= window_to
         for v in log.chain

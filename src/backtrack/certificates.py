@@ -24,14 +24,6 @@ from .identity import Pid, check_token
 SCHEME_ED25519 = "ed25519"
 
 
-class EmptyPidList(ValueError):
-    pass
-
-
-class InvalidDates(ValueError):
-    pass
-
-
 class VerificationStatus(enum.Enum):
     VERIFIED = "VERIFIED"
     UNKNOWN_LAB = "UNKNOWN-LAB"
@@ -136,11 +128,11 @@ def issue_certificate(
     infectious_from: date,
 ) -> CertificateOfInfection:
     if not pids:
-        raise EmptyPidList("certificate needs at least one PID")
+        raise ValueError("certificate needs at least one PID")
     if len(set(pids)) != len(pids):
         raise ValueError("duplicate PIDs in certificate")
     if infectious_from > test_date:
-        raise InvalidDates(f"infectious_from {infectious_from} after test_date {test_date}")
+        raise ValueError(f"infectious_from {infectious_from} after test_date {test_date}")
     pids = tuple(pids)
     payload = canonical_certificate_payload(lab.lab_id, test_date, infectious_from, pids)
     return CertificateOfInfection(

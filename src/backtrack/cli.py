@@ -128,6 +128,8 @@ def cmd_sim(args) -> int:
 
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
+        if os.path.exists(args.key_out):
+            raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
         lab = LabIdentity.generate(args.lab_id)
         if os.path.exists(args.directory):
             directory = _load(args.directory, LabDirectory.from_lines)

@@ -20,10 +20,6 @@ DEFAULT_RETENTION_DAYS = 21  # epidemiologists' 2-3 weeks
 DEFAULT_TIME_TOLERANCE_S = 300.0
 
 
-class OutOfOrderEntry(ValueError):
-    """An entry older than the one before it, on append or on load."""
-
-
 @dataclass(frozen=True)
 class LogEntry:
     own_record: InformationRecord
@@ -54,7 +50,7 @@ class ContactLog:
         last = -math.inf
         for entry in self.entries:
             if entry.recorded_at < last:
-                raise OutOfOrderEntry(f"entry at {entry.recorded_at} older than {last}")
+                raise ValueError(f"entry at {entry.recorded_at} older than {last}")
             last = entry.recorded_at
             self.by_peer.setdefault(entry.peer_record.pid, []).append(entry)
 
@@ -68,7 +64,7 @@ class ExposureSummary:
 
 def append_entry(log: ContactLog, entry: LogEntry) -> ContactLog:
     if log.entries and entry.recorded_at < log.entries[-1].recorded_at:
-        raise OutOfOrderEntry(
+        raise ValueError(
             f"entry at {entry.recorded_at} older than last {log.entries[-1].recorded_at}"
         )
     log.entries.append(entry)

@@ -13,14 +13,6 @@ from dataclasses import dataclass, fields
 from .identity import Pad, Pid
 
 
-class NonPositiveDistance(ValueError):
-    """distance_to_rssi needs a strictly positive distance."""
-
-
-class ClockRegression(ValueError):
-    """A beacon sample timestamped before the session's last sample."""
-
-
 @dataclass(frozen=True)
 class InformationRecord:
     """The four-field beacon payload: PID, PAD, local time, local location label."""
@@ -132,7 +124,7 @@ def distance_to_rssi(
     """Forward channel for the simulator; exact inverse of rssi_to_distance
     when noise_draw is 0 and the path is unblocked."""
     if true_distance_m <= 0:
-        raise NonPositiveDistance(f"distance must be > 0, got {true_distance_m}")
+        raise ValueError(f"distance must be > 0, got {true_distance_m}")
     rssi = model.ref_power_dbm - 10.0 * model.path_loss_exponent * math.log10(true_distance_m)
     rssi += noise_draw * model.shadowing_sigma_db
     if body_blocked:
@@ -162,7 +154,7 @@ def ingest_beacon(
     closed: ContactSession | None = None
     if open_session is not None:
         if sample.at < open_session.last_seen:
-            raise ClockRegression(
+            raise ValueError(
                 f"sample at {sample.at} precedes session last_seen {open_session.last_seen}"
             )
         if sample.at - open_session.last_seen > gap_timeout_s:

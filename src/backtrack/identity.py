@@ -19,18 +19,6 @@ _COMMIT_SEP = "\x1f"
 _FORBIDDEN_TOKEN_CHARS = frozenset("|,")
 
 
-class EmptyInput(ValueError):
-    """A required string argument was empty."""
-
-
-class InvalidWindow(ValueError):
-    """A time window with from > to."""
-
-
-class MalformedPad(ValueError):
-    """A pseudo-address that is not of the form local@domain."""
-
-
 def check_token(value: str, what: str) -> None:
     """Raise ValueError unless value is 1-64 printable non-whitespace chars
     without `|` or `,`: the rule for every id written raw into a record."""
@@ -66,10 +54,10 @@ class Pad(str):
 
     def __new__(cls, value: str) -> Pad:
         if "|" in value or not value.isprintable():
-            raise MalformedPad(f"PAD must be printable and must not contain '|', got {value!r}")
+            raise ValueError(f"PAD must be printable and must not contain '|', got {value!r}")
         local, sep, domain = value.partition("@")
         if not sep or not local or not domain or "@" in domain:
-            raise MalformedPad(f"PAD must be local@domain, got {value!r}")
+            raise ValueError(f"PAD must be local@domain, got {value!r}")
         return super().__new__(cls, value)
 
 
@@ -96,7 +84,7 @@ def _commitment_digest(personal_data: str, phrase: str) -> str:
 def generate_trusted_pid(personal_data: str, phrase: str) -> TrustedPidCommitment:
     """Derive a PID as a one-way hash over (personal_data, phrase)."""
     if not personal_data or not phrase:
-        raise EmptyInput("personal_data and phrase must be non-empty")
+        raise ValueError("personal_data and phrase must be non-empty")
     pid = Pid(_commitment_digest(personal_data, phrase))
     return TrustedPidCommitment(personal_data=personal_data, phrase=phrase, pid=pid)
 
@@ -117,7 +105,7 @@ def active_pids_in_window(
     active until the next one's activation, the last one for good.
     """
     if window_from > window_to:
-        raise InvalidWindow(f"from {window_from} > to {window_to}")
+        raise ValueError(f"from {window_from} > to {window_to}")
     active: list[Pid] = []
     for i, (start, pid) in enumerate(pids_used):
         end = pids_used[i + 1][0] if i + 1 < len(pids_used) else None

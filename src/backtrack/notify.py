@@ -30,10 +30,6 @@ from .contactlog import (
 from .identity import Pad, Pid
 
 
-class UncoveredPid(ValueError):
-    """A log entry's own PID is missing from the supplied certificate."""
-
-
 class DeploymentMode(enum.Enum):
     CERTIFICATE_REQUIRED = "required"
     CERTIFICATE_OPTIONAL = "optional"
@@ -82,7 +78,7 @@ def build_notifications(
     """One notification per log entry announced under one of own_pids.
 
     When a certificate is supplied it must cover every notified entry's own
-    PID ("all relevant PIDs declared"); otherwise UncoveredPid is raised.
+    PID ("all relevant PIDs declared"); otherwise ValueError is raised.
     """
     own = set(own_pids)
     out: list[tuple[Pad, Notification]] = []
@@ -90,9 +86,7 @@ def build_notifications(
         if entry.own_record.pid not in own:
             continue
         if certificate is not None and entry.own_record.pid not in certificate.pids:
-            raise UncoveredPid(
-                f"log entry PID {entry.own_record.pid} not in certificate"
-            )
+            raise ValueError(f"log entry PID {entry.own_record.pid} not in certificate")
         out.append(
             (
                 entry.peer_record.pad,
@@ -185,10 +179,6 @@ class MailboxStore:
     def poll(self, pad: Pad) -> list:
         with self._lock:
             return self._boxes.pop(pad, [])
-
-    def pending_count(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._boxes.values())
 
 
 class FileMailboxStore:

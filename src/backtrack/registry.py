@@ -27,10 +27,6 @@ from .certificates import (
 from .identity import Pid, prove_pid_ownership
 
 
-class RejectedCertificate(ValueError):
-    """Only verified certificates may feed the repository."""
-
-
 class ClaimVerdict(enum.Enum):
     CONTACT_CONFIRMED = "CONFIRMED"
     CONTACT_PID_UNKNOWN = "UNKNOWN"
@@ -50,7 +46,7 @@ def ingest_certificate(
     directory: LabDirectory,
 ) -> NotifiedPidRepository:
     if verify_certificate(cert, directory) is not VerificationStatus.VERIFIED:
-        raise RejectedCertificate("certificate did not verify against the directory")
+        raise ValueError("certificate did not verify against the directory")
     for pid in cert.pids:
         _record(repo, pid, cert.lab_id, cert.test_date)
     return repo
@@ -184,7 +180,7 @@ class RegistryService:
             with self._lock:
                 try:
                     ingest_certificate(self.repo, cert, self.directory)
-                except RejectedCertificate:
+                except ValueError:
                     return "REJECTED"
                 if self.persist_path:
                     with open(self.persist_path, "a", encoding="utf-8") as f:

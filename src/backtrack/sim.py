@@ -3,8 +3,8 @@
 Random-waypoint mobility, log-distance RF channel, beacon exchange feeding
 each device's session table, a transparent ground-truth exposure rule for
 infection dynamics and metrics, diagnosis events that issue certificates and
-post notifications, per-step mailbox polling with verification, and forgery
-injection. A fixed seed reproduces metrics and trace bit-for-bit.
+post notifications, verification of each step's notifications in that step,
+and forgery injection. A fixed seed reproduces metrics and trace bit-for-bit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .encounter import (
 from .identity import Pad, Pid, active_pids_in_window, generate_random_pid
 from .notify import (
     DeploymentMode,
-    MailboxStore,
     Notification,
     build_notifications,
     verify_notification,
@@ -47,10 +46,6 @@ LOCATION_BUCKET_S = 600.0
 # the log-distance arithmetic, so that no pair the exact per-pair check would
 # hear, and no pair within true_radius_m, is left outside it.
 REACH_MARGIN = 1e-6
-
-
-class InvalidScenario(ValueError):
-    pass
 
 
 class Health(enum.Enum):
@@ -108,43 +103,43 @@ class Scenario:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("float", "float | None") and not math.isfinite(value or 0.0):
-                raise InvalidScenario(f"{f.name} must be finite")
+                raise ValueError(f"{f.name} must be finite")
         if not all(map(math.isfinite, self.world_size_m)):
-            raise InvalidScenario("world size must be finite")
+            raise ValueError("world size must be finite")
         if self.n_agents < 1:
-            raise InvalidScenario("n_agents must be >= 1")
+            raise ValueError("n_agents must be >= 1")
         if not 0 <= self.initial_infectious <= self.n_agents:
-            raise InvalidScenario("initial_infectious out of range")
+            raise ValueError("initial_infectious out of range")
         for name in ("gap_timeout_s", "time_tolerance_s", "exposure_seconds", "diagnosis_delay_s"):
             if getattr(self, name) < 0:
-                raise InvalidScenario(f"{name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0")
         if self.duration_s <= 0:
-            raise InvalidScenario("duration_s must be > 0")
+            raise ValueError("duration_s must be > 0")
         if self.true_radius_m <= 0:
-            raise InvalidScenario("true_radius_m must be > 0")
+            raise ValueError("true_radius_m must be > 0")
         if self.beacon_interval_s < 1:
-            raise InvalidScenario("beacon_interval_s must be >= 1 second")
+            raise ValueError("beacon_interval_s must be >= 1 second")
         if self.speed_min_mps < 0 or self.speed_max_mps < self.speed_min_mps:
-            raise InvalidScenario("bad speed range")
+            raise ValueError("bad speed range")
         if self.pause_min_s < 0 or self.pause_max_s < self.pause_min_s:
-            raise InvalidScenario("bad pause range")
+            raise ValueError("bad pause range")
         if not 0.0 <= self.transmission_prob <= 1.0:
-            raise InvalidScenario("transmission_prob must be in [0, 1]")
+            raise ValueError("transmission_prob must be in [0, 1]")
         if not 0.0 <= self.body_block_prob <= 1.0:
-            raise InvalidScenario("body_block_prob must be in [0, 1]")
+            raise ValueError("body_block_prob must be in [0, 1]")
         if self.default_policy_version not in self.policies:
-            raise InvalidScenario("default policy version not declared")
+            raise ValueError("default policy version not declared")
         for agent_id, version in self.agent_policy.items():
             if version not in self.policies:
-                raise InvalidScenario(f"agent {agent_id} assigned undeclared policy {version}")
+                raise ValueError(f"agent {agent_id} assigned undeclared policy {version}")
         w, h = self.world_size_m
         if w <= 0 or h <= 0:
-            raise InvalidScenario("world size must be positive")
+            raise ValueError("world size must be positive")
         for agent_id, (x, y) in self.positions.items():
             if not (0 <= agent_id < self.n_agents):
-                raise InvalidScenario(f"position for unknown agent {agent_id}")
+                raise ValueError(f"position for unknown agent {agent_id}")
             if not (0 <= x <= w and 0 <= y <= h):
-                raise InvalidScenario(f"agent {agent_id} position outside world")
+                raise ValueError(f"agent {agent_id} position outside world")
 
 
 # Keys that set one field from one value: every field of Scenario and
@@ -183,7 +178,7 @@ def parse_scenario(text: str) -> Scenario:
         if not line:
             continue
         if "=" not in line:
-            raise InvalidScenario(f"expected key = value, got {line!r}")
+            raise ValueError(f"expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         try:
@@ -202,9 +197,9 @@ def parse_scenario(text: str) -> Scenario:
             else:
                 unknown.append(key)
         except (ValueError, TypeError) as exc:
-            raise InvalidScenario(f"bad value for {key}: {value!r}") from exc
+            raise ValueError(f"bad value for {key}: {value!r}") from exc
     if unknown:
-        raise InvalidScenario(f"unknown scenario keys: {sorted(unknown)}")
+        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
 
     channel = {key: values.pop(key) for key in _CHANNEL_KEYS if key in values}
     world_size_m = (
@@ -220,10 +215,8 @@ def parse_scenario(text: str) -> Scenario:
             positions=positions,
             **values,
         )
-    except InvalidScenario:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise InvalidScenario(str(exc)) from exc
+    except TypeError as exc:  # n_agents or duration_s is missing
+        raise ValueError(str(exc)) from exc
 
 
 @dataclass
@@ -293,7 +286,6 @@ class World:
         self.directory = LabDirectory()
         self.directory.add_lab(self.lab)
         self.repo = NotifiedPidRepository()
-        self.mailboxes = MailboxStore()
 
         self.agents: list[Agent] = []
         for i in range(scenario.n_agents):
@@ -317,17 +309,19 @@ class World:
                 agent.health = Health.INFECTIOUS
                 agent.infected_at = 0.0
             self.agents.append(agent)
+        self._by_pad = {a.pad: a for a in self.agents}
 
         # in-radius dwell of each pair of agents within true_radius_m at the
         # latest beacon tick; every other pair is apart
         self._pair_state: dict[tuple[int, int], float] = {}
         self._true_pairs: set[tuple[int, int]] = set()
         self._accepted_pairs: set[tuple[int, int]] = set()
-        # the scenario's forgeries, injected in the step of the first
-        # diagnosis, and the notifications built until then for PidSwap to copy
+        # the scenario's forgeries, injected in the step of the first diagnosis
         counts = (scenario.forge_fake_claims, scenario.forge_pid_swap, scenario.forge_bogus_cert)
         self._forgeries = [(kind, n) for kind, n in zip(ForgeryKind, counts) if n > 0]
-        self._built: list[tuple[Pad, Notification, int]] = []
+        # this step's mail: (recipient, notification, source agent id or None
+        # for a forgery), in delivery order; verified and emptied each step
+        self._inbox: list[tuple[Agent, Notification, int | None]] = []
         self._rotate_at = scenario.pid_rotation_at_s  # None once rotated
 
     # -- helpers -----------------------------------------------------------
@@ -508,58 +502,56 @@ class World:
     def _diagnose(self, agent: Agent) -> None:
         self._close_sessions(agent, sorted(agent.sessions))
         # disclose only the PIDs used while infectious
-        own_pids = active_pids_in_window(agent.pids_used, agent.infected_at or 0.0, self.now)
+        own_pids = active_pids_in_window(agent.pids_used, agent.infected_at, self.now)
         cert = None
         if self.scenario.mode is DeploymentMode.CERTIFICATE_REQUIRED:
             cert = issue_certificate(
                 self.lab,
                 own_pids,
                 test_date=_utc_date(self.now),
-                infectious_from=_utc_date(agent.infected_at or 0.0),
+                infectious_from=_utc_date(agent.infected_at),
             )
             ingest_certificate(self.repo, cert, self.directory)
         notifications = build_notifications(agent.log, own_pids, cert)
         for pad, n in notifications:
-            if self._forgeries:
-                self._built.append((pad, n, agent.agent_id))
-            self.mailboxes.deliver(pad, (n, agent.agent_id))
+            self._inbox.append((self._by_pad[pad], n, agent.agent_id))
         self.metrics.notifications_built += len(notifications)
         agent.health = Health.DIAGNOSED
         self.metrics.diagnoses += 1
         self._emit(f"diagnose|{agent.agent_id}|notifications={len(notifications)}")
 
     def _poll_and_verify(self) -> None:
-        for agent in self.agents:
-            for n, source_id in self.mailboxes.poll(agent.pad):
-                # the contact the notification names may still be open
-                self._close_sessions(agent, [n.sender_pid])
-                verdict = verify_notification(
-                    n,
-                    agent.log,
-                    self.directory,
-                    mode=self.scenario.mode,
-                    time_tolerance_s=self.scenario.time_tolerance_s,
-                )
-                counts = self.metrics.verdict_counts
-                counts[verdict.status.value] = counts.get(verdict.status.value, 0) + 1
-                forged = source_id is None
-                if forged:
-                    if verdict.accepted:
-                        self.metrics.forgeries_accepted += 1
-                    else:
-                        self.metrics.rejected_forgeries += 1
-                elif verdict.accepted:
-                    self._accepted_pairs.add((source_id, agent.agent_id))
-                self._emit(
-                    f"verdict|{agent.agent_id}|{verdict.status.value}|forged={int(forged)}"
-                )
+        inbox, self._inbox = self._inbox, []
+        # by recipient, each recipient's mail in delivery order
+        for agent, n, source_id in sorted(inbox, key=lambda mail: mail[0].agent_id):
+            # the contact the notification names may still be open
+            self._close_sessions(agent, [n.sender_pid])
+            verdict = verify_notification(
+                n,
+                agent.log,
+                self.directory,
+                mode=self.scenario.mode,
+                time_tolerance_s=self.scenario.time_tolerance_s,
+            )
+            counts = self.metrics.verdict_counts
+            counts[verdict.status.value] = counts.get(verdict.status.value, 0) + 1
+            forged = source_id is None
+            if forged:
+                if verdict.accepted:
+                    self.metrics.forgeries_accepted += 1
+                else:
+                    self.metrics.rejected_forgeries += 1
+            elif verdict.accepted:
+                self._accepted_pairs.add((source_id, agent.agent_id))
+            self._emit(f"verdict|{agent.agent_id}|{verdict.status.value}|forged={int(forged)}")
 
     # -- forgery injection ---------------------------------------------------
 
     def inject_forgeries(self, kind: ForgeryKind, count: int) -> int:
         """Craft and deliver `count` attack notifications; returns how many
-        were actually injected (PidSwap needs genuine material to copy)."""
+        were actually injected (PidSwap copies this step's genuine mail)."""
         rng = self._forgery_rng
+        genuine = [mail for mail in self._inbox if mail[2] is not None]
         injected = 0
         for _ in range(count):
             if kind is ForgeryKind.FAKE_CONTACT_CLAIM:
@@ -572,14 +564,13 @@ class World:
                     certificate=None,
                 )
             elif kind is ForgeryKind.PID_SWAP:
-                if not self._built:
+                if not genuine:
                     break
-                pad, original, source_id = rng.choice(self._built)
+                victim, original, source_id = rng.choice(genuine)
                 attacker = rng.choice(
                     [a for a in self.agents if a.agent_id != source_id]
                 )
                 n = replace(original, sender_pid=attacker.pid)
-                victim = next(a for a in self.agents if a.pad == pad)
             else:  # BogusCertificate
                 attacker = rng.choice(self.agents)
                 fake_lab = LabIdentity.from_seed("fake-lab", rng.randbytes(32))
@@ -597,9 +588,7 @@ class World:
                         echoed_location=entry.peer_record.local_location,
                         certificate=fake_cert,
                     )
-                    victim = next(
-                        a for a in self.agents if a.pad == entry.peer_record.pad
-                    )
+                    victim = self._by_pad[entry.peer_record.pad]
                 else:
                     victim = rng.choice(self.agents)
                     n = Notification(
@@ -608,7 +597,7 @@ class World:
                         echoed_location=f"loc-{victim.agent_id}-0",
                         certificate=fake_cert,
                     )
-            self.mailboxes.deliver(victim.pad, (n, None))
+            self._inbox.append((victim, n, None))
             injected += 1
             self._emit(f"forgery|{kind.value}|target={victim.agent_id}")
         self.metrics.forgeries_injected += injected
@@ -617,7 +606,7 @@ class World:
     def _inject_scheduled_forgeries(self) -> None:
         for kind, count in self._forgeries:
             self.inject_forgeries(kind, count)
-        self._forgeries, self._built = [], []
+        self._forgeries = []
 
     # -- driving -------------------------------------------------------------
 
@@ -649,7 +638,7 @@ class World:
         m.notified_true = len(self._true_pairs & self._accepted_pairs)
         m.notified_false = len(self._accepted_pairs - self._true_pairs)
         m.missed = len(self._true_pairs - self._accepted_pairs)
-        m.pending_at_end = self.mailboxes.pending_count()
+        m.pending_at_end = len(self._inbox)
         return m
 
     def run(self) -> SimMetrics:

@@ -44,7 +44,7 @@ class TestPid:
         assert code == 0
         expected = generate_trusted_pid("Ada Lovelace", "tea at noon")
         assert out.strip() == expected.pid.value
-        assert open(commitment_file).read().startswith("trusted-pid|")
+        assert Path(commitment_file).read_text().startswith("trusted-pid|")
 
 
 class TestCertCommands:
@@ -83,7 +83,7 @@ class TestCertCommands:
     def test_tampered_cert_exits_1(self, run, tmp_path, lab_files):
         key, directory = lab_files
         cert = self.issue(run, tmp_path, key)
-        text = open(cert).read().replace("P1", "P9")
+        text = Path(cert).read_text().replace("P1", "P9")
         tampered = write(tmp_path / "tampered.txt", text)
         code, out = run("cert", "verify", "--cert", tampered, "--directory", directory)
         assert code == 1
@@ -116,6 +116,18 @@ class TestCertCommands:
         assert code == 0
         labs = [line.split("|")[1] for line in Path(directory).read_text().splitlines()]
         assert labs == ["lab-A", "lab-B"]
+
+    def test_keygen_refuses_existing_key_file(self, run, tmp_path, capsys, lab_files):
+        # a second lab's key must not replace the first one's, which the
+        # directory still lists
+        key, directory = lab_files
+        before = (Path(key).read_bytes(), Path(directory).read_bytes())
+        assert main(["cert", "keygen", "--lab-id", "lab-B",
+                     "--key-out", key, "--directory", directory]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+        assert (Path(key).read_bytes(), Path(directory).read_bytes()) == before
 
     @pytest.mark.parametrize("lab_id", ["x|y", "a b"])
     def test_keygen_bad_lab_id_exits_2_and_writes_nothing(self, run, tmp_path, lab_id):
@@ -344,7 +356,7 @@ class TestSimCommand:
         assert code == 0
         assert "metric|true_exposures|1\n" in out
         assert "metric|missed|0\n" in out
-        assert any(line.startswith("trace|") for line in open(trace))
+        assert any(line.startswith("trace|") for line in Path(trace).read_text().splitlines())
 
     def test_deterministic_across_invocations(self, run, tmp_path):
         scenario = write(tmp_path / "s.txt", self.SCENARIO)
@@ -352,7 +364,7 @@ class TestSimCommand:
         _, out1 = run("sim", "--scenario", scenario, "--trace", t1)
         _, out2 = run("sim", "--scenario", scenario, "--trace", t2)
         assert out1 == out2
-        assert open(t1).read() == open(t2).read()
+        assert Path(t1).read_text() == Path(t2).read_text()
 
     def test_bad_scenario_exits_2(self, run, tmp_path):
         scenario = write(tmp_path / "bad.txt", "n_agents = 0\nduration_s = 10\n")
@@ -369,7 +381,7 @@ class TestRegistryCommands:
             "--directory", dir_path)
         from backtrack.certificates import LabDirectory
 
-        directory = LabDirectory.from_lines(open(dir_path).read())
+        directory = LabDirectory.from_lines(Path(dir_path).read_text())
         srv = serve("127.0.0.1", 0, directory, str(tmp_path / "state.txt"))
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         yield key, srv.server_address[1]
@@ -425,8 +437,8 @@ class TestBizlogCommands:
     def test_tamper_detected(self, run, tmp_path):
         self.append(run, tmp_path, "visitor1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "visitor2", 200.0)
-        text = open(chain).read().replace("visitor1", "intruder")
-        open(chain, "w").write(text)
+        text = Path(chain).read_text().replace("visitor1", "intruder")
+        Path(chain).write_text(text)
         code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out.strip()) == (1, "TAMPERED-AT 1")
 
@@ -435,11 +447,11 @@ class TestBizlogCommands:
             chain, head, _ = self.append(run, tmp_path, f"visitor{i}", 100.0 * i)
         with open(chain, "a") as f:
             f.write("visit|garbage\n")
-        before = open(chain, "rb").read(), open(head, "rb").read()
+        before = Path(chain).read_bytes(), Path(head).read_bytes()
         code, out = run("bizlog", "append", "--chain", chain, "--head", head,
                         "--pid", "visitor9", "--at", "900")
         assert (code, out) == (2, "")
-        assert (open(chain, "rb").read(), open(head, "rb").read()) == before
+        assert (Path(chain).read_bytes(), Path(head).read_bytes()) == before
 
     @pytest.mark.parametrize("at", ["nan", "inf", "-inf"])
     def test_append_non_finite_time_exits_2(self, run, tmp_path, at):
@@ -449,16 +461,16 @@ class TestBizlogCommands:
         assert run(*argv) == (2, "")
         assert os.listdir(tmp_path) == []
         self.append(run, tmp_path, "v1", 100.0)
-        before = open(chain, "rb").read(), open(head, "rb").read()
+        before = Path(chain).read_bytes(), Path(head).read_bytes()
         assert run(*argv) == (2, "")
-        assert (open(chain, "rb").read(), open(head, "rb").read()) == before
+        assert (Path(chain).read_bytes(), Path(head).read_bytes()) == before
 
     def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
         self.append(run, tmp_path, "v1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "v2", 200.0)
-        text = open(chain).read()
+        text = Path(chain).read_text()
         assert text.startswith("visit|1|100|v1|")
-        open(chain, "w").write(text.replace("visit|1|100|", "visit|01|1e2|", 1))
+        Path(chain).write_text(text.replace("visit|1|100|", "visit|01|1e2|", 1))
         code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out) == (2, "")
 
@@ -490,7 +502,7 @@ class TestLogCommands:
         path = self.log_file(tmp_path)
         code, out = run("log", "show", "--log", path)
         assert code == 0
-        assert out == open(path).read()
+        assert out == Path(path).read_text()
 
     def test_stats(self, run, tmp_path):
         code, out = run("log", "stats", "--log", self.log_file(tmp_path))
@@ -505,14 +517,14 @@ class TestLogCommands:
         code, out = run("log", "prune", "--log", path, "--now", str(30 * 86400.0))
         assert code == 0
         assert out.strip() == "pruned|1"
-        assert len(open(path).read().splitlines()) == 2
+        assert len(Path(path).read_text().splitlines()) == 2
 
     def test_prune_retention_days(self, run, tmp_path):
         path = self.log_file(tmp_path)
         code, out = run("log", "prune", "--log", path, "--now", "2592000",
                         "--retention-days", "1")
         assert (code, out.strip()) == (0, "pruned|2")
-        assert len(open(path).read().splitlines()) == 1
+        assert len(Path(path).read_text().splitlines()) == 1
 
     @pytest.mark.parametrize("bad", [
         ["--now", "2592000", "--retention-days", "-1"],
@@ -520,10 +532,10 @@ class TestLogCommands:
     ])
     def test_prune_bad_parameters_exit_2_and_keep_file(self, run, tmp_path, bad):
         path = self.log_file(tmp_path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         code, out = run("log", "prune", "--log", path, *bad)
         assert (code, out) == (2, "")
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
 
     def test_malformed_log_exits_2(self, run, tmp_path):
         path = write(tmp_path / "bad.log", "entry|nonsense\n")

@@ -1,12 +1,12 @@
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from backtrack.contactlog import (
     ContactLog,
-    OutOfOrderEntry,
     append_entry,
     entry_to_line,
     exposure_statistics,
@@ -38,7 +38,7 @@ class TestAppend:
 
     def test_out_of_order_rejected(self):
         log = make_log(make_entry(recorded_at=200.0))
-        with pytest.raises(OutOfOrderEntry):
+        with pytest.raises(ValueError, match="entry at 100.0 older than last 200.0"):
             append_entry(log, make_entry(recorded_at=100.0))
 
     def test_same_pid_both_sides_rejected(self):
@@ -211,11 +211,11 @@ class TestPeerIndex:
         newer, older = make_entry(recorded_at=2.0), make_entry(recorded_at=1.0)
         path = tmp_path / "log.txt"
         path.write_text(entry_to_line(newer) + "\n" + entry_to_line(older) + "\n")
-        with pytest.raises(OutOfOrderEntry):
+        with pytest.raises(ValueError, match="entry at 1.0 older than 2.0"):
             parse_log(path.read_text())
-        with pytest.raises(OutOfOrderEntry):
+        with pytest.raises(ValueError, match="entry at 1.0 older than 2.0"):
             load_log(str(path))
-        with pytest.raises(OutOfOrderEntry):
+        with pytest.raises(ValueError, match="entry at 1.0 older than 2.0"):
             ContactLog([newer, older])
 
     def test_nan_recorded_at_refused(self):
@@ -283,7 +283,7 @@ class TestSerialization:
     def test_failed_save_leaves_old_file(self, tmp_path, monkeypatch):
         path = str(tmp_path / "log.txt")
         save_log(make_log(make_entry()), path)
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         def crash(src, dst):
             raise OSError("crash before the rename")
@@ -291,5 +291,5 @@ class TestSerialization:
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError):
             save_log(make_log(), path)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["log.txt"]

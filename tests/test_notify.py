@@ -13,7 +13,6 @@ from backtrack.notify import (
     FileMailboxStore,
     MailboxStore,
     Notification,
-    UncoveredPid,
     VerdictStatus,
     build_notifications,
     notification_to_line,
@@ -67,7 +66,7 @@ class TestBuild:
     def test_uncovered_pid(self, lab):
         log = make_log(make_entry(own_pid="mine", peer_pid="p1"))
         cert = certified(lab, [Pid("otherpid")])
-        with pytest.raises(UncoveredPid):
+        with pytest.raises(ValueError, match="not in certificate"):
             build_notifications(log, [Pid("mine")], cert)
 
     def test_empty_log(self):

@@ -18,6 +18,7 @@ from backtrack.contactlog import parse_log, serialize_log
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.notify import Notification, notification_to_line, parse_notifications
 from backtrack.registry import NotifiedPidRepository, RegistryService, parse_repository
+from backtrack.sim import parse_scenario
 
 from conftest import make_entry, make_log
 
@@ -33,6 +34,22 @@ for _i in range(3):
 CHAIN_TEXT = bizlog.chain_to_lines(CHAIN)
 HEAD_TEXT = bizlog.head_to_line(CHAIN)
 CLAIMANT = generate_trusted_pid("Ada Lovelace", "tea at noon")
+# every kind of scenario line: a comment, scalar, channel, enum, policy,
+# agent_policy and position key
+SCENARIO_TEXT = """\
+# three agents, one pinned
+n_agents = 3
+duration_s = 600
+world_width_m = 10
+world_height_m = 8
+mode = optional
+shadowing_sigma_db = 2
+policy = 1:3:120
+policy = 2:1.5:60
+agent_policy = 1:2
+position = 0:2.5:4
+pid_rotation_at_s = 300
+"""
 
 REGISTRY_RESPONSES = {
     "YES", "NO", "CONFIRMED", "UNKNOWN", "OWNERSHIP-FAILED", "OK", "REJECTED",
@@ -63,6 +80,7 @@ PARSERS = {
     "repository": (parse_repository, "notified|P1|lab-A|2020-04-01\nnotified|P2|lab-A|2020-04-02\n"),
     "chain": (lambda text: bizlog.parse_chain(text, CHAIN.head), CHAIN_TEXT),
     "head": (bizlog.parse_head, HEAD_TEXT),
+    "scenario": (parse_scenario, SCENARIO_TEXT),
     "registry-ingest": (registry_request, f"INGEST {CERT_LINE}"),
     "registry-query": (registry_request, "QUERY P1"),
     "registry-claim": (

@@ -15,7 +15,6 @@ from backtrack.registry import (
     ClaimVerdict,
     NotifiedPidRepository,
     RegistryService,
-    RejectedCertificate,
     check_test_priority_claim,
     client_claim,
     client_ingest,
@@ -59,7 +58,7 @@ class TestIngest:
         repo = NotifiedPidRepository()
         cert = cert_for(lab, [Pid("P1")])
         tampered = replace(cert, pids=(Pid("P9"),))
-        with pytest.raises(RejectedCertificate):
+        with pytest.raises(ValueError, match="did not verify against the directory"):
             ingest_certificate(repo, tampered, directory)
         assert repo.entries == {}
 

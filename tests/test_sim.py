@@ -19,7 +19,6 @@ from backtrack.sim import (
     RADIO_CUTOFF_DBM,
     ForgeryKind,
     Health,
-    InvalidScenario,
     Scenario,
     World,
     metrics_to_lines,
@@ -239,12 +238,12 @@ class TestConservation:
 
 
     def test_mail_never_outlives_a_step(self):
-        # each notification is polled in the step it is posted in: this is why
-        # pending_at_end is 0, and why PidSwap needs only that step's mail
+        # each notification is verified in the step it is posted in: this is
+        # why pending_at_end is 0, and why PidSwap needs only that step's mail
         world = World(parse_scenario(SMALL_SCENARIO))
         while world.now < world.scenario.duration_s:
             world.step()
-            assert world.mailboxes.pending_count() == 0, world.now
+            assert world._inbox == [], world.now
         assert sum(world.metrics.verdict_counts.values()) > 0
 
 
@@ -349,28 +348,28 @@ class TestScenarioParsing:
         assert parse_scenario(text) == expected
 
     def test_unknown_key(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="unknown scenario keys"):
             parse_scenario("n_agents = 2\nduration_s = 10\nbogus_key = 1\n")
 
     def test_retention_days_is_not_a_scenario_key(self):
         # the simulator never prunes a log, so there is no retention to set
-        with pytest.raises(InvalidScenario, match="unknown scenario key"):
+        with pytest.raises(ValueError, match="unknown scenario key"):
             parse_scenario("n_agents = 2\nduration_s = 10\nretention_days = 5\n")
 
     def test_missing_n_agents(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="required positional argument: 'n_agents'"):
             parse_scenario("duration_s = 10\n")
 
     def test_bad_value(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="bad value for n_agents"):
             parse_scenario("n_agents = two\nduration_s = 10\n")
 
     def test_bad_mode(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="bad value for mode"):
             parse_scenario("n_agents = 2\nduration_s = 10\nmode = strict\n")
 
     def test_missing_equals(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="expected key = value"):
             parse_scenario("n_agents 2\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -385,18 +384,21 @@ class TestScenarioParsing:
         ],
     )
     def test_non_finite_number(self, key, value):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="must be finite"):
             parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = {value}\n")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "body_shadow_db = -1", "body_block_prob = 1.5", "policy = 1:nan:600",
-            "policy = 1:inf:600", "policy = 1:3:nan", "position = 0:nan:5",
-        ],
-    )
+    OUT_OF_RANGE = {
+        "body_shadow_db = -1": "body shadow must be >= 0",
+        "body_block_prob = 1.5": "body_block_prob must be in",
+        "policy = 1:nan:600": "bad value for policy",
+        "policy = 1:inf:600": "bad value for policy",
+        "policy = 1:3:nan": "bad value for policy",
+        "position = 0:nan:5": "agent 0 position outside world",
+    }
+
+    @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
     def test_out_of_range_value(self, text):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match=self.OUT_OF_RANGE[text]):
             parse_scenario(f"n_agents = 2\nduration_s = 10\n{text}\n")
 
     def test_huge_reference_power_runs(self):
@@ -412,35 +414,35 @@ class TestScenarioParsing:
 
 class TestScenarioValidation:
     def test_no_agents(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="n_agents must be >= 1"):
             Scenario(n_agents=0, duration_s=10.0)
 
     def test_too_many_infectious(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="initial_infectious out of range"):
             Scenario(n_agents=2, duration_s=10.0, initial_infectious=3)
 
     def test_position_outside_world(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="agent 0 position outside world"):
             Scenario(
                 n_agents=1, duration_s=10.0,
                 world_size_m=(10.0, 10.0), positions={0: (11.0, 5.0)},
             )
 
     def test_undeclared_agent_policy(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="undeclared policy"):
             Scenario(n_agents=2, duration_s=10.0, agent_policy={0: 99})
 
     def test_bad_transmission_prob(self):
-        with pytest.raises(InvalidScenario):
+        with pytest.raises(ValueError, match="transmission_prob must be in"):
             Scenario(n_agents=2, duration_s=10.0, transmission_prob=1.5)
 
     @pytest.mark.parametrize(
         "key", ["gap_timeout_s", "time_tolerance_s", "exposure_seconds", "diagnosis_delay_s"]
     )
     def test_negative_duration(self, key):
-        with pytest.raises(InvalidScenario, match=key):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
             Scenario(n_agents=2, duration_s=10.0, **{key: -5.0})
-        with pytest.raises(InvalidScenario, match=key):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
             parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = -5\n")
         # zero stays valid
         assert getattr(parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = 0\n"), key) == 0
