@@ -134,8 +134,9 @@ def parse_head(text: str) -> str:
 
 
 def parse_chain(chain_text: str, head: str) -> VisitorLog:
-    """The log of the visits in chain_text under head, the hash that
-    `parse_head` read from the head file."""
+    """The log of the visits in chain_text up to the one whose hash is head,
+    the commit point that `parse_head` read from the head file: the visits
+    after it were left by an append that failed before it moved the head."""
     chain: list[ChainedVisit] = []
     for line in chain_text.splitlines():
         if not line:
@@ -151,11 +152,14 @@ def parse_chain(chain_text: str, head: str) -> VisitorLog:
         if not math.isfinite(visit.visited_at):
             raise ValueError(f"visit time is not finite: {line!r}")
         chain.append(visit)
+    hashes = [v.entry_hash for v in chain]
+    if head in hashes:
+        del chain[hashes.index(head) + 1:]
     return VisitorLog(chain=chain, head=head)
 
 
 def save_chain(log: VisitorLog, chain_path: str, head_path: str) -> None:
-    """Replace each file atomically.  A crash between the two replacements
-    still leaves the new chain under the old head."""
+    """Replace each file atomically, the chain first: replacing the head
+    commits the new visits, so a crash between the two commits none of them."""
     wire.write_atomic(chain_path, chain_to_lines(log))
     wire.write_atomic(head_path, head_to_line(log))

@@ -12,6 +12,7 @@ import argparse
 import base64
 import os
 import sys
+from collections import Counter
 from datetime import date
 from typing import Callable, TypeVar
 
@@ -49,15 +50,6 @@ EXIT_USAGE = 2
 T = TypeVar("T")
 
 
-def _load(path: str, parse: Callable[[str], T]) -> T:
-    """Parse the UTF-8 text of the file at path; a ValueError names the file."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return parse(f.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def _parse_pids(csv: str) -> list[Pid]:
     return [Pid(v) for v in csv.split(",") if v]
 
@@ -92,8 +84,8 @@ def _parse_mailbox(text: str) -> list[Notification]:
 
 
 def _load_chain(args) -> bizlog.VisitorLog:
-    head = _load(args.head, bizlog.parse_head)
-    return _load(args.chain, lambda text: bizlog.parse_chain(text, head))
+    head = wire.load(args.head, bizlog.parse_head)
+    return wire.load(args.chain, lambda text: bizlog.parse_chain(text, head))
 
 
 def _at_registry(args, call: Callable[..., T], *fields) -> T:
@@ -119,7 +111,7 @@ def cmd_pid(args) -> int:
 
 
 def cmd_sim(args) -> int:
-    metrics, trace = run_scenario(_load(args.scenario, parse_scenario))
+    metrics, trace = run_scenario(wire.load(args.scenario, parse_scenario))
     if args.trace:
         wire.write_atomic(args.trace, "".join(line + "\n" for line in trace))
     sys.stdout.write(metrics_to_lines(metrics))
@@ -132,7 +124,7 @@ def cmd_cert(args) -> int:
             raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
         lab = LabIdentity.generate(args.lab_id)
         if os.path.exists(args.directory):
-            directory = _load(args.directory, LabDirectory.from_lines)
+            directory = wire.load(args.directory, LabDirectory.from_lines)
         else:
             directory = LabDirectory()
         directory.add_lab(lab)
@@ -143,7 +135,7 @@ def cmd_cert(args) -> int:
         return EXIT_OK
     if args.cert_mode == "issue":
         cert = issue_certificate(
-            _load(args.key, _parse_lab_key),
+            wire.load(args.key, _parse_lab_key),
             _parse_pids(args.pids),
             test_date=date.fromisoformat(args.test_date),
             infectious_from=date.fromisoformat(args.infectious_from),
@@ -153,16 +145,16 @@ def cmd_cert(args) -> int:
         return EXIT_OK
     # verify
     status = verify_certificate(
-        _load(args.cert, _parse_cert), _load(args.directory, LabDirectory.from_lines)
+        wire.load(args.cert, _parse_cert), wire.load(args.directory, LabDirectory.from_lines)
     )
     print(status.value)
     return EXIT_OK if status is VerificationStatus.VERIFIED else EXIT_REJECTED
 
 
 def cmd_notify(args) -> int:
-    log = _load(args.log, contactlog.parse_log)
+    log = contactlog.load_log(args.log)
     if args.notify_mode == "build":
-        cert = _load(args.cert, _parse_cert) if args.cert else None
+        cert = wire.load(args.cert, _parse_cert) if args.cert else None
         pairs = build_notifications(log, _parse_pids(args.own_pids), cert)
         store = FileMailboxStore(args.mailbox_dir)
         for pad, n in pairs:
@@ -170,8 +162,8 @@ def cmd_notify(args) -> int:
             print(f"sent|{pad}")
         return EXIT_OK
     # verify
-    directory = _load(args.directory, LabDirectory.from_lines)
-    notifications = _load(args.notification, _parse_mailbox)
+    directory = wire.load(args.directory, LabDirectory.from_lines)
+    notifications = wire.load(args.notification, _parse_mailbox)
     mode = DeploymentMode(args.mode)
     all_accepted = True
     for notification in notifications:
@@ -187,7 +179,7 @@ def cmd_notify(args) -> int:
 
 def cmd_registry(args) -> int:
     if args.registry_mode == "serve":
-        directory = _load(args.directory, LabDirectory.from_lines)
+        directory = wire.load(args.directory, LabDirectory.from_lines)
         server = _at_registry(args, registry.serve, directory, args.state)
         try:
             server.serve_forever()
@@ -208,7 +200,7 @@ def cmd_registry(args) -> int:
         )
         ok = "CONFIRMED"
     else:  # ingest
-        response = _at_registry(args, registry.client_ingest, _load(args.cert, _parse_cert))
+        response = _at_registry(args, registry.client_ingest, wire.load(args.cert, _parse_cert))
         ok = "OK"
     print(response)
     return EXIT_OK if response == ok else EXIT_REJECTED
@@ -230,7 +222,7 @@ def cmd_bizlog(args) -> int:
         return EXIT_REJECTED
     # evidence
     log = _load_chain(args)
-    repo = _load(args.repo, registry.parse_repository)
+    repo = wire.load(args.repo, registry.parse_repository)
     verdict = bizlog.evidence_query(
         log,
         Pid(args.pid),
@@ -243,7 +235,7 @@ def cmd_bizlog(args) -> int:
 
 
 def cmd_log(args) -> int:
-    log = _load(args.log, contactlog.parse_log)
+    log = contactlog.load_log(args.log)
     if args.log_mode == "show":
         sys.stdout.write(contactlog.serialize_log(log))
         return EXIT_OK
@@ -254,10 +246,10 @@ def cmd_log(args) -> int:
         print(f"pruned|{before - len(log.entries)}")
         return EXIT_OK
     # stats
-    summary = contactlog.exposure_statistics(log)
-    print(f"count|{summary.entry_count}")
-    print(f"peers|{summary.distinct_peer_pids}")
-    for location, count in summary.location_counts.items():
+    print(f"count|{len(log.entries)}")
+    print(f"peers|{len(log.by_peer)}")
+    locations = Counter(e.own_record.local_location for e in log.entries)
+    for location, count in sorted(locations.items()):
         print(f"location|{wire.quote(location)}|{count}")
     return EXIT_OK
 

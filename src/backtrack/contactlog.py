@@ -47,26 +47,14 @@ class ContactLog:
     )
 
     def __post_init__(self) -> None:
-        last = -math.inf
-        for entry in self.entries:
-            if entry.recorded_at < last:
-                raise ValueError(f"entry at {entry.recorded_at} older than {last}")
-            last = entry.recorded_at
-            self.by_peer.setdefault(entry.peer_record.pid, []).append(entry)
-
-
-@dataclass(frozen=True)
-class ExposureSummary:
-    entry_count: int
-    distinct_peer_pids: int
-    location_counts: dict[str, int]
+        entries, self.entries = self.entries, []
+        for entry in entries:
+            append_entry(self, entry)
 
 
 def append_entry(log: ContactLog, entry: LogEntry) -> ContactLog:
     if log.entries and entry.recorded_at < log.entries[-1].recorded_at:
-        raise ValueError(
-            f"entry at {entry.recorded_at} older than last {log.entries[-1].recorded_at}"
-        )
+        raise ValueError(f"entry at {entry.recorded_at} older than {log.entries[-1].recorded_at}")
     log.entries.append(entry)
     log.by_peer.setdefault(entry.peer_record.pid, []).append(entry)
     return log
@@ -112,15 +100,6 @@ def find_matching_contact(
         ):
             return entry
     return None
-
-
-def exposure_statistics(log: ContactLog) -> ExposureSummary:
-    locations = Counter(e.own_record.local_location for e in log.entries)
-    return ExposureSummary(
-        entry_count=len(log.entries),
-        distinct_peer_pids=len(log.by_peer),
-        location_counts=dict(sorted(locations.items())),
-    )
 
 
 def _record_fields(r: InformationRecord) -> str:
@@ -175,6 +154,4 @@ def save_log(log: ContactLog, path: str) -> None:
 
 
 def load_log(path: str) -> ContactLog:
-    with open(path, "rb") as f:
-        text = f.read().decode("utf-8")
-    return parse_log(text)
+    return wire.load(path, parse_log)

@@ -116,12 +116,9 @@ def _add_line(repo: NotifiedPidRepository, line: str) -> None:
 
 def load_repository(path: str) -> NotifiedPidRepository:
     try:
-        with open(path, encoding="utf-8") as f:
-            return parse_repository(f.read())
+        return wire.load(path, parse_repository)
     except FileNotFoundError:
         return NotifiedPidRepository()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 class RegistryService:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date, datetime, timezone
 
 from . import wire
@@ -30,6 +30,7 @@ from .encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
+    rssi_to_distance,
 )
 from .identity import Pad, Pid, active_pids_in_window, generate_random_pid
 from .notify import (
@@ -97,15 +98,13 @@ class Scenario:
             self.policies = {POLICY_V1.version: POLICY_V1}
         if self.default_policy_version is None:
             self.default_policy_version = min(self.policies)
-        self.validate()
-
-    def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("float", "float | None") and not math.isfinite(value or 0.0):
                 raise ValueError(f"{f.name} must be finite")
-        if not all(map(math.isfinite, self.world_size_m)):
-            raise ValueError("world size must be finite")
+        w, h = self.world_size_m
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError("world size must be finite and positive")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if not 0 <= self.initial_infectious <= self.n_agents:
@@ -132,9 +131,6 @@ class Scenario:
         for agent_id, version in self.agent_policy.items():
             if version not in self.policies:
                 raise ValueError(f"agent {agent_id} assigned undeclared policy {version}")
-        w, h = self.world_size_m
-        if w <= 0 or h <= 0:
-            raise ValueError("world size must be positive")
         for agent_id, (x, y) in self.positions.items():
             if not (0 <= agent_id < self.n_agents):
                 raise ValueError(f"position for unknown agent {agent_id}")
@@ -163,6 +159,8 @@ _SCALAR_KEYS = {
 _DEFAULT_WIDTH_M, _DEFAULT_HEIGHT_M = next(
     f.default for f in fields(Scenario) if f.name == "world_size_m"
 )
+# the fields without a default, which a scenario file must set
+_REQUIRED_KEYS = [f.name for f in fields(Scenario) if f.default is f.default_factory is MISSING]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -200,23 +198,23 @@ def parse_scenario(text: str) -> Scenario:
             raise ValueError(f"bad value for {key}: {value!r}") from exc
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+    for key in _REQUIRED_KEYS:
+        if key not in values:
+            raise ValueError(f"missing scenario key: {key}")
 
     channel = {key: values.pop(key) for key in _CHANNEL_KEYS if key in values}
     world_size_m = (
         values.pop("world_width_m", _DEFAULT_WIDTH_M),
         values.pop("world_height_m", _DEFAULT_HEIGHT_M),
     )
-    try:
-        return Scenario(
-            world_size_m=world_size_m,
-            channel=ChannelModel(**channel),
-            policies=policies,
-            agent_policy=agent_policy,
-            positions=positions,
-            **values,
-        )
-    except TypeError as exc:  # n_agents or duration_s is missing
-        raise ValueError(str(exc)) from exc
+    return Scenario(
+        world_size_m=world_size_m,
+        channel=ChannelModel(**channel),
+        policies=policies,
+        agent_policy=agent_policy,
+        positions=positions,
+        **values,
+    )
 
 
 @dataclass
@@ -655,14 +653,11 @@ def _reach(scenario: Scenario, max_noise: float) -> float:
     """Farthest distance at which a pair matters in a beacon tick whose
     largest shadowing draw is max_noise: no pair farther apart reaches
     RADIO_CUTOFF_DBM (body blocking only weakens a signal) or is within
-    true_radius_m.  Capped at the world's width plus height, which puts every
-    agent in one cell, so the power of ten is never taken of a huge exponent."""
+    true_radius_m.  The radio part is the channel model's distance for the
+    cutoff less that draw's shadowing, capped at width plus height (one cell)."""
     c = scenario.channel
     w, h = scenario.world_size_m
-    exponent = (c.ref_power_dbm + max_noise * c.shadowing_sigma_db - RADIO_CUTOFF_DBM) / (
-        10.0 * c.path_loss_exponent
-    )
-    radio_m = 10.0 ** min(exponent, math.log10(w + h))
+    radio_m = min(rssi_to_distance(RADIO_CUTOFF_DBM - max_noise * c.shadowing_sigma_db, c), w + h)
     return max(radio_m, scenario.true_radius_m) * (1.0 + REACH_MARGIN)
 
 

@@ -1,4 +1,5 @@
-"""Shared helpers for the line-oriented `|`-separated file and wire formats."""
+"""Shared helpers for the line-oriented `|`-separated file and wire formats,
+and the one way a whole file is read (`load`) and written (`write_atomic`)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import base64
 import os
 import tempfile
 import urllib.parse
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
+
 
 def quote(label: str) -> str:
     """Percent-encode an opaque label so it is safe inside a `|` record."""
@@ -48,3 +53,13 @@ def write_atomic(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def load(path: str, parse: Callable[[str], T]) -> T:
+    """Parse the UTF-8 text of the file at path; a ValueError, a decode error
+    included, is raised again prefixed with the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse(f.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from backtrack import wire
 from backtrack.bizlog import (
     GENESIS_HASH,
     ChainedVisit,
@@ -194,6 +195,43 @@ class TestFiles:
             save_chain(chain_of(5), chain_path, head_path)
         assert (Path(chain_path).read_bytes(), Path(head_path).read_bytes()) == before
         assert sorted(os.listdir(tmp_path)) == ["chain.txt", "head.txt"]
+
+    def test_append_interrupted_before_the_head_is_not_committed(self, tmp_path, monkeypatch):
+        chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        log = chain_of(2)
+        save_chain(log, chain_path, head_path)
+        write_atomic = wire.write_atomic
+
+        def crash_on_head(path, text):
+            if path == head_path:
+                raise OSError("crash before the head is replaced")
+            write_atomic(path, text)
+
+        monkeypatch.setattr(wire, "write_atomic", crash_on_head)
+        with pytest.raises(OSError):
+            save_chain(append_visit(log, Pid("pid0002"), 300.0), chain_path, head_path)
+        monkeypatch.undo()
+        assert Path(chain_path).read_text().count("\n") == 3  # written, not committed
+        loaded = load(chain_path, head_path)
+        assert loaded.chain == chain_of(2).chain
+        assert verify_chain(loaded).intact
+        # the retried append commits the visit once, under the next seq
+        save_chain(append_visit(loaded, Pid("pid0002"), 300.0), chain_path, head_path)
+        assert load(chain_path, head_path).chain == chain_of(3).chain
+
+    def test_head_naming_an_earlier_visit_reads_as_that_chain(self):
+        text = chain_to_lines(chain_of(5))
+        assert parse_chain(text, chain_of(3).head).chain == chain_of(3).chain
+
+    def test_head_naming_no_visit_keeps_every_visit(self):
+        log = parse_chain(chain_to_lines(chain_of(3)), "f" * 64)
+        assert log.chain == chain_of(3).chain
+        assert verify_chain(log).tampered_at == 4
+
+    def test_malformed_line_after_the_head_still_refused(self):
+        text = chain_to_lines(chain_of(3)) + "visit|garbage\n"
+        with pytest.raises(ValueError, match="malformed visit line"):
+            parse_chain(text, chain_of(3).head)
 
     def test_malformed(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,11 @@ class TestFileFormats:
         with pytest.raises(ValueError):
             d.add_lab(lab)
 
+    @pytest.mark.parametrize("seed", [bytes(31), bytes(33)])
+    def test_seed_must_be_32_bytes(self, seed):
+        with pytest.raises(ValueError, match="seed must be exactly 32 bytes"):
+            LabIdentity.from_seed("lab-A", seed)
+
     @pytest.mark.parametrize("lab_id", ["x|y", "a b", "a,b", "", "x" * 65])
     def test_lab_id_follows_pid_rule(self, lab_id):
         with pytest.raises(ValueError):

@@ -1,16 +1,24 @@
 import os
+import signal
+import socket
 import stat
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from backtrack import contactlog
+import backtrack
+from backtrack import contactlog, wire
 from backtrack.cli import main
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import serve
 
 from conftest import make_entry, make_log
+
+DAY = 86400.0
 
 
 @pytest.fixture
@@ -413,6 +421,45 @@ class TestRegistryCommands:
                         "--name", "Ada Lovelace", "--phrase", "wrong")
         assert (code, out.strip()) == (1, "OWNERSHIP-FAILED")
 
+    def test_serve_until_interrupted(self, run, tmp_path):
+        key, directory = str(tmp_path / "lab.key"), str(tmp_path / "labs.txt")
+        run("cert", "keygen", "--lab-id", "lab-A", "--key-out", key, "--directory", directory)
+        cert = str(tmp_path / "cert.txt")
+        run("cert", "issue", "--key", key, "--pids", "sickpid", "--test-date", "2020-04-01",
+            "--infectious-from", "2020-03-25", "--out", cert)
+        state = tmp_path / "state.txt"
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = str(probe.getsockname()[1])
+        src = str(Path(backtrack.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        server = subprocess.Popen(
+            [sys.executable, "-m", "backtrack.cli", "registry", "serve", "--port", port,
+             "--directory", directory, "--state", str(state)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", int(port)), timeout=1).close()
+                    break
+                except OSError:
+                    if server.poll() is not None or time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            assert run("registry", "ingest", "--port", port, "--cert", cert) == (0, "OK\n")
+            assert run("registry", "query", "--port", port, "--pid", "sickpid") == (0, "YES\n")
+            server.send_signal(signal.SIGINT)
+            server.communicate(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0
+        assert state.read_text() == "notified|sickpid|lab-A|2020-04-01\n"
+
     def test_unreachable_server_exits_2(self, run):
         code, _ = run("registry", "query", "--port", "1", "--pid", "x")
         assert code == 2
@@ -464,6 +511,28 @@ class TestBizlogCommands:
         before = Path(chain).read_bytes(), Path(head).read_bytes()
         assert run(*argv) == (2, "")
         assert (Path(chain).read_bytes(), Path(head).read_bytes()) == before
+
+    def test_append_interrupted_before_the_head_commits_nothing(
+        self, run, tmp_path, monkeypatch
+    ):
+        self.append(run, tmp_path, "v1", 100.0)
+        chain, head, _ = self.append(run, tmp_path, "v2", 200.0)
+        write_atomic = wire.write_atomic
+
+        def crash_on_head(path, text):
+            if path == head:
+                raise OSError("crash before the head is replaced")
+            write_atomic(path, text)
+
+        argv = ("bizlog", "append", "--chain", chain, "--head", head, "--pid", "v3", "--at", "300")
+        monkeypatch.setattr(wire, "write_atomic", crash_on_head)
+        assert run(*argv) == (2, "")
+        monkeypatch.undo()
+        verify = ("bizlog", "verify", "--chain", chain, "--head", head)
+        assert run(*verify) == (0, "INTACT\n")
+        assert run(*argv) == (0, "appended|3\n")
+        assert run(*verify) == (0, "INTACT\n")
+        assert Path(chain).read_text().count("|v3|") == 1
 
     def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
         self.append(run, tmp_path, "v1", 100.0)
@@ -543,6 +612,51 @@ class TestLogCommands:
         assert code == 2
 
 
+class TestLogStats:
+    """`log stats`: the entry count, the distinct peer PIDs and the entries
+    at each own location."""
+
+    def stats(self, run, tmp_path, *entries, prune_at=None):
+        path = write(tmp_path / "contacts.log", contactlog.serialize_log(make_log(*entries)))
+        if prune_at is not None:
+            assert run("log", "prune", "--log", path, "--now", str(prune_at))[0] == 0
+        code, out = run("log", "stats", "--log", path)
+        assert code == 0
+        count, peers, *locations = [line.split("|") for line in out.splitlines()]
+        assert count[0] == "count" and peers[0] == "peers"
+        assert all(kind == "location" for kind, _, _ in locations)
+        return (
+            int(count[1]),
+            int(peers[1]),
+            {wire.unquote(label): int(n) for _, label, n in locations},
+        )
+
+    def test_empty(self, run, tmp_path):
+        assert self.stats(run, tmp_path) == (0, 0, {})
+
+    def test_hand_count(self, run, tmp_path):
+        entry_count, distinct_peer_pids, location_counts = self.stats(
+            run, tmp_path,
+            make_entry(peer_pid="p1", own_loc="gym", recorded_at=1.0),
+            make_entry(peer_pid="p2", own_loc="gym", recorded_at=2.0),
+            make_entry(peer_pid="p1", own_loc="walk", recorded_at=3.0),
+        )
+        assert entry_count == 3
+        assert distinct_peer_pids == 2
+        assert location_counts == {"gym": 2, "walk": 1}
+
+    def test_recount_after_prune(self, run, tmp_path):
+        now = 30 * DAY
+        _, _, location_counts = self.stats(
+            run, tmp_path,
+            make_entry(peer_pid="p1", own_loc="gym", recorded_at=now - 25 * DAY),
+            make_entry(peer_pid="p2", own_loc="gym", recorded_at=now - 1 * DAY),
+            make_entry(peer_pid="p1", own_loc="walk", recorded_at=now),
+            prune_at=now,
+        )
+        assert location_counts == {"gym": 1, "walk": 1}
+
+
 def tree(root):
     return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
 
@@ -570,6 +684,25 @@ def test_bad_input_exits_2_and_writes_nothing(run, tmp_path, argv):
     before = tree(tmp_path)
     code, out = run(*(a.format(d=tmp_path) for a in argv))
     assert (code, out) == (2, "")
+    assert tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cert", "issue", "--key", "{d}/garbage.txt", "--pids", "p", "--test-date", "2020-04-01",
+      "--infectious-from", "2020-03-25", "--out", "{d}/cert.txt"],
+     "error: {d}/garbage.txt: malformed lab key line"),
+    (["notify", "verify", "--log", "{d}/empty.log", "--directory", "{d}/empty.log",
+      "--notification", "{d}/torn.txt"],
+     "torn|1\nerror: {d}/torn.txt: no complete notification"),
+])
+def test_refusal_message(tmp_path, capsys, argv, message):
+    write(tmp_path / "garbage.txt", "garbage\n")
+    write(tmp_path / "empty.log", "")
+    write(tmp_path / "torn.txt", "notif|v1|p|1|cafe")
+    before = tree(tmp_path)
+    assert main([a.format(d=tmp_path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message.format(d=tmp_path) + "\n")
     assert tree(tmp_path) == before
 
 

@@ -9,7 +9,6 @@ from backtrack.contactlog import (
     ContactLog,
     append_entry,
     entry_to_line,
-    exposure_statistics,
     find_matching_contact,
     load_log,
     parse_entry_line,
@@ -38,7 +37,7 @@ class TestAppend:
 
     def test_out_of_order_rejected(self):
         log = make_log(make_entry(recorded_at=200.0))
-        with pytest.raises(ValueError, match="entry at 100.0 older than last 200.0"):
+        with pytest.raises(ValueError, match="entry at 100.0 older than 200.0"):
             append_entry(log, make_entry(recorded_at=100.0))
 
     def test_same_pid_both_sides_rejected(self):
@@ -223,33 +222,6 @@ class TestPeerIndex:
             make_entry(recorded_at=float("nan"))
         with pytest.raises(ValueError):
             parse_entry_line(entry_to_line(make_entry()).replace("entry|1000|", "entry|nan|"))
-
-
-class TestStatistics:
-    def test_empty(self):
-        s = exposure_statistics(ContactLog())
-        assert (s.entry_count, s.distinct_peer_pids, s.location_counts) == (0, 0, {})
-
-    def test_hand_count(self):
-        log = make_log(
-            make_entry(peer_pid="p1", own_loc="gym", recorded_at=1.0),
-            make_entry(peer_pid="p2", own_loc="gym", recorded_at=2.0),
-            make_entry(peer_pid="p1", own_loc="walk", recorded_at=3.0),
-        )
-        s = exposure_statistics(log)
-        assert s.entry_count == 3
-        assert s.distinct_peer_pids == 2
-        assert s.location_counts == {"gym": 2, "walk": 1}
-
-    def test_recount_after_prune(self):
-        now = 30 * DAY
-        log = make_log(
-            make_entry(peer_pid="p1", own_loc="gym", recorded_at=now - 25 * DAY),
-            make_entry(peer_pid="p2", own_loc="gym", recorded_at=now - 1 * DAY),
-            make_entry(peer_pid="p1", own_loc="walk", recorded_at=now),
-        )
-        prune(log, now)
-        assert exposure_statistics(log).location_counts == {"gym": 1, "walk": 1}
 
 
 class TestSerialization:

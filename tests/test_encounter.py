@@ -93,6 +93,16 @@ class TestPathLoss:
         with pytest.raises(ValueError, match="finite"):
             ChannelModel(ref_power_dbm=float("nan"))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: InformationRecord(Pid("a"), Pad("a@b"), 0.0, "x|y"), "must not contain '|'"),
+        (lambda: RssiSample(at=0.0, rssi_dbm=0.5), r"outside \[-120, 0\] dBm"),
+        (lambda: RssiSample(at=0.0, rssi_dbm=-121.0), r"outside \[-120, 0\] dBm"),
+        (lambda: SignificancePolicy(0, 3.0, 600.0), "policy version must be positive"),
+    ])
+    def test_record_sample_and_policy_refusals(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestIngestBeacon:
     def test_first_beacon_opens_session(self):

@@ -130,6 +130,11 @@ class TestOwnership:
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
         assert not prove_pid_ownership("Charles Babbage", "tea at noon", c.pid)
 
+    @pytest.mark.parametrize("data, phrase", [("", "tea at noon"), ("Ada Lovelace", "")])
+    def test_empty_data_or_phrase_proves_nothing(self, data, phrase):
+        c = generate_trusted_pid("Ada Lovelace", "tea at noon")
+        assert not prove_pid_ownership(data, phrase, c.pid)
+
     def test_random_pid_not_owned(self):
         assert not prove_pid_ownership("Ada Lovelace", "tea at noon", generate_random_pid(5))
 

@@ -246,6 +246,14 @@ class TestServer:
             assert client_query(host, port, Pid("P3")) == "YES"
             assert client_query(host, port, Pid("P2")) == "NO"
 
+    def test_empty_state_file_serves_and_appends(self, lab, directory, tmp_path):
+        state = tmp_path / "state.txt"
+        state.write_text("")
+        with running(directory, str(state)) as (host, port):
+            assert state.read_text() == ""
+            assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
+        assert state.read_text() == "notified|P1|lab-A|2020-04-01\n"
+
     def test_non_utf8_request_answered_and_connection_kept(self, lab, directory, tmp_path):
         with running(directory, str(tmp_path / "state.txt")) as address:
             with socket.create_connection(address, timeout=10) as sock:

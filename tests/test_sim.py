@@ -357,7 +357,7 @@ class TestScenarioParsing:
             parse_scenario("n_agents = 2\nduration_s = 10\nretention_days = 5\n")
 
     def test_missing_n_agents(self):
-        with pytest.raises(ValueError, match="required positional argument: 'n_agents'"):
+        with pytest.raises(ValueError, match="missing scenario key: n_agents"):
             parse_scenario("duration_s = 10\n")
 
     def test_bad_value(self):
@@ -394,6 +394,15 @@ class TestScenarioParsing:
         "policy = 1:inf:600": "bad value for policy",
         "policy = 1:3:nan": "bad value for policy",
         "position = 0:nan:5": "agent 0 position outside world",
+        "duration_s = 0": "duration_s must be > 0",
+        "true_radius_m = 0": "true_radius_m must be > 0",
+        "beacon_interval_s = 0": "beacon_interval_s must be >= 1 second",
+        "speed_max_mps = 0.1": "bad speed range",
+        "pause_min_s = -1": "bad pause range",
+        "default_policy_version = 2": "default policy version not declared",
+        "world_width_m = 0": "world size must be finite and positive",
+        "world_height_m = inf": "world size must be finite and positive",
+        "position = 2:1:1": "position for unknown agent 2",
     }
 
     @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
