@@ -26,7 +26,7 @@ class EvidenceVerdict(enum.Enum):
     NOT_CERTIFIED_SICK = "NOT-CERTIFIED-SICK"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainedVisit:
     seq: int
     visited_at: float
@@ -39,6 +39,10 @@ class VisitorLog:
     business_id: str = ""
     chain: list[ChainedVisit] = field(default_factory=list)
     head: str = GENESIS_HASH
+    # the visits the last intact audit covered; see verify_chain
+    audited: list[ChainedVisit] = field(
+        default_factory=list, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -71,14 +75,10 @@ def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     return log
 
 
-def verify_chain(log: VisitorLog) -> ChainCheck:
-    """Recompute every hash and link; report the smallest violating seq.
-
-    A head that does not match the last entry (e.g. truncation with a stale
-    head) is reported at the sequence number after the last surviving entry.
-    """
-    prev_hash = GENESIS_HASH
-    for expected_seq, visit in enumerate(log.chain, start=1):
+def _check_links(log: VisitorLog, start: int) -> ChainCheck:
+    """Rehash the visits from index start on, trusting the ones before it."""
+    prev_hash = log.chain[start - 1].entry_hash if start else GENESIS_HASH
+    for expected_seq, visit in enumerate(log.chain[start:], start=start + 1):
         if visit.seq != expected_seq or visit.entry_hash != _hash_entry(
             prev_hash, visit.seq, visit.visited_at, visit.pid
         ):
@@ -87,6 +87,38 @@ def verify_chain(log: VisitorLog) -> ChainCheck:
     if log.head != prev_hash:
         return ChainCheck(intact=False, tampered_at=len(log.chain) + 1)
     return ChainCheck(intact=True)
+
+
+def verify_chain(log: VisitorLog) -> ChainCheck:
+    """Recompute every hash and link; report the smallest violating seq.
+
+    A head that does not match the last entry (e.g. truncation with a stale
+    head) is reported at the sequence number after the last surviving entry.
+
+    An intact result checkpoints the chain on this log object, so the next
+    audit rehashes only the visits appended since, from the checkpoint's
+    hash: O(new visits). It first compares the audited prefix with the
+    chain, visit by visit; if any visit there was replaced, removed or
+    reordered, it rehashes the whole chain from genesis, so the violating
+    seq is still exact. The compare trusts `ChainedVisit` to be frozen: a
+    visit changed in place through `object.__setattr__` is not rehashed,
+    while replacing a visit, the only public way to change one, is always
+    caught. A tampered result leaves the checkpoint where it was, and a
+    log parsed afresh has none.
+    """
+    start = len(log.audited)
+    # Extended in place by the new visits, the checkpoint equals the chain
+    # exactly when its audited prefix is unchanged. The compare passes over
+    # a visit that is still the same object without reading it; slicing
+    # the chain to compare its prefix would touch every visit.
+    log.audited += log.chain[start:]
+    unchanged = log.audited == log.chain
+    check = _check_links(log, start if unchanged else 0)
+    if not check.intact:
+        del log.audited[start:]
+    elif not unchanged:
+        log.audited = list(log.chain)
+    return check
 
 
 def evidence_query(

@@ -208,7 +208,9 @@ def cmd_registry(args) -> int:
 
 def cmd_bizlog(args) -> int:
     if args.bizlog_mode == "append":
-        log = _load_chain(args) if os.path.exists(args.chain) else bizlog.VisitorLog()
+        # the head is the commit point: with no head file nothing is committed,
+        # even if a first append wrote its chain file before failing
+        log = _load_chain(args) if os.path.exists(args.head) else bizlog.VisitorLog()
         bizlog.append_visit(log, Pid(args.pid), args.at)
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")

@@ -20,7 +20,7 @@ DEFAULT_RETENTION_DAYS = 21  # epidemiologists' 2-3 weeks
 DEFAULT_TIME_TOLERANCE_S = 300.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     own_record: InformationRecord
     peer_record: InformationRecord

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 from .identity import Pad, Pid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformationRecord:
     """The four-field beacon payload: PID, PAD, local time, local location label."""
 

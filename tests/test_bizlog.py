@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from backtrack import wire
+from backtrack import bizlog, wire
 from backtrack.bizlog import (
     GENESIS_HASH,
+    ChainCheck,
     ChainedVisit,
     EvidenceVerdict,
     VisitorLog,
@@ -66,6 +67,9 @@ class TestAppend:
         assert log == chain_of(2)
         with pytest.raises(ValueError, match="is not finite"):
             append_visit(VisitorLog(), Pid("first"), at)
+
+    def test_no_instance_dict(self):
+        assert not hasattr(chain_of(1).chain[0], "__dict__")
 
     def test_equal_timestamp_allowed(self):
         log = chain_of(1)
@@ -126,6 +130,140 @@ class TestVerify:
             check = verify_chain(log)
             assert not check.intact
             assert check.tampered_at == victim + 1
+
+
+def audited_chain(n):
+    log = chain_of(n)
+    assert verify_chain(log).intact
+    return log
+
+
+def full_rehash(log):
+    """The audit of a copy of log with no checkpoint."""
+    return verify_chain(VisitorLog(chain=list(log.chain), head=log.head))
+
+
+class TestAfterAudit:
+    """Tampering after an intact audit, audited again on the same log object."""
+
+    def test_checkpoint_is_state_not_an_option(self):
+        log = audited_chain(3)
+        assert log.audited == log.chain
+        assert log == chain_of(3)
+        assert "audited" not in repr(log)
+        with pytest.raises(TypeError):
+            VisitorLog(audited=[])
+
+    def test_rehashes_only_the_visits_after_the_checkpoint(self, monkeypatch):
+        log = audited_chain(100)
+        for i in range(5):
+            append_visit(log, Pid(f"new{i}"), 20000.0 + i)
+        hashed = []
+        hash_entry = bizlog._hash_entry
+        monkeypatch.setattr(bizlog, "_hash_entry", lambda *a: hashed.append(a[1]) or hash_entry(*a))
+        assert verify_chain(log).intact
+        assert hashed == [101, 102, 103, 104, 105]
+        hashed.clear()
+        assert verify_chain(log).intact
+        assert hashed == []
+        log.chain[3] = replace(log.chain[3])  # equal, not identical: still the checkpoint
+        assert verify_chain(log).intact
+        assert hashed == []
+        log.chain[3] = replace(log.chain[3], pid=Pid("evil"))
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=4)
+        assert hashed == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("appended", [0, 3])
+    @pytest.mark.parametrize("victim", [0, 17, 39])
+    @pytest.mark.parametrize("field", ["pid", "visited_at", "entry_hash"])
+    def test_replaced_audited_visit_localized(self, field, victim, appended):
+        log = audited_chain(40)
+        for i in range(appended):
+            append_visit(log, Pid(f"new{i}"), 9000.0 + i)
+        visit = log.chain[victim]
+        change = {"pid": Pid("evil"), "visited_at": visit.visited_at + 1, "entry_hash": "f" * 64}
+        log.chain[victim] = replace(visit, **{field: change[field]})
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=victim + 1)
+
+    def test_pop_last_audited_visit(self):
+        log = audited_chain(10)
+        log.chain.pop()
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=10)
+
+    def test_pop_last_audited_visit_and_put_back_a_forgery(self):
+        log = audited_chain(10)
+        last = log.chain.pop()
+        log.chain.append(replace(last, pid=Pid("evil")))
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=10)
+
+    def test_pop_last_audited_visit_and_append_another(self):
+        # a tail rewritten through append_visit moves the head with it, so
+        # it reads as a full rehash reads it: intact, and the new checkpoint
+        log = audited_chain(10)
+        log.chain.pop()
+        append_visit(log, Pid("other"), 1000.0)
+        assert verify_chain(log) == full_rehash(log) == ChainCheck(intact=True)
+        assert log.audited == log.chain
+
+    def test_reordered_audited_visits_localized(self):
+        log = audited_chain(10)
+        log.chain[4], log.chain[5] = log.chain[5], log.chain[4]
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=5)
+
+    @pytest.mark.parametrize("head", ["f" * 64, "earlier", GENESIS_HASH])
+    def test_rewritten_head(self, head):
+        log = audited_chain(10)
+        log.head = log.chain[-2].entry_hash if head == "earlier" else head
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=11)
+
+    def test_tampered_result_keeps_the_checkpoint(self):
+        log = audited_chain(10)
+        append_visit(log, Pid("new"), 5000.0)
+        log.head = "f" * 64
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=12)
+        assert log.audited == chain_of(10).chain
+        log.chain[3] = replace(log.chain[3], pid=Pid("evil"))
+        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=4)
+        assert log.audited == chain_of(10).chain
+
+    @given(
+        st.lists(st.sampled_from(["append", "audit"]), max_size=40),
+        st.none() | st.tuples(
+            st.integers(min_value=0, max_value=2**16),
+            st.sampled_from(["pid", "visited_at", "entry_hash", "pop", "forge-last", "delete",
+                             "swap", "head"]),
+            st.integers(min_value=0, max_value=2**16),
+        ),
+    )
+    def test_matches_a_full_rehash(self, ops, mutation):
+        log = VisitorLog()
+        t = 0.0
+        for step, op in enumerate(ops):
+            if mutation is not None and step == mutation[0] % len(ops) and log.chain:
+                _, kind, at = mutation
+                i = at % len(log.chain)
+                visit = log.chain[i]
+                if kind == "pid":
+                    log.chain[i] = replace(visit, pid=Pid("evil"))
+                elif kind == "visited_at":
+                    log.chain[i] = replace(visit, visited_at=visit.visited_at + 1)
+                elif kind == "entry_hash":
+                    log.chain[i] = replace(visit, entry_hash="f" * 64)
+                elif kind == "pop":
+                    log.chain.pop()
+                elif kind == "forge-last":
+                    log.chain[-1] = replace(log.chain[-1], pid=Pid("evil"))
+                elif kind == "delete":
+                    del log.chain[i]
+                elif kind == "swap":
+                    log.chain[i], log.chain[-1] = log.chain[-1], log.chain[i]
+                else:
+                    log.head = visit.entry_hash
+            if op == "append":
+                t += 10.0  # later than any mutated time
+                append_visit(log, Pid(f"v{step}"), t)
+            else:
+                assert verify_chain(log) == full_rehash(log)
 
 
 class TestEvidence:

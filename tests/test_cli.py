@@ -534,6 +534,33 @@ class TestBizlogCommands:
         assert run(*verify) == (0, "INTACT\n")
         assert Path(chain).read_text().count("|v3|") == 1
 
+    def test_first_append_interrupted_before_the_head_commits_nothing(
+        self, run, tmp_path, monkeypatch
+    ):
+        chain, head = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        repo = write(tmp_path / "repo.txt", "notified|v1|lab-A|2020-04-01\n")
+        write_atomic = wire.write_atomic
+
+        def crash_on_head(path, text):
+            if path == head:
+                raise OSError("crash before the head is replaced")
+            write_atomic(path, text)
+
+        argv = ("bizlog", "append", "--chain", chain, "--head", head, "--pid", "v1", "--at", "100")
+        monkeypatch.setattr(wire, "write_atomic", crash_on_head)
+        assert run(*argv) == (2, "")
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["chain.txt", "repo.txt"]  # a chain, no head
+        verify = ("bizlog", "verify", "--chain", chain, "--head", head)
+        evidence = ("bizlog", "evidence", "--chain", chain, "--head", head, "--pid", "v1",
+                    "--from", "0", "--to", "500", "--repo", repo)
+        assert run(*verify) == (2, "")
+        assert run(*evidence) == (2, "")
+        assert run(*argv) == (0, "appended|1\n")
+        assert run(*verify) == (0, "INTACT\n")
+        assert run(*evidence) == (0, "VISIT-AND-CERTIFIED\n")
+        assert Path(chain).read_text().count("|v1|") == 1
+
     def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
         self.append(run, tmp_path, "v1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "v2", 200.0)

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,13 @@ class TestAppend:
     def test_same_pid_both_sides_rejected(self):
         with pytest.raises(ValueError):
             make_entry(own_pid="same", peer_pid="same")
+
+    def test_no_instance_dict(self):
+        entry = make_entry()
+        assert not hasattr(entry, "__dict__")
+        assert replace(entry, dwell_s=1.0).dwell_s == 1.0
+        with pytest.raises(ValueError, match="recorded_at is NaN"):
+            replace(entry, recorded_at=math.nan)
 
 
 class TestPrune:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,6 +104,13 @@ class TestPathLoss:
     def test_record_sample_and_policy_refusals(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_record_has_no_instance_dict(self):
+        record = InformationRecord(Pid("a"), Pad("a@b"), 0.0, "x")
+        assert not hasattr(record, "__dict__")
+        assert replace(record, local_time=1.0).local_time == 1.0
+        with pytest.raises(ValueError, match="must not contain '|'"):
+            replace(record, local_location="x|y")
 
 
 class TestIngestBeacon:
