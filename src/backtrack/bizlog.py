@@ -97,26 +97,19 @@ def verify_chain(log: VisitorLog) -> ChainCheck:
 
     An intact result checkpoints the chain on this log object, so the next
     audit rehashes only the visits appended since, from the checkpoint's
-    hash: O(new visits). It first compares the audited prefix with the
-    chain, visit by visit; if any visit there was replaced, removed or
-    reordered, it rehashes the whole chain from genesis, so the violating
-    seq is still exact. The compare trusts `ChainedVisit` to be frozen: a
-    visit changed in place through `object.__setattr__` is not rehashed,
-    while replacing a visit, the only public way to change one, is always
-    caught. A tampered result leaves the checkpoint where it was, and a
-    log parsed afresh has none.
+    hash: it rehashes O(new visits) and compares O(n) references. If the
+    audited prefix no longer equals the checkpoint, visit by visit, because
+    a visit there was replaced, removed or reordered, it rehashes the whole
+    chain from genesis, so the violating seq is still exact. The compare
+    trusts `ChainedVisit` to be frozen and its fields to keep their declared
+    types (int seq, float time, Pid): a visit changed in place through
+    `object.__setattr__`, or replaced by one that compares equal but renders
+    another payload (seq=True for seq=1), is not rehashed. A tampered result
+    leaves the checkpoint where it was, and a log parsed afresh has none.
     """
-    start = len(log.audited)
-    # Extended in place by the new visits, the checkpoint equals the chain
-    # exactly when its audited prefix is unchanged. The compare passes over
-    # a visit that is still the same object without reading it; slicing
-    # the chain to compare its prefix would touch every visit.
-    log.audited += log.chain[start:]
-    unchanged = log.audited == log.chain
-    check = _check_links(log, start if unchanged else 0)
-    if not check.intact:
-        del log.audited[start:]
-    elif not unchanged:
+    n = len(log.audited)
+    check = _check_links(log, n if log.chain[:n] == log.audited else 0)
+    if check.intact:
         log.audited = list(log.chain)
     return check
 

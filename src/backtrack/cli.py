@@ -88,6 +88,19 @@ def _load_chain(args) -> bizlog.VisitorLog:
     return wire.load(args.chain, lambda text: bizlog.parse_chain(text, head))
 
 
+def _nothing_committed(args) -> bool:
+    """No head file, the commit point, and either no chain file or just the
+    seq-1 visit that a first append failing before its head write leaves.
+    A longer chain with no head had committed visits, so it is loaded and
+    refused, never overwritten."""
+    if os.path.exists(args.head):
+        return False
+    if not os.path.exists(args.chain):
+        return True
+    orphan = wire.load(args.chain, lambda text: bizlog.parse_chain(text, bizlog.GENESIS_HASH))
+    return [v.seq for v in orphan.chain] == [1]
+
+
 def _at_registry(args, call: Callable[..., T], *fields) -> T:
     """call(host, port, *fields); an OSError names the registry address."""
     try:
@@ -208,9 +221,7 @@ def cmd_registry(args) -> int:
 
 def cmd_bizlog(args) -> int:
     if args.bizlog_mode == "append":
-        # the head is the commit point: with no head file nothing is committed,
-        # even if a first append wrote its chain file before failing
-        log = _load_chain(args) if os.path.exists(args.head) else bizlog.VisitorLog()
+        log = bizlog.VisitorLog() if _nothing_committed(args) else _load_chain(args)
         bizlog.append_visit(log, Pid(args.pid), args.at)
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")

@@ -561,6 +561,16 @@ class TestBizlogCommands:
         assert run(*evidence) == (0, "VISIT-AND-CERTIFIED\n")
         assert Path(chain).read_text().count("|v1|") == 1
 
+    def test_append_to_a_chain_that_lost_its_head_exits_2(self, run, tmp_path):
+        self.append(run, tmp_path, "v1", 100.0)
+        chain, head, _ = self.append(run, tmp_path, "v2", 200.0)
+        committed = Path(chain).read_text()
+        os.remove(head)
+        argv = ("bizlog", "append", "--chain", chain, "--head", head, "--pid", "v3", "--at", "300")
+        assert run(*argv) == (2, "")
+        assert Path(chain).read_text() == committed
+        assert not os.path.exists(head)
+
     def test_verify_non_canonical_visit_line_exits_2(self, run, tmp_path):
         self.append(run, tmp_path, "v1", 100.0)
         chain, head, _ = self.append(run, tmp_path, "v2", 200.0)
