@@ -197,7 +197,9 @@ def cmd_registry(args) -> int:
         try:
             server.serve_forever()
         except KeyboardInterrupt:
-            server.shutdown()
+            pass
+        finally:
+            server.server_close()
         return EXIT_OK
     if args.registry_mode == "query":
         response = _at_registry(args, registry.client_query, Pid(args.pid))

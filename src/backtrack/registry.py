@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import os
+import queue
 import socket
 import socketserver
 import threading
@@ -193,8 +194,10 @@ class RegistryService:
 # two weeks of PIDs rotated every 10 minutes are 2,016.
 MAX_REQUEST_BYTES = 1 << 20
 # Seconds a connection may stay silent before the server hangs up, so that an
-# idle client does not hold its thread forever.
+# idle client does not hold its worker forever.
 IDLE_TIMEOUT_S = 30.0
+# Worker threads per server: at most this many connections are served at once.
+POOL_SIZE = 16
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -221,13 +224,85 @@ class _Handler(socketserver.StreamRequestHandler):
             self.wfile.write((response + "\n").encode("utf-8"))
 
 
-class RegistryServer(socketserver.ThreadingTCPServer):
+class RegistryServer(socketserver.TCPServer):
+    """Serves each accepted connection on one of POOL_SIZE worker threads.
+
+    A connection is accepted only when a worker is idle, so threads and
+    accepted sockets are both bounded; while every worker is busy, new
+    connections wait in the listen backlog.  server_close() hangs up on the
+    connections still being served and stops the workers.
+    """
+
     allow_reuse_address = True
-    daemon_threads = True
+    # room in the backlog for a burst of clients several times the pool,
+    # past which the kernel drops handshakes and clients retry after a second
+    request_queue_size = 4 * POOL_SIZE
 
     def __init__(self, address: tuple[str, int], service: RegistryService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        self._idle = threading.Semaphore(POOL_SIZE)
+        self._jobs = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._serving: set[socket.socket] = set()
+        self._closing = False
+        self._workers = [
+            threading.Thread(target=self._work, name=f"registry-worker-{i}", daemon=True)
+            for i in range(POOL_SIZE)
+        ]
+        for worker in self._workers:
+            worker.start()
+
+    def get_request(self):
+        # Wait at most half a second for an idle worker, so that the serve
+        # loop still sees shutdown() while the pool is busy; the connection
+        # stays in the backlog and the loop comes back for it.
+        if not self._idle.acquire(timeout=0.5):
+            raise OSError("every worker is busy")
+        try:
+            return super().get_request()
+        except OSError:
+            self._idle.release()
+            raise
+
+    def process_request(self, request, client_address) -> None:
+        self._jobs.put((request, client_address))
+
+    def _work(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            request, client_address = job
+            with self._lock:
+                self._serving.add(request)
+                if self._closing:
+                    _hang_up(request)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:
+                    self._serving.discard(request)
+                self.shutdown_request(request)
+                self._idle.release()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closing = True
+            for request in self._serving:
+                _hang_up(request)
+        for _ in self._workers:
+            self._jobs.put(None)
+        for worker in self._workers:
+            worker.join()
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """Wake a worker blocked reading sock: its read returns end of file."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the client has already gone
 
 
 def serve(

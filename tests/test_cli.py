@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import backtrack
-from backtrack import contactlog, wire
+from backtrack import contactlog, registry, wire
 from backtrack.cli import main
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import serve
@@ -459,6 +459,27 @@ class TestRegistryCommands:
                 server.communicate()
         assert server.returncode == 0
         assert state.read_text() == "notified|sickpid|lab-A|2020-04-01\n"
+
+    def test_interrupt_closes_the_server(self, run, tmp_path, monkeypatch):
+        directory = str(tmp_path / "labs.txt")
+        run("cert", "keygen", "--lab-id", "lab-A", "--key-out", str(tmp_path / "lab.key"),
+            "--directory", directory)
+        closed = []
+        close = registry.RegistryServer.server_close
+
+        def interrupted(self, poll_interval=0.5):
+            raise KeyboardInterrupt
+
+        def recorded_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(registry.RegistryServer, "serve_forever", interrupted)
+        monkeypatch.setattr(registry.RegistryServer, "server_close", recorded_close)
+        assert run("registry", "serve", "--port", "0", "--directory", directory) == (0, "")
+        [server] = closed
+        assert server.socket.fileno() == -1
+        assert not any(worker.is_alive() for worker in server._workers)
 
     def test_unreachable_server_exits_2(self, run):
         code, _ = run("registry", "query", "--port", "1", "--pid", "x")

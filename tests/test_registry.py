@@ -1,4 +1,6 @@
 import socket
+import socketserver
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -37,8 +39,8 @@ def ingest_line(lab, pids):
 
 
 @contextmanager
-def running(directory, state):
-    server = serve("127.0.0.1", 0, directory, state)
+def running(directory, state, port=0):
+    server = serve("127.0.0.1", port, directory, state)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
         yield server.server_address
@@ -312,3 +314,107 @@ class TestServer:
         with running(directory, str(tmp_path / "state.txt")) as (host, port):
             assert client_ingest(host, port, cert_for(lab, pids)) == "OK"
             assert client_query(host, port, pids[-1]) == "YES"
+
+
+class TestWorkerPool:
+    def test_busy_pool_leaves_new_connections_waiting(self, directory, tmp_path, monkeypatch):
+        monkeypatch.setattr(registry, "POOL_SIZE", 2)
+        monkeypatch.setattr(registry, "IDLE_TIMEOUT_S", 1.0)
+        accepted = []
+        accept = socketserver.TCPServer.get_request
+
+        def counted_accept(server):
+            accepted.append(accept(server))
+            return accepted[-1]
+
+        monkeypatch.setattr(socketserver.TCPServer, "get_request", counted_accept)
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as silent1, \
+                    socket.create_connection(address, timeout=10) as silent2, \
+                    socket.create_connection(address, timeout=0.5) as third:
+                third.sendall(b"QUERY P1\n")
+                with pytest.raises(TimeoutError):
+                    third.recv(16)  # both workers are held
+                assert len(accepted) == 2  # the third waits in the backlog
+                assert silent1.recv(16) == b""  # hung up on when idle too long
+                third.settimeout(10)
+                assert third.makefile("rb").readline() == b"NO\n"
+                assert silent2.recv(16) == b""
+
+    def test_many_clients_ingest_and_query_at_once(self, lab, directory, tmp_path):
+        clients, rounds = 3 * registry.POOL_SIZE, 4
+        certs = {
+            (c, r): cert_for(lab, [Pid(f"c{c}r{r}a"), Pid(f"c{c}r{r}b")])
+            for c in range(clients) for r in range(rounds)
+        }
+        state = str(tmp_path / "state.txt")
+        before = set(threading.enumerate())
+        wrong: list[str] = []
+        acknowledged: list[Pid] = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            server = serve("127.0.0.1", 0, directory, state)
+            address = server.server_address
+            loop = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+            loop.start()
+            try:
+
+                def client(c):
+                    for r in range(rounds):
+                        cert = certs[c, r]
+                        answers = (
+                            client_query(*address, cert.pids[0]),
+                            client_ingest(*address, cert),
+                            client_query(*address, cert.pids[1]),
+                        )
+                        if answers != ("NO", "OK", "YES"):
+                            wrong.append(f"client {c} round {r}: {answers}")
+                        if answers[1] == "OK":
+                            acknowledged.extend(cert.pids)
+
+                threads = [threading.Thread(target=client, args=(c,)) for c in range(clients)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+            finally:
+                server.shutdown()
+                server.server_close()
+                loop.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == []
+        assert len(acknowledged) == 2 * clients * rounds
+        persisted = load_repository(state)
+        assert all(is_notified_pid(persisted, p) for p in acknowledged)
+        assert set(threading.enumerate()) <= before
+        with running(directory, state, port=address[1]) as again:
+            assert client_query(*again, acknowledged[0]) == "YES"
+
+    def test_close_with_every_worker_busy(self, directory, tmp_path, monkeypatch):
+        # with the default idle timeout, shutdown() and server_close() must
+        # not wait for an idle client or a connection left in the backlog
+        monkeypatch.setattr(registry, "POOL_SIZE", 1)
+        before = set(threading.enumerate())
+        server = serve("127.0.0.1", 0, directory, str(tmp_path / "state.txt"))
+        loop = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+        loop.start()
+        with socket.create_connection(server.server_address, timeout=10) as idle, \
+                socket.create_connection(server.server_address, timeout=10) as waiting:
+            idle.sendall(b"QUERY P1\n")
+            assert idle.recv(16) == b"NO\n"  # the one worker now holds it
+            waiting.sendall(b"QUERY P1\n")
+            start = time.monotonic()
+            server.shutdown()
+            server.server_close()
+            loop.join(timeout=10)
+            assert time.monotonic() - start < 5
+            assert idle.recv(16) == b""
+            try:
+                assert waiting.recv(16) == b""
+            except ConnectionResetError:
+                pass  # dropped from the backlog when the listening socket closed
+        assert not loop.is_alive()
+        assert set(threading.enumerate()) <= before
