@@ -133,16 +133,23 @@ def cmd_sim(args) -> int:
 
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
-        if os.path.exists(args.key_out):
-            raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
-        lab = LabIdentity.generate(args.lab_id)
         if os.path.exists(args.directory):
             directory = wire.load(args.directory, LabDirectory.from_lines)
         else:
             directory = LabDirectory()
+        key_exists = os.path.exists(args.key_out)
+        if key_exists:
+            # a key whose directory write failed is published by the retry;
+            # any other key file is kept as it is
+            lab = wire.load(args.key_out, _parse_lab_key)
+            if lab.lab_id != args.lab_id or directory.lookup(lab.lab_id) is not None:
+                raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
+        else:
+            lab = LabIdentity.generate(args.lab_id)
         directory.add_lab(lab)
-        seed = base64.b64encode(lab.private_bytes()).decode("ascii")
-        wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|ed25519|{seed}\n")
+        if not key_exists:
+            seed = base64.b64encode(lab.private_bytes()).decode("ascii")
+            wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|ed25519|{seed}\n")
         wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK

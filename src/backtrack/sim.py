@@ -129,6 +129,8 @@ class Scenario:
         if self.default_policy_version not in self.policies:
             raise ValueError("default policy version not declared")
         for agent_id, version in self.agent_policy.items():
+            if not (0 <= agent_id < self.n_agents):
+                raise ValueError(f"policy for unknown agent {agent_id}")
             if version not in self.policies:
                 raise ValueError(f"agent {agent_id} assigned undeclared policy {version}")
         for agent_id, (x, y) in self.positions.items():
@@ -408,30 +410,17 @@ class World:
     def _beacon_tick(self) -> None:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
-        pairs within the tick's reach are evaluated, found through a grid of
-        reach-sized cells and visited in pair order."""
+        pairs within the tick's reach are evaluated."""
         s = self.scenario
         active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
         m = len(active)
         noise, blocked = self._channel_draws(m * (m - 1) // 2)
         reach = _reach(s, max(noise, default=0.0))
-        cells = [(int(a.position[0] // reach), int(a.position[1] // reach)) for a in active]
-        grid: dict[tuple[int, int], list[int]] = {}
-        for i, cell in enumerate(cells):
-            grid.setdefault(cell, []).append(i)
         records = {a.agent_id: self._own_record(a) for a in active}
         dwell_before, self._pair_state = self._pair_state, {}
         for i, a in enumerate(active):
-            cx, cy = cells[i]
-            near = sorted(
-                j
-                for gx in (cx - 1, cx, cx + 1)
-                for gy in (cy - 1, cy, cy + 1)
-                for j in grid.get((gx, gy), ())
-                if j > i
-            )
             row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
-            for j in near:
+            for j in range(i + 1, m):
                 b = active[j]
                 d = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
                 if d > reach:
@@ -654,10 +643,9 @@ def _reach(scenario: Scenario, max_noise: float) -> float:
     largest shadowing draw is max_noise: no pair farther apart reaches
     RADIO_CUTOFF_DBM (body blocking only weakens a signal) or is within
     true_radius_m.  The radio part is the channel model's distance for the
-    cutoff less that draw's shadowing, capped at width plus height (one cell)."""
+    cutoff less that draw's shadowing."""
     c = scenario.channel
-    w, h = scenario.world_size_m
-    radio_m = min(rssi_to_distance(RADIO_CUTOFF_DBM - max_noise * c.shadowing_sigma_db, c), w + h)
+    radio_m = rssi_to_distance(RADIO_CUTOFF_DBM - max_noise * c.shadowing_sigma_db, c)
     return max(radio_m, scenario.true_radius_m) * (1.0 + REACH_MARGIN)
 
 

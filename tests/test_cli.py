@@ -137,6 +137,23 @@ class TestCertCommands:
         assert key in captured.err
         assert (Path(key).read_bytes(), Path(directory).read_bytes()) == before
 
+    def test_keygen_retry_publishes_the_key_a_failed_run_left(self, run, tmp_path):
+        # the key is written before the directory, so a directory in a
+        # missing folder fails after the key exists
+        key = str(tmp_path / "lab.key")
+        directory = str(tmp_path / "nodir" / "labs.txt")
+        argv = ("cert", "keygen", "--lab-id", "lab-A", "--key-out", key, "--directory", directory)
+        code, _ = run(*argv)
+        assert code == 2 and os.path.exists(key)
+        left = Path(key).read_bytes()
+        os.mkdir(tmp_path / "nodir")
+        code, out = run(*argv)
+        assert (code, out.strip()) == (0, "lab-A")
+        assert Path(key).read_bytes() == left
+        cert = self.issue(run, tmp_path, key)
+        code, out = run("cert", "verify", "--cert", cert, "--directory", directory)
+        assert (code, out.strip()) == (0, "VERIFIED")
+
     @pytest.mark.parametrize("lab_id", ["x|y", "a b"])
     def test_keygen_bad_lab_id_exits_2_and_writes_nothing(self, run, tmp_path, lab_id):
         code, out = run("cert", "keygen", "--lab-id", lab_id,

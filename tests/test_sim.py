@@ -403,6 +403,8 @@ class TestScenarioParsing:
         "world_width_m = 0": "world size must be finite and positive",
         "world_height_m = inf": "world size must be finite and positive",
         "position = 2:1:1": "position for unknown agent 2",
+        "agent_policy = 99:1": "policy for unknown agent 99",
+        "agent_policy = -1:1": "policy for unknown agent -1",
     }
 
     @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
@@ -568,9 +570,10 @@ class NearPairsCheckedWorld(World):
 
 @st.composite
 def culling_scenarios(draw):
-    """Small worlds, from one grid cell to many, with agents placed anywhere,
-    on the edges of the grid's cells, or a few ulps either side of the
-    noiseless radio reach from the world's edge."""
+    """Small worlds, from narrower than the noiseless reach to many reaches
+    across, with agents placed anywhere, at whole multiples of that reach
+    (so pairs sit exactly on it), or from the world's edge at a few ulps
+    either side of the noiseless radio reach or one shadowing sigma beyond it."""
     n = draw(st.integers(2, 30))
     w, h = draw(st.floats(2.0, 2000.0)), draw(st.floats(2.0, 2000.0))
     channel = ChannelModel(
@@ -600,23 +603,25 @@ def culling_scenarios(draw):
         gap_timeout_s=draw(st.sampled_from([15.0, 60.0])),
         rng_seed=draw(st.integers(0, 2**32)),
     )
-    cell = sim._reach(scenario, 0.0)
+    reach = sim._reach(scenario, 0.0)
     radio_m = 10.0 ** (
         (channel.ref_power_dbm - RADIO_CUTOFF_DBM) / (10.0 * channel.path_loss_exponent)
     )
     around = [radio_m]
     for _ in range(3):
         around = [math.nextafter(around[0], 0.0), *around, math.nextafter(around[-1], math.inf)]
+    one_sigma = 10.0 ** (channel.shadowing_sigma_db / (10.0 * channel.path_loss_exponent))
+    around.append(radio_m * one_sigma)
 
-    edges = st.tuples(
+    reach_multiples = st.tuples(
         *(
-            st.sampled_from([k * cell for k in range(min(int(side // cell), 5) + 1)])
+            st.sampled_from([k * reach for k in range(min(int(side // reach), 5) + 1)])
             for side in (w, h)
         )
     )
     reach_edge = st.tuples(st.sampled_from([0.0, *[d for d in around if d <= w]]), st.just(0.0))
     anywhere = st.tuples(st.floats(0.0, w), st.floats(0.0, h))
-    positions = {i: draw(anywhere | edges | reach_edge) for i in range(n)}
+    positions = {i: draw(anywhere | reach_multiples | reach_edge) for i in range(n)}
     return replace(scenario, positions=positions)
 
 
