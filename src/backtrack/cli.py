@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import os
 import sys
 from collections import Counter
@@ -18,6 +19,7 @@ from typing import Callable, TypeVar
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
+    SCHEME_ED25519,
     CertificateOfInfection,
     LabIdentity,
     LabDirectory,
@@ -56,7 +58,7 @@ def _parse_pids(csv: str) -> list[Pid]:
 
 def _parse_lab_key(text: str) -> LabIdentity:
     parts = text.strip().split("|")
-    if len(parts) != 4 or parts[0] != "labkey" or parts[2] != "ed25519":
+    if len(parts) != 4 or parts[0] != "labkey" or parts[2] != SCHEME_ED25519:
         raise ValueError("malformed lab key line")
     return LabIdentity.from_seed(parts[1], wire.b64decode(parts[3]))
 
@@ -149,7 +151,7 @@ def cmd_cert(args) -> int:
         directory.add_lab(lab)
         if not key_exists:
             seed = base64.b64encode(lab.private_bytes()).decode("ascii")
-            wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|ed25519|{seed}\n")
+            wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|{SCHEME_ED25519}|{seed}\n")
         wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK
@@ -201,12 +203,8 @@ def cmd_registry(args) -> int:
     if args.registry_mode == "serve":
         directory = wire.load(args.directory, LabDirectory.from_lines)
         server = _at_registry(args, registry.serve, directory, args.state)
-        try:
+        with server, contextlib.suppress(KeyboardInterrupt):
             server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            server.server_close()
         return EXIT_OK
     if args.registry_mode == "query":
         response = _at_registry(args, registry.client_query, Pid(args.pid))
@@ -340,41 +338,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_registry = sub.add_parser("registry", help="notified-PID repository service")
     registry_sub = p_registry.add_subparsers(dest="registry_mode", required=True)
-    p_serve = registry_sub.add_parser("serve")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, required=True)
+    address = argparse.ArgumentParser(add_help=False)
+    address.add_argument("--host", default="127.0.0.1")
+    address.add_argument("--port", type=int, required=True)
+    p_serve = registry_sub.add_parser("serve", parents=[address])
     p_serve.add_argument("--directory", required=True)
     p_serve.add_argument("--state")
-    p_query = registry_sub.add_parser("query")
-    p_query.add_argument("--host", default="127.0.0.1")
-    p_query.add_argument("--port", type=int, required=True)
+    p_query = registry_sub.add_parser("query", parents=[address])
     p_query.add_argument("--pid", required=True)
-    p_claim = registry_sub.add_parser("claim")
-    p_claim.add_argument("--host", default="127.0.0.1")
-    p_claim.add_argument("--port", type=int, required=True)
+    p_claim = registry_sub.add_parser("claim", parents=[address])
     p_claim.add_argument("--contact-pid", required=True)
     p_claim.add_argument("--claimant-pid", required=True)
     p_claim.add_argument("--name", required=True)
     p_claim.add_argument("--phrase", required=True)
-    p_ingest = registry_sub.add_parser("ingest")
-    p_ingest.add_argument("--host", default="127.0.0.1")
-    p_ingest.add_argument("--port", type=int, required=True)
+    p_ingest = registry_sub.add_parser("ingest", parents=[address])
     p_ingest.add_argument("--cert", required=True)
     p_registry.set_defaults(func=cmd_registry)
 
     p_bizlog = sub.add_parser("bizlog", help="hash-chained visitor log")
     bizlog_sub = p_bizlog.add_subparsers(dest="bizlog_mode", required=True)
-    p_append = bizlog_sub.add_parser("append")
-    p_append.add_argument("--chain", required=True)
-    p_append.add_argument("--head", required=True)
+    chain_files = argparse.ArgumentParser(add_help=False)
+    chain_files.add_argument("--chain", required=True)
+    chain_files.add_argument("--head", required=True)
+    p_append = bizlog_sub.add_parser("append", parents=[chain_files])
     p_append.add_argument("--pid", required=True)
     p_append.add_argument("--at", type=float, required=True)
-    p_bverify = bizlog_sub.add_parser("verify")
-    p_bverify.add_argument("--chain", required=True)
-    p_bverify.add_argument("--head", required=True)
-    p_evidence = bizlog_sub.add_parser("evidence")
-    p_evidence.add_argument("--chain", required=True)
-    p_evidence.add_argument("--head", required=True)
+    bizlog_sub.add_parser("verify", parents=[chain_files])
+    p_evidence = bizlog_sub.add_parser("evidence", parents=[chain_files])
     p_evidence.add_argument("--pid", required=True)
     p_evidence.add_argument("--from", dest="window_from", type=float, required=True)
     p_evidence.add_argument("--to", dest="window_to", type=float, required=True)

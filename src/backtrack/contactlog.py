@@ -64,9 +64,12 @@ def prune(
     log: ContactLog, now: float, retention_days: int = DEFAULT_RETENTION_DAYS
 ) -> ContactLog:
     """Drop entries older than the retention window; boundary entries stay."""
-    if retention_days < 0 or not math.isfinite(now):
+    try:
+        cutoff = now - retention_days * 86400.0
+    except OverflowError:  # days past the float range
+        cutoff = math.nan
+    if retention_days < 0 or not math.isfinite(cutoff):
         raise ValueError(f"cannot prune at now={now} keeping {retention_days} days")
-    cutoff = now - retention_days * 86400.0
     cut = bisect_left(log.entries, cutoff, key=attrgetter("recorded_at"))
     # each peer's dropped entries are the front of its list
     for pid, n in Counter(e.peer_record.pid for e in log.entries[:cut]).items():

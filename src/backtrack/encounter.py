@@ -52,9 +52,8 @@ class SignificancePolicy:
             raise ValueError("policy thresholds out of range")
 
 
-# default policy generations: pessimistic 3.0 m first, tightened to 1.5 m later
+# the default policy generation: a pessimistic 3.0 m for 10 minutes
 POLICY_V1 = SignificancePolicy(version=1, max_distance_m=3.0, min_duration_s=600.0)
-POLICY_V2 = SignificancePolicy(version=2, max_distance_m=1.5, min_duration_s=600.0)
 
 DEFAULT_GAP_TIMEOUT_S = 60.0
 

@@ -239,7 +239,7 @@ class RegistryServer(socketserver.TCPServer):
     request_queue_size = 4 * POOL_SIZE
 
     def __init__(self, address: tuple[str, int], service: RegistryService) -> None:
-        super().__init__(address, _Handler)
+        # start the pool first: a failed bind calls server_close(), which stops it
         self.service = service
         self._idle = threading.Semaphore(POOL_SIZE)
         self._jobs = queue.SimpleQueue()
@@ -252,6 +252,7 @@ class RegistryServer(socketserver.TCPServer):
         ]
         for worker in self._workers:
             worker.start()
+        super().__init__(address, _Handler)
 
     def get_request(self):
         # Wait at most half a second for an idle worker, so that the serve
@@ -316,6 +317,7 @@ def serve(
     A state file whose last record a crash cut short is rewritten from what
     loaded, so that the next append starts on a line of its own.
     """
+    _check_port(port)
     repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
     if persist_path and _ends_mid_record(persist_path):
         wire.write_atomic(persist_path, repository_to_lines(repo))
@@ -334,7 +336,14 @@ def _ends_mid_record(path: str) -> bool:
         return False
 
 
+def _check_port(port: int) -> None:
+    # the resolver keeps a port's low 16 bits: a larger one reaches another port
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port {port} is outside 0-65535")
+
+
 def _roundtrip(host: str, port: int, request: str) -> str:
+    _check_port(port)
     with socket.create_connection((host, port), timeout=10) as sock:
         sock.sendall((request + "\n").encode("utf-8"))
         f = sock.makefile("r", encoding="utf-8")

@@ -67,7 +67,8 @@ class ForgeryKind(enum.Enum):
 class Scenario:
     n_agents: int
     duration_s: float
-    world_size_m: tuple[float, float] = (100.0, 100.0)
+    world_width_m: float = 100.0
+    world_height_m: float = 100.0
     initial_infectious: int = 1
     speed_min_mps: float = 0.5
     speed_max_mps: float = 1.5
@@ -98,13 +99,13 @@ class Scenario:
             self.policies = {POLICY_V1.version: POLICY_V1}
         if self.default_policy_version is None:
             self.default_policy_version = min(self.policies)
+        w, h = self.world_width_m, self.world_height_m
+        if not (0 < w < math.inf and 0 < h < math.inf):
+            raise ValueError("world size must be finite and positive")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in ("float", "float | None") and not math.isfinite(value or 0.0):
                 raise ValueError(f"{f.name} must be finite")
-        w, h = self.world_size_m
-        if not (0 < w < math.inf and 0 < h < math.inf):
-            raise ValueError("world size must be finite and positive")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         if not 0 <= self.initial_infectious <= self.n_agents:
@@ -142,7 +143,7 @@ class Scenario:
 
 # Keys that set one field from one value: every field of Scenario and
 # ChannelModel, converted by its annotation, except those built by hand below
-# from the two world sides and the repeatable policy, agent_policy and position.
+# from the repeatable policy, agent_policy and position.
 _CONVERTERS = {
     "int": int,
     "int | None": int,
@@ -150,17 +151,12 @@ _CONVERTERS = {
     "float | None": float,
     "DeploymentMode": DeploymentMode,
 }
-_BY_HAND = ("world_size_m", "channel", "policies", "agent_policy", "positions")
+_BY_HAND = ("channel", "policies", "agent_policy", "positions")
 _CHANNEL_KEYS = {f.name: _CONVERTERS[f.type] for f in fields(ChannelModel)}
 _SCALAR_KEYS = {
     **{f.name: _CONVERTERS[f.type] for f in fields(Scenario) if f.name not in _BY_HAND},
     **_CHANNEL_KEYS,
-    "world_width_m": float,
-    "world_height_m": float,
 }
-_DEFAULT_WIDTH_M, _DEFAULT_HEIGHT_M = next(
-    f.default for f in fields(Scenario) if f.name == "world_size_m"
-)
 # the fields without a default, which a scenario file must set
 _REQUIRED_KEYS = [f.name for f in fields(Scenario) if f.default is f.default_factory is MISSING]
 
@@ -205,12 +201,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ValueError(f"missing scenario key: {key}")
 
     channel = {key: values.pop(key) for key in _CHANNEL_KEYS if key in values}
-    world_size_m = (
-        values.pop("world_width_m", _DEFAULT_WIDTH_M),
-        values.pop("world_height_m", _DEFAULT_HEIGHT_M),
-    )
     return Scenario(
-        world_size_m=world_size_m,
         channel=ChannelModel(**channel),
         policies=policies,
         agent_policy=agent_policy,
@@ -266,8 +257,6 @@ class Agent:
 class World:
     """Mutable simulation state; step() advances time by 1 s."""
 
-    DT = 1.0
-
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.now = 0.0
@@ -293,8 +282,8 @@ class World:
             position = scenario.positions.get(i)
             if position is None:
                 position = (
-                    self._mobility_rng.uniform(0, scenario.world_size_m[0]),
-                    self._mobility_rng.uniform(0, scenario.world_size_m[1]),
+                    self._mobility_rng.uniform(0, scenario.world_width_m),
+                    self._mobility_rng.uniform(0, scenario.world_height_m),
                 )
             version = scenario.agent_policy.get(i, scenario.default_policy_version)
             agent = Agent(
@@ -373,15 +362,14 @@ class World:
                 continue
             if agent.waypoint is None:
                 agent.waypoint = (
-                    self._mobility_rng.uniform(0, s.world_size_m[0]),
-                    self._mobility_rng.uniform(0, s.world_size_m[1]),
+                    self._mobility_rng.uniform(0, s.world_width_m),
+                    self._mobility_rng.uniform(0, s.world_height_m),
                 )
                 agent.speed = self._mobility_rng.uniform(s.speed_min_mps, s.speed_max_mps)
             dx = agent.waypoint[0] - agent.position[0]
             dy = agent.waypoint[1] - agent.position[1]
             dist = math.hypot(dx, dy)
-            step = agent.speed * self.DT
-            if dist <= step or agent.speed == 0:
+            if dist <= agent.speed or agent.speed == 0:
                 agent.position = agent.waypoint
                 agent.waypoint = None
                 agent.pause_until = self.now + self._mobility_rng.uniform(
@@ -389,8 +377,8 @@ class World:
                 )
             else:
                 agent.position = (
-                    agent.position[0] + dx / dist * step,
-                    agent.position[1] + dy / dist * step,
+                    agent.position[0] + dx / dist * agent.speed,
+                    agent.position[1] + dy / dist * agent.speed,
                 )
 
     def _channel_draws(self, n_pairs: int) -> tuple[list[float], list[bool]]:
@@ -614,7 +602,7 @@ class World:
         if self._forgeries and self.metrics.diagnoses > 0:
             self._inject_scheduled_forgeries()
         self._poll_and_verify()
-        self.now += self.DT
+        self.now += 1.0
 
     def finalize(self) -> SimMetrics:
         """Close remaining sessions, settle metrics against ground truth."""

@@ -44,7 +44,7 @@ def dense_world(seed, **overrides):
     base = dict(
         n_agents=50,
         duration_s=2400.0,
-        world_size_m=(12.0, 12.0),
+        world_width_m=12.0, world_height_m=12.0,
         initial_infectious=5,
         speed_min_mps=0.3,
         speed_max_mps=1.0,

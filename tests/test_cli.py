@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import socket
@@ -6,12 +7,14 @@ import subprocess
 import sys
 import threading
 import time
+from datetime import date
 from pathlib import Path
 
 import pytest
 
 import backtrack
 from backtrack import contactlog, registry, wire
+from backtrack.certificates import LabIdentity, certificate_to_line, issue_certificate
 from backtrack.cli import main
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import serve
@@ -748,8 +751,17 @@ def tree(root):
      "--mailbox-dir", "{d}/plain.txt/boxes"],
     ["notify", "verify", "--log", "{d}/empty.log", "--directory", "{d}/empty.log",
      "--notification", "{d}/latin1.txt"],
+    ["registry", "serve", "--port", "65536", "--directory", "{d}/empty.log"],
+    ["registry", "query", "--port=-1", "--pid", "p"],
+    ["registry", "claim", "--port", "65537", "--contact-pid", "a",
+     "--claimant-pid", "c", "--name", "n", "--phrase", "p"],
+    ["registry", "ingest", "--port", "99999999", "--cert", "{d}/cert.txt"],
+    ["log", "prune", "--log", "{d}/empty.log", "--now", "0", "--retention-days", "1" + "0" * 400],
 ])
 def test_bad_input_exits_2_and_writes_nothing(run, tmp_path, argv):
+    lab = LabIdentity.from_seed("lab-A", bytes(32))
+    cert = issue_certificate(lab, [Pid("p")], date(2020, 4, 1), date(2020, 3, 25))
+    write(tmp_path / "cert.txt", certificate_to_line(cert) + "\n")
     write(tmp_path / "empty.log", "")
     write(tmp_path / "chain.txt", "")
     write(tmp_path / "head.txt", "head|" + "0" * 64 + "\n")
@@ -796,3 +808,14 @@ def test_error_names_file_and_registry(tmp_path, capsys):
     assert state in capsys.readouterr().err
     assert main(["registry", "query", "--port", "1", "--pid", "x"]) == 2
     assert "127.0.0.1:1" in capsys.readouterr().err
+
+
+def test_serve_on_a_busy_port_exits_2(tmp_path, capsys):
+    directory = write(tmp_path / "labs.txt", "")
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        assert main(["registry", "serve", "--port", str(port), "--directory", directory]) == 2
+    in_use = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+    assert capsys.readouterr() == ("", f"error: registry at 127.0.0.1:{port}: {in_use}\n")

@@ -82,6 +82,13 @@ class TestPrune:
             prune(log, now, retention_days=days)
         assert log.entries == before
 
+    def test_retention_past_the_float_range_refused(self):
+        log = make_log(make_entry(recorded_at=DAY))
+        before = list(log.entries)
+        with pytest.raises(ValueError, match="cannot prune"):
+            prune(log, 30 * DAY, retention_days=10**400)
+        assert log.entries == before
+
     def test_idempotent(self):
         now = 30 * DAY
         log = make_log(

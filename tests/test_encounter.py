@@ -7,7 +7,6 @@ from backtrack.encounter import (
     ChannelModel,
     InformationRecord,
     POLICY_V1,
-    POLICY_V2,
     RssiSample,
     SignificancePolicy,
     SignificanceVerdict,
@@ -193,7 +192,7 @@ class TestClassify:
 
     def test_interop_distance_ignored_under_v2(self):
         # the same contact is ignored under the newer 1.5 m rule
-        session = session_at_distance(2.25, 900.0, POLICY_V2)
+        session = session_at_distance(2.25, 900.0, SignificancePolicy(2, 1.5, 600.0))
         assert not classify_contact(session).significant
 
     def test_alternating_distance_never_accumulates(self):

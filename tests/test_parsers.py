@@ -2,11 +2,12 @@
 with one character replaced, either parses or raises ValueError; the
 registry answers every request line with one of its documented responses."""
 
+import base64
 from datetime import date
 
 from hypothesis import given, settings, strategies as st
 
-from backtrack import bizlog, wire
+from backtrack import bizlog, cli, wire
 from backtrack.certificates import (
     LabDirectory,
     LabIdentity,
@@ -63,17 +64,21 @@ def registry_request(line: str) -> None:
     assert service.handle_request([line]) in REGISTRY_RESPONSES
 
 
+NOTIFICATIONS_TEXT = (
+    notification_to_line(Notification(Pid("P1"), 5000.5, "the gym"))
+    + "\n"
+    + notification_to_line(Notification(Pid("P2"), 7.0, "walk", parse_certificate_line(CERT_LINE)))
+    + "\n"
+)
+
 # name -> (parser, a valid input for it)
 PARSERS = {
     "certificate": (parse_certificate_line, CERT_LINE),
-    "notifications": (
-        parse_notifications,
-        notification_to_line(Notification(Pid("P1"), 5000.5, "the gym"))
-        + "\n"
-        + notification_to_line(
-            Notification(Pid("P2"), 7.0, "walk", parse_certificate_line(CERT_LINE))
-        )
-        + "\n",
+    "notifications": (parse_notifications, NOTIFICATIONS_TEXT),
+    "mailbox": (cli._parse_mailbox, NOTIFICATIONS_TEXT),
+    "lab-key": (
+        cli._parse_lab_key,
+        f"labkey|lab-A|ed25519|{base64.b64encode(LAB.private_bytes()).decode('ascii')}\n",
     ),
     "log": (parse_log, serialize_log(make_log(make_entry(), make_entry(t=2000.0)))),
     "directory": (LabDirectory.from_lines, DIRECTORY.to_lines()),

@@ -418,3 +418,23 @@ class TestWorkerPool:
                 pass  # dropped from the backlog when the listening socket closed
         assert not loop.is_alive()
         assert set(threading.enumerate()) <= before
+
+    def test_bind_failure_raises_and_stops_the_pool(self, directory):
+        before = set(threading.enumerate())
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            with pytest.raises(OSError):
+                serve("127.0.0.1", holder.getsockname()[1], directory)
+        assert not any(
+            t.name.startswith("registry-worker") for t in set(threading.enumerate()) - before
+        )
+
+    def test_out_of_range_port_refused(self, directory, tmp_path):
+        # the resolver would wrap port + 65536 onto the listening port
+        with running(directory, str(tmp_path / "state.txt")) as (host, port):
+            for bad in (port + 65536, -1):
+                with pytest.raises(ValueError, match="outside 0-65535"):
+                    client_query(host, bad, Pid("P1"))
+        with pytest.raises(ValueError, match="outside 0-65535"):
+            serve("127.0.0.1", 65536, directory)

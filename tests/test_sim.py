@@ -177,7 +177,7 @@ class TestDeterminism:
         scenario = Scenario(
             n_agents=15,
             duration_s=1500.0,
-            world_size_m=(20.0, 20.0),
+            world_width_m=20.0, world_height_m=20.0,
             initial_infectious=3,
             transmission_prob=0.3,
             forge_fake_claims=4,
@@ -190,7 +190,7 @@ class TestDeterminism:
 
     def test_different_seed_diverges(self):
         base = dict(
-            n_agents=10, duration_s=1500.0, world_size_m=(10.0, 10.0),
+            n_agents=10, duration_s=1500.0, world_width_m=10.0, world_height_m=10.0,
             initial_infectious=2, pause_min_s=200.0, pause_max_s=600.0,
         )
         _, t1 = run_scenario(Scenario(rng_seed=1, **base))
@@ -204,7 +204,7 @@ class TestConservation:
         scenario = Scenario(
             n_agents=20,
             duration_s=1500.0,
-            world_size_m=(15.0, 15.0),
+            world_width_m=15.0, world_height_m=15.0,
             initial_infectious=3,
             transmission_prob=0.2,
             forge_fake_claims=6,
@@ -224,7 +224,7 @@ class TestConservation:
         scenario = Scenario(
             n_agents=15,
             duration_s=1200.0,
-            world_size_m=(15.0, 15.0),
+            world_width_m=15.0, world_height_m=15.0,
             initial_infectious=3,
             channel=ChannelModel(shadowing_sigma_db=4.0),
             body_block_prob=0.2,
@@ -267,7 +267,7 @@ class TestScenarioParsing:
         s = parse_scenario(text)
         assert s.n_agents == 4
         assert s.duration_s == 500.0
-        assert s.world_size_m == (30.0, 40.0)
+        assert (s.world_width_m, s.world_height_m) == (30.0, 40.0)
         assert s.initial_infectious == 2
         assert s.mode is DeploymentMode.CERTIFICATE_OPTIONAL
         assert set(s.policies) == {1, 2}
@@ -314,7 +314,7 @@ class TestScenarioParsing:
         expected = Scenario(
             n_agents=6,
             duration_s=700.5,
-            world_size_m=(30.0, 40.0),
+            world_width_m=30.0, world_height_m=40.0,
             initial_infectious=2,
             speed_min_mps=0.25,
             speed_max_mps=2.0,
@@ -436,7 +436,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="agent 0 position outside world"):
             Scenario(
                 n_agents=1, duration_s=10.0,
-                world_size_m=(10.0, 10.0), positions={0: (11.0, 5.0)},
+                world_width_m=10.0, world_height_m=10.0, positions={0: (11.0, 5.0)},
             )
 
     def test_undeclared_agent_policy(self):
@@ -586,7 +586,7 @@ def culling_scenarios(draw):
     scenario = Scenario(
         n_agents=n,
         duration_s=draw(st.integers(10, 200)),
-        world_size_m=(w, h),
+        world_width_m=w, world_height_m=h,
         initial_infectious=draw(st.integers(0, n)),
         speed_min_mps=speed / 3,
         speed_max_mps=speed,
@@ -656,7 +656,7 @@ class EverySecondExpiryWorld(World):
         if self._forgeries and self.metrics.diagnoses > 0:
             self._inject_scheduled_forgeries()
         self._poll_and_verify()
-        self.now += self.DT
+        self.now += 1.0
 
 
 @st.composite
@@ -675,7 +675,7 @@ def expiry_scenarios(draw):
     return Scenario(
         n_agents=n,
         duration_s=draw(st.integers(20, 300)),
-        world_size_m=(side, side),
+        world_width_m=side, world_height_m=side,
         initial_infectious=draw(st.integers(0, n)),
         speed_min_mps=speed / 3,
         speed_max_mps=speed,
