@@ -38,9 +38,8 @@ from .identity import (
 from .notify import (
     DeploymentMode,
     FileMailboxStore,
-    Notification,
     build_notifications,
-    parse_notifications,
+    parse_mailbox,
     verify_notification,
 )
 from .sim import metrics_to_lines, parse_scenario, run_scenario
@@ -65,24 +64,6 @@ def _parse_lab_key(text: str) -> LabIdentity:
 
 def _parse_cert(text: str) -> CertificateOfInfection:
     return parse_certificate_line(text.rstrip("\n"))
-
-
-def _parse_mailbox(text: str) -> list[Notification]:
-    # a mailbox gets whole lines only, so an unterminated last line is an
-    # append cut short by a crash: it was never delivered, and is not read
-    complete, _, torn = text.rpartition("\n")
-    if torn:
-        print("torn|1", file=sys.stderr)
-    # `notify build` retried after a failed delivery appends its earlier mail
-    # again, so a line identical to an earlier one is a copy and is not read
-    lines = [line for line in complete.splitlines() if line]
-    unique = list(dict.fromkeys(lines))
-    if len(unique) < len(lines):
-        print(f"dup|{len(lines) - len(unique)}", file=sys.stderr)
-    notifications = parse_notifications("\n".join(unique))
-    if not notifications:
-        raise ValueError("no complete notification")
-    return notifications
 
 
 def _load_chain(args) -> bizlog.VisitorLog:
@@ -185,7 +166,13 @@ def cmd_notify(args) -> int:
         return EXIT_OK
     # verify
     directory = wire.load(args.directory, LabDirectory.from_lines)
-    notifications = wire.load(args.notification, _parse_mailbox)
+    notifications, torn, copies = wire.load(args.notification, parse_mailbox)
+    if torn:
+        print("torn|1", file=sys.stderr)
+    if copies:
+        print(f"dup|{copies}", file=sys.stderr)
+    if not notifications:
+        raise ValueError(f"{args.notification}: no complete notification")
     mode = DeploymentMode(args.mode)
     all_accepted = True
     for notification in notifications:
@@ -204,6 +191,8 @@ def cmd_registry(args) -> int:
         directory = wire.load(args.directory, LabDirectory.from_lines)
         server = _at_registry(args, registry.serve, directory, args.state)
         with server, contextlib.suppress(KeyboardInterrupt):
+            host, port = server.server_address[:2]
+            print(f"listening|{host}|{port}", flush=True)
             server.serve_forever()
         return EXIT_OK
     if args.registry_mode == "query":
@@ -227,19 +216,24 @@ def cmd_registry(args) -> int:
 
 
 def cmd_bizlog(args) -> int:
-    if args.bizlog_mode == "append":
-        log = bizlog.VisitorLog() if _nothing_committed(args) else _load_chain(args)
+    if args.bizlog_mode in ("append", "verify"):
+        # an append audits the chain first, so that it never extends, and so
+        # hides, a chain that was cut or edited
+        if args.bizlog_mode == "append" and _nothing_committed(args):
+            log = bizlog.VisitorLog()
+        else:
+            log = _load_chain(args)
+        check = bizlog.verify_chain(log)
+        if not check.intact:
+            print(f"TAMPERED-AT {check.tampered_at}")
+            return EXIT_REJECTED
+        if args.bizlog_mode == "verify":
+            print("INTACT")
+            return EXIT_OK
         bizlog.append_visit(log, Pid(args.pid), args.at)
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")
         return EXIT_OK
-    if args.bizlog_mode == "verify":
-        check = bizlog.verify_chain(_load_chain(args))
-        if check.intact:
-            print("INTACT")
-            return EXIT_OK
-        print(f"TAMPERED-AT {check.tampered_at}")
-        return EXIT_REJECTED
     # evidence
     log = _load_chain(args)
     repo = wire.load(args.repo, registry.parse_repository)

@@ -161,6 +161,21 @@ def parse_notifications(text: str) -> list[Notification]:
     return out
 
 
+def parse_mailbox(text: str) -> tuple[list[Notification], bool, int]:
+    """A mailbox file's notifications; whether a torn last line, an append a
+    crash cut short, was skipped; and how many repeated lines were skipped.
+
+    The line is skipped even when it parses, since a cut can leave one that
+    does (a shorter location, a dropped certificate). A line identical to an
+    earlier one is a copy that a `notify build` retried after a failed
+    delivery appended again, so it is read once.
+    """
+    lines, torn = wire.complete_lines(text)
+    lines = [line for line in lines if line]
+    unique = list(dict.fromkeys(lines))
+    return parse_notifications("\n".join(unique)), torn, len(lines) - len(unique)
+
+
 class MailboxStore:
     """In-memory store-and-forward transport keyed by PAD.
 
@@ -184,19 +199,13 @@ class MailboxStore:
 class FileMailboxStore:
     """Directory-backed mailbox store: one file per percent-encoded PAD.
 
-    It only delivers, appending in the `parse_notifications` format; the
-    recipient reads its file.
+    It only delivers, one line per notification through `wire.append_lines`;
+    the recipient reads its file with `parse_mailbox`.
     """
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path(self, pad: Pad) -> str:
-        return os.path.join(self.root, wire.quote(pad))
 
     def deliver(self, pad: Pad, n: Notification) -> None:
-        with self._lock:
-            with open(self._path(pad), "a", encoding="utf-8") as f:
-                f.write(notification_to_line(n) + "\n")
+        wire.append_lines(os.path.join(self.root, wire.quote(pad)), notification_to_line(n) + "\n")

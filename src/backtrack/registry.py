@@ -8,7 +8,6 @@ line-oriented TCP protocol and persisted as an append-only file.
 from __future__ import annotations
 
 import enum
-import os
 import queue
 import socket
 import socketserver
@@ -85,34 +84,19 @@ def _entry_line(repo: NotifiedPidRepository, pid: str) -> str:
     return f"notified|{pid}|{lab_id}|{test_date.isoformat()}\n"
 
 
-def repository_to_lines(repo: NotifiedPidRepository) -> str:
-    return "".join(_entry_line(repo, pid) for pid in sorted(repo.entries))
-
-
 def parse_repository(text: str) -> NotifiedPidRepository:
-    """Parse a state file.  Without a trailing newline the last line may be a
-    record torn by a crash mid-append: it is skipped when malformed, while a
-    malformed line anywhere else raises ValueError."""
+    """Parse a state file, whose lines the server appends through
+    `wire.append_lines`: an unterminated last line is a record torn by a crash
+    and is skipped, while a malformed complete line raises ValueError."""
     repo = NotifiedPidRepository()
-    lines = text.splitlines()
-    tail = lines.pop() if lines and not text.endswith("\n") else None
-    for line in lines:
-        _add_line(repo, line)
-    if tail is not None:
-        try:
-            _add_line(repo, tail)
-        except ValueError:
-            pass
+    for line in wire.complete_lines(text)[0]:
+        if not line:
+            continue
+        parts = line.split("|")
+        if len(parts) != 4 or parts[0] != "notified":
+            raise ValueError(f"malformed repository line: {line!r}")
+        _record(repo, parts[1], parts[2], date.fromisoformat(parts[3]))
     return repo
-
-
-def _add_line(repo: NotifiedPidRepository, line: str) -> None:
-    if not line:
-        return
-    parts = line.split("|")
-    if len(parts) != 4 or parts[0] != "notified":
-        raise ValueError(f"malformed repository line: {line!r}")
-    _record(repo, parts[1], parts[2], date.fromisoformat(parts[3]))
 
 
 def load_repository(path: str) -> NotifiedPidRepository:
@@ -181,9 +165,8 @@ class RegistryService:
                 except ValueError:
                     return "REJECTED"
                 if self.persist_path:
-                    with open(self.persist_path, "a", encoding="utf-8") as f:
-                        for pid in cert.pids:
-                            f.write(_entry_line(self.repo, pid))
+                    lines = "".join(_entry_line(self.repo, pid) for pid in cert.pids)
+                    wire.append_lines(self.persist_path, lines)
             return "OK"
         return "ERROR malformed request"
 
@@ -312,28 +295,10 @@ def serve(
     directory: LabDirectory,
     persist_path: str | None = None,
 ) -> RegistryServer:
-    """Start a registry server (caller drives serve_forever / shutdown).
-
-    A state file whose last record a crash cut short is rewritten from what
-    loaded, so that the next append starts on a line of its own.
-    """
+    """Start a registry server (caller drives serve_forever / shutdown)."""
     _check_port(port)
     repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
-    if persist_path and _ends_mid_record(persist_path):
-        wire.write_atomic(persist_path, repository_to_lines(repo))
     return RegistryServer((host, port), RegistryService(repo, directory, persist_path))
-
-
-def _ends_mid_record(path: str) -> bool:
-    try:
-        with open(path, "rb") as f:
-            size = f.seek(0, os.SEEK_END)
-            if size == 0:
-                return False
-            f.seek(size - 1)
-            return f.read(1) != b"\n"
-    except FileNotFoundError:
-        return False
 
 
 def _check_port(port: int) -> None:

@@ -1,9 +1,12 @@
 """Shared helpers for the line-oriented `|`-separated file and wire formats,
-and the one way a whole file is read (`load`) and written (`write_atomic`)."""
+and the one way a file is read (`load`). A file is written one of two ways:
+replaced whole (`write_atomic`) or appended whole lines (`append_lines`,
+read back through `complete_lines`)."""
 
 from __future__ import annotations
 
 import base64
+import fcntl
 import os
 import tempfile
 import urllib.parse
@@ -53,6 +56,30 @@ def write_atomic(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def append_lines(path: str, text: str) -> None:
+    """Append text, whole newline-terminated lines, to the file at path,
+    creating it if missing. Under an exclusive flock it first cuts a last
+    line that has no newline, a record an append cut short by a crash left,
+    so the new lines start on a line of their own."""
+    with open(path, "a+b") as f:
+        fcntl.flock(f, fcntl.LOCK_EX)  # released when f is closed
+        end = f.seek(0, os.SEEK_END)
+        if end:
+            f.seek(end - 1)
+            if f.read(1) != b"\n":
+                f.seek(0)
+                f.truncate(f.read().rfind(b"\n") + 1)
+        f.write(text.encode("utf-8"))
+
+
+def complete_lines(text: str) -> tuple[list[str], bool]:
+    """The newline-terminated lines of text, without their newlines, and
+    whether an unterminated last line, torn by a crash mid-append and never
+    acknowledged, was left out."""
+    lines = text.split("\n")
+    return lines, bool(lines.pop())
 
 
 def load(path: str, parse: Callable[[str], T]) -> T:

@@ -1,12 +1,12 @@
 import errno
 import os
+import select
 import signal
 import socket
 import stat
 import subprocess
 import sys
 import threading
-import time
 from datetime import date
 from pathlib import Path
 
@@ -448,27 +448,20 @@ class TestRegistryCommands:
         run("cert", "issue", "--key", key, "--pids", "sickpid", "--test-date", "2020-04-01",
             "--infectious-from", "2020-03-25", "--out", cert)
         state = tmp_path / "state.txt"
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            port = str(probe.getsockname()[1])
         src = str(Path(backtrack.__file__).parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = {**os.environ, "PYTHONPATH": path}
         server = subprocess.Popen(
-            [sys.executable, "-m", "backtrack.cli", "registry", "serve", "--port", port,
+            [sys.executable, "-m", "backtrack.cli", "registry", "serve", "--port", "0",
              "--directory", directory, "--state", str(state)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
         )
         try:
-            deadline = time.monotonic() + 30
-            while True:
-                try:
-                    socket.create_connection(("127.0.0.1", int(port)), timeout=1).close()
-                    break
-                except OSError:
-                    if server.poll() is not None or time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.05)
+            # the line comes once the port is bound; end of file if serve failed
+            ready, _, _ = select.select([server.stdout], [], [], 30)
+            line = server.stdout.readline() if ready else "nothing in 30 s"
+            assert line.startswith("listening|127.0.0.1|"), line
+            port = line.rstrip("\n").rpartition("|")[2]
             assert run("registry", "ingest", "--port", port, "--cert", cert) == (0, "OK\n")
             assert run("registry", "query", "--port", port, "--pid", "sickpid") == (0, "YES\n")
             server.send_signal(signal.SIGINT)
@@ -496,8 +489,9 @@ class TestRegistryCommands:
 
         monkeypatch.setattr(registry.RegistryServer, "serve_forever", interrupted)
         monkeypatch.setattr(registry.RegistryServer, "server_close", recorded_close)
-        assert run("registry", "serve", "--port", "0", "--directory", directory) == (0, "")
+        code, out = run("registry", "serve", "--port", "0", "--directory", directory)
         [server] = closed
+        assert (code, out) == (0, f"listening|127.0.0.1|{server.server_address[1]}\n")
         assert server.socket.fileno() == -1
         assert not any(worker.is_alive() for worker in server._workers)
 
@@ -529,6 +523,24 @@ class TestBizlogCommands:
         Path(chain).write_text(text)
         code, out = run("bizlog", "verify", "--chain", chain, "--head", head)
         assert (code, out.strip()) == (1, "TAMPERED-AT 1")
+
+    @pytest.mark.parametrize("tamper, seq", [
+        (lambda text: "".join(text.splitlines(keepends=True)[:3]), 4),  # cut to 3 visits
+        (lambda text: text.replace("|v1|", "|intruder|"), 2),
+    ])
+    def test_append_to_a_tampered_chain_exits_1_and_writes_nothing(
+        self, run, tmp_path, tamper, seq
+    ):
+        for i in range(5):
+            chain, head, _ = self.append(run, tmp_path, f"v{i}", 100.0 * i)
+        Path(chain).write_text(tamper(Path(chain).read_text()))
+        before = Path(chain).read_bytes(), Path(head).read_bytes()
+        verify = ("bizlog", "verify", "--chain", chain, "--head", head)
+        assert run(*verify) == (1, f"TAMPERED-AT {seq}\n")
+        argv = ("bizlog", "append", "--chain", chain, "--head", head, "--pid", "v9", "--at", "900")
+        assert run(*argv) == (1, f"TAMPERED-AT {seq}\n")
+        assert (Path(chain).read_bytes(), Path(head).read_bytes()) == before
+        assert run(*verify) == (1, f"TAMPERED-AT {seq}\n")
 
     def test_append_to_malformed_chain_exits_2(self, run, tmp_path):
         for i in range(3):

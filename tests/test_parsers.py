@@ -17,7 +17,12 @@ from backtrack.certificates import (
 )
 from backtrack.contactlog import parse_log, serialize_log
 from backtrack.identity import Pid, generate_trusted_pid
-from backtrack.notify import Notification, notification_to_line, parse_notifications
+from backtrack.notify import (
+    Notification,
+    notification_to_line,
+    parse_mailbox,
+    parse_notifications,
+)
 from backtrack.registry import NotifiedPidRepository, RegistryService, parse_repository
 from backtrack.sim import parse_scenario
 
@@ -75,7 +80,7 @@ NOTIFICATIONS_TEXT = (
 PARSERS = {
     "certificate": (parse_certificate_line, CERT_LINE),
     "notifications": (parse_notifications, NOTIFICATIONS_TEXT),
-    "mailbox": (cli._parse_mailbox, NOTIFICATIONS_TEXT),
+    "mailbox": (parse_mailbox, NOTIFICATIONS_TEXT),
     "lab-key": (
         cli._parse_lab_key,
         f"labkey|lab-A|ed25519|{base64.b64encode(LAB.private_bytes()).decode('ascii')}\n",

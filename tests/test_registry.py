@@ -25,7 +25,6 @@ from backtrack.registry import (
     is_notified_pid,
     load_repository,
     parse_repository,
-    repository_to_lines,
     serve,
 )
 
@@ -124,11 +123,11 @@ class TestClaims:
 
 
 class TestPersistence:
-    def test_round_trip(self, lab, directory):
-        repo = NotifiedPidRepository()
-        ingest_certificate(repo, cert_for(lab, [Pid("P1"), Pid("P2")]), directory)
-        text = repository_to_lines(repo)
-        assert parse_repository(text).entries == repo.entries
+    def test_round_trip(self, lab, directory, tmp_path):
+        path = str(tmp_path / "state.txt")
+        svc = RegistryService(NotifiedPidRepository(), directory, path)
+        assert svc.handle_request([ingest_line(lab, [Pid("P1"), Pid("P2")])]) == "OK"
+        assert load_repository(path).entries == svc.repo.entries
 
     def test_replay_keeps_earliest(self):
         text = (
@@ -142,9 +141,11 @@ class TestPersistence:
         repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|la")
         assert repo.entries == {"a": ("lab", date(2020, 3, 1))}
 
-    def test_unterminated_whole_final_line_kept(self):
+    def test_unterminated_whole_final_line_skipped(self):
+        # OK is sent only after the append returns, so a line without its
+        # newline was never acknowledged, even when it parses
         repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|lab|2020-03-02")
-        assert set(repo.entries) == {"a", "b"}
+        assert set(repo.entries) == {"a"}
 
     @pytest.mark.parametrize("text", [
         "notified|a|lab|2020-03-01\nnotified|b|la\n",  # complete, so not torn
