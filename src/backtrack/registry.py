@@ -44,9 +44,19 @@ def ingest_certificate(
     repo: NotifiedPidRepository,
     cert: CertificateOfInfection,
     directory: LabDirectory,
+    persist_path: str | None = None,
 ) -> NotifiedPidRepository:
+    """Verify cert, append its PIDs to the state file at persist_path if one
+    is given, then record them in repo.  A certificate that does not verify
+    raises ValueError and an append that fails raises OSError; either way
+    repo is left unchanged, so it never holds a PID the file lacks."""
     if verify_certificate(cert, directory) is not VerificationStatus.VERIFIED:
         raise ValueError("certificate did not verify against the directory")
+    if persist_path:
+        day = cert.test_date.isoformat()
+        wire.append_lines(
+            persist_path, "".join(f"notified|{pid}|{cert.lab_id}|{day}\n" for pid in cert.pids)
+        )
     for pid in cert.pids:
         _record(repo, pid, cert.lab_id, cert.test_date)
     return repo
@@ -79,11 +89,6 @@ def check_test_priority_claim(
     return ClaimVerdict.CONTACT_CONFIRMED
 
 
-def _entry_line(repo: NotifiedPidRepository, pid: str) -> str:
-    lab_id, test_date = repo.entries[pid]
-    return f"notified|{pid}|{lab_id}|{test_date.isoformat()}\n"
-
-
 def parse_repository(text: str) -> NotifiedPidRepository:
     """Parse a state file, whose lines the server appends through
     `wire.append_lines`: an unterminated last line is a record torn by a crash
@@ -112,7 +117,9 @@ class RegistryService:
     Requests (one line each):
       QUERY <pid>                                     -> YES | NO
       CLAIM <contact_pid> <claimant_pid> <name%> <phrase%> -> CONFIRMED | UNKNOWN | OWNERSHIP-FAILED
-      INGEST <certificate line>                       -> OK | REJECTED
+      INGEST <certificate line>                       -> OK | REJECTED | ERROR state not saved
+    An INGEST answers OK only once its PIDs are appended to the state file;
+    one whose append fails gets `ERROR state not saved` and records nothing.
     `handle_request` takes a list holding the one line, which is what
     `bench/registry_server.py` names its trace spans from.  Anything else,
     an empty list or more than one line included, gets
@@ -161,12 +168,11 @@ class RegistryService:
                 return "REJECTED"
             with self._lock:
                 try:
-                    ingest_certificate(self.repo, cert, self.directory)
+                    ingest_certificate(self.repo, cert, self.directory, self.persist_path)
                 except ValueError:
                     return "REJECTED"
-                if self.persist_path:
-                    lines = "".join(_entry_line(self.repo, pid) for pid in cert.pids)
-                    wire.append_lines(self.persist_path, lines)
+                except OSError:
+                    return "ERROR state not saved"
             return "OK"
         return "ERROR malformed request"
 

@@ -12,8 +12,12 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date, datetime, timezone
+from itertools import repeat, starmap
+from math import cos, log, sin, sqrt, tau as TWOPI
 
 from . import wire
 from .certificates import LabDirectory, LabIdentity, issue_certificate
@@ -47,6 +51,9 @@ LOCATION_BUCKET_S = 600.0
 # the log-distance arithmetic, so that no pair the exact per-pair check would
 # hear, and no pair within true_radius_m, is left outside it.
 REACH_MARGIN = 1e-6
+# Box–Muller pairs of shadowing draws a beacon tick computes at a time, so
+# that its lists of floats stay small: whole-tick lists raise peak memory.
+DRAW_CHUNK = 1024
 
 
 class Health(enum.Enum):
@@ -381,19 +388,52 @@ class World:
                     agent.position[1] + dy / dist * agent.speed,
                 )
 
-    def _channel_draws(self, n_pairs: int) -> tuple[list[float], list[bool]]:
+    def _channel_draws(self, n_pairs: int) -> tuple[Sequence[float], list[bool]]:
         """Each pair's shadowing draw and body-blocking outcome, in pair order;
-        a pair draws its shadowing before its blocking, and only what is on."""
+        a pair draws its shadowing before its blocking, and only what is on.
+
+        The values and the generator's state afterwards are bit for bit those
+        of one `gauss(0.0, 1.0)` call per pair, each followed by that pair's
+        blocking `random()`, but the tick makes them in one batch: it takes
+        its uniforms in one run and applies `random.gauss`'s own Box–Muller
+        arithmetic to them (Box & Muller, 1958).  Each two uniforms give two
+        draws, a cosine and a sine; as in gauss, a sine that no pair is left
+        to use stays in `gauss_next`, for the first pair of the next call."""
         s = self.scenario
-        gauss, uniform = self._channel_rng.gauss, self._channel_rng.random
-        shadowed, p = s.channel.shadowing_sigma_db > 0, s.body_block_prob
-        if shadowed and p > 0:
-            drawn = [(gauss(0.0, 1.0), uniform() < p) for _ in range(n_pairs)]
-            return [noise for noise, _ in drawn], [blocked for _, blocked in drawn]
-        return (
-            [gauss(0.0, 1.0) for _ in range(n_pairs)] if shadowed else [0.0] * n_pairs,
-            [uniform() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs,
-        )
+        rng = self._channel_rng
+        p = s.body_block_prob
+        if s.channel.shadowing_sigma_db <= 0:
+            blocked = [u < p for u in _uniforms(rng, n_pairs)] if p > 0 else [False] * n_pairs
+            return [0.0] * n_pairs, blocked
+        blocked = [False] * n_pairs
+        # the draw a previous call left in gauss_next is the first pair's
+        lead = int(n_pairs > 0 and rng.gauss_next is not None)
+        fresh = n_pairs - lead
+        groups = (fresh + 1) // 2  # Box–Muller pairs of draws
+        noise = array("d", bytes(8 * (lead + 2 * groups)))
+        if lead:
+            noise[0] = rng.gauss(0.0, 1.0)
+            blocked[0] = p > 0 and rng.random() < p
+        # two uniforms per group (x2pi's, then g2rad's), each followed, with
+        # blocking on, by the blocking uniforms of the group's pairs
+        stride = 4 if p > 0 else 2
+        u = _uniforms(rng, 2 * groups + (fresh if p > 0 else 0))
+        for c in range(0, groups, DRAW_CHUNK):
+            a, b = c * stride, (c + DRAW_CHUNK) * stride
+            x2pi = [x * TWOPI for x in u[a:b:stride]]
+            g2rad = [sqrt(-2.0 * log(1.0 - y)) for y in u[a + 1 : b : stride]]
+            at, end = lead + 2 * c, lead + 2 * (c + DRAW_CHUNK)
+            # `0.0 +` is gauss's `mu + z * sigma`, which turns a -0.0 draw to 0.0
+            noise[at:end:2] = array("d", [0.0 + cos(t) * r for t, r in zip(x2pi, g2rad)])
+            noise[at + 1 : end : 2] = array("d", [0.0 + sin(t) * r for t, r in zip(x2pi, g2rad)])
+        if fresh % 2:
+            # no pair is left for the last second draw: gauss keeps it
+            del noise[-1]
+            rng.gauss_next = sin(x2pi[-1]) * g2rad[-1]
+        if p > 0:
+            blocked[lead::2] = [v < p for v in u[2::4]]
+            blocked[lead + 1 :: 2] = [v < p for v in u[3::4]]
+        return noise, blocked
 
     def _beacon_tick(self) -> None:
         """Exchange beacons between every pair of active agents that can hear
@@ -624,6 +664,11 @@ class World:
 
 def _utc_date(timestamp: float) -> date:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
+
+
+def _uniforms(rng: random.Random, n: int) -> array:
+    """The next n values of rng.random(), as n calls would return them."""
+    return array("d", starmap(rng.random, repeat((), n)))
 
 
 def _reach(scenario: Scenario, max_noise: float) -> float:

@@ -127,6 +127,10 @@ class TestPersistence:
         path = str(tmp_path / "state.txt")
         svc = RegistryService(NotifiedPidRepository(), directory, path)
         assert svc.handle_request([ingest_line(lab, [Pid("P1"), Pid("P2")])]) == "OK"
+        # a later and an earlier test date for PIDs already held
+        for pids, day in (([Pid("P1")], date(2020, 4, 5)), ([Pid("P2")], date(2020, 3, 30))):
+            cert = certificate_to_line(cert_for(lab, pids, test_date=day))
+            assert svc.handle_request([f"INGEST {cert}"]) == "OK"
         assert load_repository(path).entries == svc.repo.entries
 
     def test_replay_keeps_earliest(self):
@@ -256,6 +260,20 @@ class TestServer:
             assert state.read_text() == ""
             assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
         assert state.read_text() == "notified|P1|lab-A|2020-04-01\n"
+
+    def test_failed_append_answers_error_and_records_nothing(
+        self, lab, directory, tmp_path, capsys
+    ):
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        with running(directory, str(state_dir / "state.txt")) as (host, port):
+            state_dir.rmdir()
+            assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "ERROR state not saved"
+            assert client_query(host, port, Pid("P1")) == "NO"
+            state_dir.mkdir()
+            assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
+            assert client_query(host, port, Pid("P1")) == "YES"
+        assert capsys.readouterr().err == ""
 
     def test_non_utf8_request_answered_and_connection_kept(self, lab, directory, tmp_path):
         with running(directory, str(tmp_path / "state.txt")) as address:
