@@ -211,6 +211,9 @@ def cmd_registry(args) -> int:
     else:  # ingest
         response = _at_registry(args, registry.client_ingest, wire.load(args.cert, _parse_cert))
         ok = "OK"
+    if response.startswith("ERROR"):
+        # the server failed to answer the request, e.g. an unsaved INGEST: retry
+        raise OSError(f"registry at {args.host}:{args.port}: {response}")
     print(response)
     return EXIT_OK if response == ok else EXIT_REJECTED
 

@@ -8,6 +8,7 @@ as beacons arrive, and the versioned significant-contact decision rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .identity import Pad, Pid
@@ -27,7 +28,7 @@ class InformationRecord:
             raise ValueError("location label must not contain '|'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RssiSample:
     at: float
     rssi_dbm: float
@@ -56,6 +57,9 @@ class SignificancePolicy:
 POLICY_V1 = SignificancePolicy(version=1, max_distance_m=3.0, min_duration_s=600.0)
 
 DEFAULT_GAP_TIMEOUT_S = 60.0
+# Relative half-width of a policy's RSSI band (see rssi_band), far above the
+# rounding error of the log-distance arithmetic on either side of its edge.
+BAND_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,9 @@ class ChannelModel:
 class ContactSession:
     """An open run of beacons with one peer, summarised as samples arrive.
 
-    Records are fixed at the first beacon.  Each sample is judged against the
-    receiver's policy and channel on arrival and folded into the dwell fields,
-    so the session stays the same size however long the contact lasts.
+    Records are fixed at the first beacon.  Each sample arrives judged against
+    the receiver's policy and is folded into the dwell fields, so the session
+    stays the same size however long the contact lasts.
     """
 
     own_record: InformationRecord
@@ -131,57 +135,78 @@ def distance_to_rssi(
     return rssi
 
 
+def within_policy(rssi_dbm: float, policy: SignificancePolicy, model: ChannelModel) -> bool:
+    """The significance rule for one sample: its distance estimate under the
+    channel model is within the policy's maximum distance."""
+    return rssi_to_distance(rssi_dbm, model) <= policy.max_distance_m
+
+
+def rssi_band(policy: SignificancePolicy, model: ChannelModel) -> tuple[float, float]:
+    """(lo, hi) around the RSSI of a sample at exactly the policy's maximum
+    distance: `within_policy` holds for every RSSI >= hi and for no RSSI < lo,
+    so only a sample in [lo, hi) needs the rule itself.
+
+    Near the edge the rounding of both conversions moves a judgement by at
+    most about 1e-14 * (1 + |ref_power_dbm| + |edge|) dB; the band reaches
+    BAND_MARGIN times that scale either side of the edge.  Below the smallest
+    normal float, distances round by more than any relative margin, so there
+    the band is every RSSI."""
+    if policy.max_distance_m < sys.float_info.min:
+        return -math.inf, math.inf
+    edge = distance_to_rssi(policy.max_distance_m, model)
+    margin = BAND_MARGIN * (1.0 + abs(model.ref_power_dbm) + abs(edge))
+    return edge - margin, edge + margin
+
+
 def ingest_beacon(
     session_table: dict[Pid, ContactSession],
     own: InformationRecord,
     peer: InformationRecord,
     sample: RssiSample,
     policy: SignificancePolicy,
-    model: ChannelModel,
+    within: bool,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> ContactSession | None:
-    """Feed one received beacon into the session table.
+    """Feed one received beacon, judged `within` the receiver's policy by the
+    caller (by `within_policy`), into the session table.
 
     Folds the sample into the open session for the peer PID, or closes it
     (returning it for classification) and opens a fresh one when the gap
     since the last sample exceeds gap_timeout_s.  Dwell between consecutive
-    samples counts only when both per-sample distance estimates are within
-    the receiver's policy threshold.
+    samples counts only when both samples are within the policy.
     """
     key = peer.pid
-    open_session = session_table.get(key)
-    closed: ContactSession | None = None
-    if open_session is not None:
-        if sample.at < open_session.last_seen:
-            raise ValueError(
-                f"sample at {sample.at} precedes session last_seen {open_session.last_seen}"
-            )
-        if sample.at - open_session.last_seen > gap_timeout_s:
-            closed = session_table.pop(key)
-            open_session = None
-    within = rssi_to_distance(sample.rssi_dbm, model) <= policy.max_distance_m
-    if open_session is None:
-        session_table[key] = ContactSession(
-            own_record=own,
-            peer_record=peer,
-            policy=policy,
-            samples=[sample],
-            last_seen=sample.at,
-            last_within=within,
-            any_within=within,
-        )
-    else:
-        if within and open_session.last_within:
-            open_session.run_s += sample.at - open_session.last_seen
-            if open_session.run_s > open_session.best_s:
-                open_session.best_s = open_session.run_s
-        else:
-            open_session.run_s = 0.0
-        open_session.any_within = open_session.any_within or within
-        open_session.last_within = within
-        open_session.samples[0] = sample
-        open_session.last_seen = sample.at
-    return closed
+    session = session_table.get(key)
+    at = sample.at
+    if session is not None:
+        last = session.last_seen
+        if at < last:
+            raise ValueError(f"sample at {at} precedes session last_seen {last}")
+        if at - last <= gap_timeout_s:
+            if within and session.last_within:
+                run_s = session.run_s + (at - last)
+                session.run_s = run_s
+                if run_s > session.best_s:
+                    session.best_s = run_s
+            else:
+                session.run_s = 0.0
+            if within:
+                session.any_within = True
+            session.last_within = within
+            session.samples[0] = sample
+            session.last_seen = at
+            return None
+        del session_table[key]  # closed, and returned below
+    session_table[key] = ContactSession(
+        own_record=own,
+        peer_record=peer,
+        policy=policy,
+        samples=[sample],
+        last_seen=at,
+        last_within=within,
+        any_within=within,
+    )
+    return session
 
 
 def classify_contact(session: ContactSession) -> SignificanceVerdict:

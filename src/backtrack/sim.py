@@ -34,7 +34,9 @@ from .encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
+    rssi_band,
     rssi_to_distance,
+    within_policy,
 )
 from .identity import Pad, Pid, active_pids_in_window, generate_random_pid
 from .notify import (
@@ -306,6 +308,8 @@ class World:
                 agent.infected_at = 0.0
             self.agents.append(agent)
         self._by_pad = {a.pad: a for a in self.agents}
+        # the RSSI band of each policy an agent can hold, under the scenario's channel
+        self._bands = {p: rssi_band(p, scenario.channel) for p in scenario.policies.values()}
 
         # in-radius dwell of each pair of agents within true_radius_m at the
         # latest beacon tick; every other pair is apart
@@ -438,39 +442,56 @@ class World:
     def _beacon_tick(self) -> None:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
-        pairs within the tick's reach are evaluated."""
+        pairs within the tick's reach are evaluated.  Each receiver judges a
+        sample by its policy's band, and by `within_policy` inside the band;
+        a receiver under the sender's policy takes the sender's judgement."""
         s = self.scenario
+        # read here, not at import, so that wrappers put on these names are called
+        to_rssi, ingest, hypot = distance_to_rssi, ingest_beacon, math.hypot
+        channel, gap, now, true_radius = s.channel, s.gap_timeout_s, self.now, s.true_radius_m
         active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
         m = len(active)
         noise, blocked = self._channel_draws(m * (m - 1) // 2)
         reach = _reach(s, max(noise, default=0.0))
-        records = {a.agent_id: self._own_record(a) for a in active}
+        records = [self._own_record(a) for a in active]
+        bands = [self._bands[a.policy] for a in active]
         dwell_before, self._pair_state = self._pair_state, {}
         for i, a in enumerate(active):
+            ax, ay = a.position
+            a_policy, a_record, (a_lo, a_hi) = a.policy, records[i], bands[i]
             row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
             for j in range(i + 1, m):
                 b = active[j]
-                d = math.hypot(a.position[0] - b.position[0], a.position[1] - b.position[1])
+                bx, by = b.position
+                d = hypot(ax - bx, ay - by)
                 if d > reach:
                     continue
-                true_d = max(0.01, d)
-                rssi = distance_to_rssi(true_d, s.channel, noise[row + j], blocked[row + j])
+                true_d = d if d > 0.01 else 0.01
+                rssi = to_rssi(true_d, channel, noise[row + j], blocked[row + j])
                 if rssi >= RADIO_CUTOFF_DBM:
-                    rssi = min(rssi, 0.0)
-                    sample = RssiSample(at=self.now, rssi_dbm=rssi)
-                    for receiver, sender in ((a, b), (b, a)):
-                        closed = ingest_beacon(
-                            receiver.sessions,
-                            own=records[receiver.agent_id],
-                            peer=records[sender.agent_id],
-                            sample=sample,
-                            policy=receiver.policy,
-                            model=s.channel,
-                            gap_timeout_s=s.gap_timeout_s,
-                        )
-                        if closed is not None:
-                            self._classify_and_log(receiver, closed)
-                if true_d <= s.true_radius_m:
+                    rssi = 0.0 if rssi > 0.0 else rssi
+                    sample = RssiSample(now, rssi)
+                    if rssi >= a_hi:
+                        a_within = True
+                    else:
+                        a_within = rssi >= a_lo and within_policy(rssi, a_policy, channel)
+                    b_policy = b.policy
+                    if b_policy is a_policy:
+                        b_within = a_within
+                    else:
+                        b_lo, b_hi = bands[j]
+                        if rssi >= b_hi:
+                            b_within = True
+                        else:
+                            b_within = rssi >= b_lo and within_policy(rssi, b_policy, channel)
+                    b_record = records[j]
+                    closed = ingest(a.sessions, a_record, b_record, sample, a_policy, a_within, gap)
+                    if closed is not None:
+                        self._classify_and_log(a, closed)
+                    closed = ingest(b.sessions, b_record, a_record, sample, b_policy, b_within, gap)
+                    if closed is not None:
+                        self._classify_and_log(b, closed)
+                if true_d <= true_radius:
                     key = (a.agent_id, b.agent_id)
                     self._pair_state[key] = self._ground_truth_update(
                         a, b, dwell_before.get(key)

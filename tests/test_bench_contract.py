@@ -51,6 +51,11 @@ def test_traced_tiny_simulation(monkeypatch):
         tracer.uninstall()
     calls = tracing.CallTable(tracer.call_table())
     assert calls.calls("sim.run") == 1
+    # the traced channel and ingest calls of this run, which sim.pairs_evaluated
+    # and sim.pairs_in_range count: a tick that skips these names, or a set-up
+    # inside the tick that calls them, changes what those metrics read
+    assert calls.calls("encounter.distance_to_rssi", "sim.beacon") == 9030
+    assert calls.calls("encounter.ingest_beacon", "sim.beacon") == 18060
     assert calls.calls("encounter.classify_contact") > 0
     assert tracer.counts["encounter.open_sessions_peak"] > 0
 

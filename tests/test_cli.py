@@ -441,6 +441,30 @@ class TestRegistryCommands:
                         "--name", "Ada Lovelace", "--phrase", "wrong")
         assert (code, out.strip()) == (1, "OWNERSHIP-FAILED")
 
+    def test_unsaved_ingest_exits_2(self, run, tmp_path, capsys):
+        key, directory = str(tmp_path / "lab.key"), str(tmp_path / "labs.txt")
+        run("cert", "keygen", "--lab-id", "lab-A", "--key-out", key, "--directory", directory)
+        cert = str(tmp_path / "cert.txt")
+        run("cert", "issue", "--key", key, "--pids", "sickpid", "--test-date", "2020-04-01",
+            "--infectious-from", "2020-03-25", "--out", cert)
+        from backtrack.certificates import LabDirectory
+
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        srv = serve("127.0.0.1", 0, LabDirectory.from_lines(Path(directory).read_text()),
+                    str(state_dir / "state.txt"))
+        threading.Thread(target=srv.serve_forever, daemon=True).start()
+        try:
+            state_dir.rmdir()  # the server can no longer save its state
+            port = srv.server_address[1]
+            assert main(["registry", "ingest", "--port", str(port), "--cert", cert]) == 2
+        finally:
+            srv.shutdown()
+            srv.server_close()
+        assert capsys.readouterr() == (
+            "", f"error: registry at 127.0.0.1:{port}: ERROR state not saved\n"
+        )
+
     def test_serve_until_interrupted(self, run, tmp_path):
         key, directory = str(tmp_path / "lab.key"), str(tmp_path / "labs.txt")
         run("cert", "keygen", "--lab-id", "lab-A", "--key-out", key, "--directory", directory)

@@ -15,6 +15,7 @@ from backtrack.encounter import (
     distance_to_rssi,
     ingest_beacon,
     rssi_to_distance,
+    within_policy,
 )
 from backtrack.identity import Pad, Pid
 
@@ -26,8 +27,9 @@ def record(pid, t=0.0, loc="here"):
 
 
 def ingest(table, sample, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
+    within = within_policy(sample.rssi_dbm, policy, MODEL)
     return ingest_beacon(
-        table, record("own1"), record(peer), sample, policy, MODEL, gap_timeout_s
+        table, record("own1"), record(peer), sample, policy, within, gap_timeout_s
     )
 
 
@@ -272,7 +274,7 @@ class TestCloseExpired:
 
 def batch_classify(samples, policy, model):
     """Oracle: the classifier that stored every sample and rescanned them."""
-    within = [rssi_to_distance(s.rssi_dbm, model) <= policy.max_distance_m for s in samples]
+    within = [within_policy(s.rssi_dbm, policy, model) for s in samples]
     best = 0.0
     run = 0.0
     for i in range(1, len(samples)):
@@ -323,8 +325,9 @@ class TestStreamingEquivalence:
         table = {}
         sessions = []
         for sample in samples:
+            within = within_policy(sample.rssi_dbm, policy, model)
             closed = ingest_beacon(
-                table, record("own1"), record("peer1"), sample, policy, model, gap_timeout_s
+                table, record("own1"), record("peer1"), sample, policy, within, gap_timeout_s
             )
             if closed is not None:
                 sessions.append(closed)

@@ -1,6 +1,7 @@
 import math
 import random
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from backtrack.encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
+    rssi_band,
+    within_policy,
 )
 from backtrack.notify import DeploymentMode, VerdictStatus
 from backtrack.sim import (
@@ -516,7 +519,7 @@ class FullPairLoopWorld(World):
                             peer=records[sender.agent_id],
                             sample=sample,
                             policy=receiver.policy,
-                            model=s.channel,
+                            within=within_policy(rssi, receiver.policy, s.channel),
                             gap_timeout_s=s.gap_timeout_s,
                         )
                         if closed is not None:
@@ -574,7 +577,9 @@ def culling_scenarios(draw):
     """Small worlds, from narrower than the noiseless reach to many reaches
     across, with agents placed anywhere, at whole multiples of that reach
     (so pairs sit exactly on it), or from the world's edge at a few ulps
-    either side of the noiseless radio reach or one shadowing sigma beyond it."""
+    either side of the noiseless radio reach, one shadowing sigma beyond it,
+    or at either policy's maximum distance (so noiseless samples land inside
+    its RSSI band).  Each agent holds one of two policies."""
     n = draw(st.integers(2, 30))
     w, h = draw(st.floats(2.0, 2000.0)), draw(st.floats(2.0, 2000.0))
     channel = ChannelModel(
@@ -600,7 +605,13 @@ def culling_scenarios(draw):
         diagnosis_delay_s=draw(st.integers(20, 300)),
         # a policy that logs any contact heard at all makes a pair at the
         # edge of radio reach show in the trace
-        policies={1: draw(st.sampled_from([POLICY_V1, SignificancePolicy(1, 1e9, 0.0)]))},
+        policies={
+            1: draw(st.sampled_from([POLICY_V1, SignificancePolicy(1, 1e9, 0.0)])),
+            2: SignificancePolicy(
+                2, draw(st.floats(0.5, 30.0)), draw(st.sampled_from([0.0, 20.0]))
+            ),
+        },
+        agent_policy={i: draw(st.sampled_from([1, 2])) for i in range(n)},
         gap_timeout_s=draw(st.sampled_from([15.0, 60.0])),
         rng_seed=draw(st.integers(0, 2**32)),
     )
@@ -613,6 +624,7 @@ def culling_scenarios(draw):
         around = [math.nextafter(around[0], 0.0), *around, math.nextafter(around[-1], math.inf)]
     one_sigma = 10.0 ** (channel.shadowing_sigma_db / (10.0 * channel.path_loss_exponent))
     around.append(radio_m * one_sigma)
+    around += [p.max_distance_m for p in scenario.policies.values()]
 
     reach_multiples = st.tuples(
         *(
@@ -636,6 +648,80 @@ class TestCulledBeaconTick:
         assert metrics_to_lines(culled_metrics) == metrics_to_lines(full_metrics)
         assert culled._channel_rng.getstate() == full._channel_rng.getstate()
         assert culled._infect_rng.getstate() == full._infect_rng.getstate()
+
+
+def nudged(x, ulps):
+    """x moved by a whole number of ulps, up if positive."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@st.composite
+def band_cases(draw):
+    """A channel, two policies and an RSSI a few ulps either side of one of
+    the policies' band ends or exact edge, or anywhere in [-120, 0]."""
+    channel = ChannelModel(
+        ref_power_dbm=draw(st.floats(-95.0, -30.0)),
+        path_loss_exponent=draw(st.floats(1.0, 6.0)),
+    )
+    policies = [SignificancePolicy(v, draw(st.floats(0.01, 1e9)), 0.0) for v in (1, 2)]
+    policy = draw(st.sampled_from(policies))
+    lo, hi = rssi_band(policy, channel)
+    edge = distance_to_rssi(policy.max_distance_m, channel)
+    near = nudged(draw(st.sampled_from([lo, hi, edge])), draw(st.integers(-4, 4)))
+    rssi = draw(st.just(near) | st.floats(-120.0, 0.0))
+    return channel, policies, rssi
+
+
+class TestRssiBand:
+    """A receiver's judgement of a sample, by its policy's RSSI band and the
+    exact rule inside it, against the exact rule alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_cases())
+    def test_band_judges_as_the_exact_rule(self, case):
+        channel, policies, rssi = case
+        for policy in policies:
+            lo, hi = rssi_band(policy, channel)
+            if rssi >= hi:
+                assert within_policy(rssi, policy, channel)
+            if rssi < lo:
+                assert not within_policy(rssi, policy, channel)
+
+    def test_subnormal_distance_band_is_every_rssi(self):
+        # distances near 5e-324 m round by up to 100%: with a relative band,
+        # the RSSI just below lo would still be within the policy
+        band = rssi_band(SignificancePolicy(1, 5e-324, 0.0), ChannelModel())
+        assert band == (-math.inf, math.inf)
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_cases())
+    def test_tick_judges_as_the_exact_rule(self, case):
+        channel, policies, rssi = case
+        # agents 0 and 1 share a policy, agent 2 holds the other
+        world = World(
+            Scenario(
+                n_agents=3,
+                duration_s=10,
+                channel=channel,
+                policies={p.version: p for p in policies},
+                agent_policy={2: 2},
+                positions={0: (0.0, 0.0), 1: (1.0, 0.0), 2: (0.0, 1.0)},
+            )
+        )
+        # every pair's sample arrives at this RSSI
+        with mock.patch.object(sim, "distance_to_rssi", lambda *args: rssi):
+            world._beacon_tick()
+        heard = min(rssi, 0.0)
+        for agent in world.agents:
+            if heard < RADIO_CUTOFF_DBM:
+                assert agent.sessions == {}
+                continue
+            assert len(agent.sessions) == 2
+            for session in agent.sessions.values():
+                assert session.last_within is within_policy(heard, agent.policy, channel)
 
 
 class EverySecondExpiryWorld(World):
