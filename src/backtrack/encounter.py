@@ -8,7 +8,6 @@ as beacons arrive, and the versioned significant-contact decision rule.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from .identity import Pad, Pid
@@ -57,9 +56,6 @@ class SignificancePolicy:
 POLICY_V1 = SignificancePolicy(version=1, max_distance_m=3.0, min_duration_s=600.0)
 
 DEFAULT_GAP_TIMEOUT_S = 60.0
-# Relative half-width of a policy's RSSI band (see rssi_band), far above the
-# rounding error of the log-distance arithmetic on either side of its edge.
-BAND_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,26 +132,11 @@ def distance_to_rssi(
 
 
 def within_policy(rssi_dbm: float, policy: SignificancePolicy, model: ChannelModel) -> bool:
-    """The significance rule for one sample: its distance estimate under the
-    channel model is within the policy's maximum distance."""
-    return rssi_to_distance(rssi_dbm, model) <= policy.max_distance_m
-
-
-def rssi_band(policy: SignificancePolicy, model: ChannelModel) -> tuple[float, float]:
-    """(lo, hi) around the RSSI of a sample at exactly the policy's maximum
-    distance: `within_policy` holds for every RSSI >= hi and for no RSSI < lo,
-    so only a sample in [lo, hi) needs the rule itself.
-
-    Near the edge the rounding of both conversions moves a judgement by at
-    most about 1e-14 * (1 + |ref_power_dbm| + |edge|) dB; the band reaches
-    BAND_MARGIN times that scale either side of the edge.  Below the smallest
-    normal float, distances round by more than any relative margin, so there
-    the band is every RSSI."""
-    if policy.max_distance_m < sys.float_info.min:
-        return -math.inf, math.inf
-    edge = distance_to_rssi(policy.max_distance_m, model)
-    margin = BAND_MARGIN * (1.0 + abs(model.ref_power_dbm) + abs(edge))
-    return edge - margin, edge + margin
+    """The significance rule for one sample: it is at least as strong as the
+    channel model's RSSI at the policy's maximum distance.  The model falls
+    strictly with distance, so this is "the sample's distance estimate is
+    within the maximum distance", without rounding a distance on the way."""
+    return rssi_dbm >= distance_to_rssi(policy.max_distance_m, model)
 
 
 def ingest_beacon(
@@ -168,7 +149,7 @@ def ingest_beacon(
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> ContactSession | None:
     """Feed one received beacon, judged `within` the receiver's policy by the
-    caller (by `within_policy`), into the session table.
+    caller (by `within_policy`'s RSSI threshold), into the session table.
 
     Folds the sample into the open session for the peer PID, or closes it
     (returning it for classification) and opens a fresh one when the gap

@@ -39,6 +39,7 @@ class VerdictStatus(enum.Enum):
     ACCEPTED = "ACCEPTED"
     ACCEPTED_UNCERTIFIED = "ACCEPTED-UNCERTIFIED"
     REJECTED_NO_MATCHING_CONTACT = "REJECTED-NO-MATCHING-CONTACT"
+    REJECTED_NO_CERTIFICATE = "REJECTED-NO-CERTIFICATE"
     REJECTED_UNKNOWN_LAB = "REJECTED-UNKNOWN-LAB"
     REJECTED_BAD_SIGNATURE = "REJECTED-BAD-SIGNATURE"
     REJECTED_PID_NOT_IN_CERTIFICATE = "REJECTED-PID-NOT-IN-CERTIFICATE"
@@ -117,7 +118,7 @@ def verify_notification(
     if n.certificate is None:
         if mode is DeploymentMode.CERTIFICATE_OPTIONAL:
             return VerificationVerdict(VerdictStatus.ACCEPTED_UNCERTIFIED, entry)
-        return VerificationVerdict(VerdictStatus.REJECTED_BAD_SIGNATURE)
+        return VerificationVerdict(VerdictStatus.REJECTED_NO_CERTIFICATE)
     status = verify_certificate(n.certificate, directory)
     if status is VerificationStatus.UNKNOWN_LAB:
         return VerificationVerdict(VerdictStatus.REJECTED_UNKNOWN_LAB)

@@ -34,9 +34,7 @@ from .encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
-    rssi_band,
     rssi_to_distance,
-    within_policy,
 )
 from .identity import Pad, Pid, active_pids_in_window, generate_random_pid
 from .notify import (
@@ -172,7 +170,8 @@ _REQUIRED_KEYS = [f.name for f in fields(Scenario) if f.default is f.default_fac
 
 def parse_scenario(text: str) -> Scenario:
     """Parse the flat `key = value` scenario format; an absent key keeps its
-    field's default."""
+    field's default, and a key set twice (a policy version or an agent, for
+    the repeatable keys) is refused."""
     values: dict[str, object] = {}
     policies: dict[int, SignificancePolicy] = {}
     agent_policy: dict[int, int] = {}
@@ -189,20 +188,25 @@ def parse_scenario(text: str) -> Scenario:
         try:
             if key == "policy":
                 version_s, max_s, min_s = value.split(":")
-                p = SignificancePolicy(int(version_s), float(max_s), float(min_s))
-                policies[p.version] = p
+                table, at = policies, int(version_s)
+                item = SignificancePolicy(at, float(max_s), float(min_s))
             elif key == "agent_policy":
                 agent_s, version_s = value.split(":")
-                agent_policy[int(agent_s)] = int(version_s)
+                table, at, item = agent_policy, int(agent_s), int(version_s)
             elif key == "position":
                 agent_s, x_s, y_s = value.split(":")
-                positions[int(agent_s)] = (float(x_s), float(y_s))
+                table, at, item = positions, int(agent_s), (float(x_s), float(y_s))
             elif key in _SCALAR_KEYS:
-                values[key] = _SCALAR_KEYS[key](value)
+                table, at, item = values, key, _SCALAR_KEYS[key](value)
             else:
                 unknown.append(key)
+                continue
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad value for {key}: {value!r}") from exc
+        if at in table:
+            which = key if table is values else f"{key} {at}"
+            raise ValueError(f"repeated scenario key: {which}")
+        table[at] = item
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     for key in _REQUIRED_KEYS:
@@ -308,8 +312,12 @@ class World:
                 agent.infected_at = 0.0
             self.agents.append(agent)
         self._by_pad = {a.pad: a for a in self.agents}
-        # the RSSI band of each policy an agent can hold, under the scenario's channel
-        self._bands = {p: rssi_band(p, scenario.channel) for p in scenario.policies.values()}
+        # the weakest RSSI within each policy an agent can hold, under the
+        # scenario's channel: within_policy's threshold, computed once
+        self._min_rssi = {
+            p: distance_to_rssi(p.max_distance_m, scenario.channel)
+            for p in scenario.policies.values()
+        }
 
         # in-radius dwell of each pair of agents within true_radius_m at the
         # latest beacon tick; every other pair is apart
@@ -443,8 +451,8 @@ class World:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
         pairs within the tick's reach are evaluated.  Each receiver judges a
-        sample by its policy's band, and by `within_policy` inside the band;
-        a receiver under the sender's policy takes the sender's judgement."""
+        sample as `within_policy` does: by one compare with its policy's RSSI
+        threshold."""
         s = self.scenario
         # read here, not at import, so that wrappers put on these names are called
         to_rssi, ingest, hypot = distance_to_rssi, ingest_beacon, math.hypot
@@ -454,11 +462,11 @@ class World:
         noise, blocked = self._channel_draws(m * (m - 1) // 2)
         reach = _reach(s, max(noise, default=0.0))
         records = [self._own_record(a) for a in active]
-        bands = [self._bands[a.policy] for a in active]
+        min_rssi = [self._min_rssi[a.policy] for a in active]
         dwell_before, self._pair_state = self._pair_state, {}
         for i, a in enumerate(active):
             ax, ay = a.position
-            a_policy, a_record, (a_lo, a_hi) = a.policy, records[i], bands[i]
+            a_policy, a_record, a_min = a.policy, records[i], min_rssi[i]
             row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
             for j in range(i + 1, m):
                 b = active[j]
@@ -471,24 +479,12 @@ class World:
                 if rssi >= RADIO_CUTOFF_DBM:
                     rssi = 0.0 if rssi > 0.0 else rssi
                     sample = RssiSample(now, rssi)
-                    if rssi >= a_hi:
-                        a_within = True
-                    else:
-                        a_within = rssi >= a_lo and within_policy(rssi, a_policy, channel)
-                    b_policy = b.policy
-                    if b_policy is a_policy:
-                        b_within = a_within
-                    else:
-                        b_lo, b_hi = bands[j]
-                        if rssi >= b_hi:
-                            b_within = True
-                        else:
-                            b_within = rssi >= b_lo and within_policy(rssi, b_policy, channel)
                     b_record = records[j]
+                    a_within, b_within = rssi >= a_min, rssi >= min_rssi[j]
                     closed = ingest(a.sessions, a_record, b_record, sample, a_policy, a_within, gap)
                     if closed is not None:
                         self._classify_and_log(a, closed)
-                    closed = ingest(b.sessions, b_record, a_record, sample, b_policy, b_within, gap)
+                    closed = ingest(b.sessions, b_record, a_record, sample, b.policy, b_within, gap)
                     if closed is not None:
                         self._classify_and_log(b, closed)
                 if true_d <= true_radius:

@@ -241,6 +241,22 @@ class TestClassify:
         if classify_contact(fed_session(samples, newer)).significant:
             assert classify_contact(fed_session(samples, older)).significant
 
+    @given(
+        st.floats(5e-324, 1e9),
+        st.floats(-95.0, -30.0),
+        st.floats(1.0, 6.0),
+        st.floats(-1e-6, 1e-6) | st.floats(-100.0, 100.0),
+    )
+    def test_rssi_rule_is_the_distance_rule(self, max_distance_m, ref, n, offset_db):
+        # away from the rounding of the distance estimate at the edge, the
+        # RSSI threshold judges as "the estimate is within the maximum distance"
+        model = ChannelModel(ref_power_dbm=ref, path_loss_exponent=n)
+        policy = SignificancePolicy(1, max_distance_m, 0.0)
+        rssi = distance_to_rssi(max_distance_m, model) + offset_db
+        estimate = rssi_to_distance(rssi, model)
+        if abs(estimate - max_distance_m) > 1e-9 * max_distance_m:
+            assert within_policy(rssi, policy, model) is (estimate <= max_distance_m)
+
 
 class TestCloseExpired:
     def test_empty_table(self):

@@ -212,6 +212,7 @@ class TestVerify:
         log, n, _ = self.valid_flow(lab)
         bare = Notification(n.sender_pid, n.echoed_time, n.echoed_location)
         verdict = verify_notification(bare, log, directory)
+        assert verdict.status is VerdictStatus.REJECTED_NO_CERTIFICATE
         assert not verdict.accepted
 
     def test_optional_mode_never_upgrades_failed_match(self, lab, directory):

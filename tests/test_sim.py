@@ -15,7 +15,6 @@ from backtrack.encounter import (
     close_expired_sessions,
     distance_to_rssi,
     ingest_beacon,
-    rssi_band,
     within_policy,
 )
 from backtrack.notify import DeploymentMode, VerdictStatus
@@ -67,6 +66,22 @@ class TestStaticPairs:
         assert metrics.missed == 0
         assert metrics.notified_false == 0
         assert verdicts(world.trace, 1) == [VerdictStatus.ACCEPTED.value]
+
+    @pytest.mark.parametrize("distance_m", [1.5, 2.0, 3.0, 7.5])
+    def test_pair_at_exactly_the_policy_distance_logged(self, distance_m):
+        # a noiseless sample from exactly max_distance_m is within the policy
+        world = World(
+            static_pair(
+                distance_m,
+                policies={1: SignificancePolicy(1, distance_m, 600.0)},
+                true_radius_m=distance_m,
+            )
+        )
+        metrics = world.run()
+        assert len(world.agents[0].log.entries) == 1
+        assert len(world.agents[1].log.entries) == 1
+        assert metrics.true_exposures == 1
+        assert metrics.missed == 0
 
     def test_far_pair_nothing_logged(self):
         world = World(static_pair(50.0))
@@ -251,6 +266,14 @@ class TestConservation:
         assert sum(world.metrics.verdict_counts.values()) > 0
 
 
+def minimal_scenario(line):
+    """`n_agents = 2` and `duration_s = 10`, with `line` added, or in place of
+    the one of them whose key it sets."""
+    lines = {"n_agents": "n_agents = 2", "duration_s": "duration_s = 10"}
+    lines[line.partition("=")[0].strip()] = line
+    return "\n".join(lines.values()) + "\n"
+
+
 class TestScenarioParsing:
     def test_full_round_trip(self):
         text = """
@@ -372,6 +395,19 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="bad value for mode"):
             parse_scenario("n_agents = 2\nduration_s = 10\nmode = strict\n")
 
+    # each after `n_agents = 2` and `duration_s = 10`
+    REPEATED = {
+        "n_agents = 7": "repeated scenario key: n_agents",
+        "policy = 1:3:600\npolicy = 1:1.5:600": "repeated scenario key: policy 1",
+        "agent_policy = 1:1\nagent_policy = 1:1": "repeated scenario key: agent_policy 1",
+        "position = 0:5:5\nposition = 0:6:6": "repeated scenario key: position 0",
+    }
+
+    @pytest.mark.parametrize("text", list(REPEATED))
+    def test_repeated_key(self, text):
+        with pytest.raises(ValueError, match=self.REPEATED[text]):
+            parse_scenario(f"n_agents = 2\nduration_s = 10\n{text}\n")
+
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="expected key = value"):
             parse_scenario("n_agents 2\n")
@@ -389,7 +425,7 @@ class TestScenarioParsing:
     )
     def test_non_finite_number(self, key, value):
         with pytest.raises(ValueError, match="must be finite"):
-            parse_scenario(f"n_agents = 2\nduration_s = 10\n{key} = {value}\n")
+            parse_scenario(minimal_scenario(f"{key} = {value}"))
 
     OUT_OF_RANGE = {
         "body_shadow_db = -1": "body shadow must be >= 0",
@@ -414,7 +450,7 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("text", list(OUT_OF_RANGE))
     def test_out_of_range_value(self, text):
         with pytest.raises(ValueError, match=self.OUT_OF_RANGE[text]):
-            parse_scenario(f"n_agents = 2\nduration_s = 10\n{text}\n")
+            parse_scenario(minimal_scenario(text))
 
     def test_huge_reference_power_runs(self):
         # every pair is in range and the reach's power of ten would overflow
@@ -578,8 +614,8 @@ def culling_scenarios(draw):
     across, with agents placed anywhere, at whole multiples of that reach
     (so pairs sit exactly on it), or from the world's edge at a few ulps
     either side of the noiseless radio reach, one shadowing sigma beyond it,
-    or at either policy's maximum distance (so noiseless samples land inside
-    its RSSI band).  Each agent holds one of two policies."""
+    or at either policy's maximum distance (so noiseless samples land on its
+    RSSI threshold).  Each agent holds one of two policies."""
     n = draw(st.integers(2, 30))
     w, h = draw(st.floats(2.0, 2000.0)), draw(st.floats(2.0, 2000.0))
     channel = ChannelModel(
@@ -659,45 +695,27 @@ def nudged(x, ulps):
 
 
 @st.composite
-def band_cases(draw):
-    """A channel, two policies and an RSSI a few ulps either side of one of
-    the policies' band ends or exact edge, or anywhere in [-120, 0]."""
+def edge_cases(draw):
+    """A channel, two policies and an RSSI within 4 ulps of one of the
+    policies' RSSI at its maximum distance, or anywhere in [-120, 0]."""
     channel = ChannelModel(
         ref_power_dbm=draw(st.floats(-95.0, -30.0)),
         path_loss_exponent=draw(st.floats(1.0, 6.0)),
     )
     policies = [SignificancePolicy(v, draw(st.floats(0.01, 1e9)), 0.0) for v in (1, 2)]
     policy = draw(st.sampled_from(policies))
-    lo, hi = rssi_band(policy, channel)
     edge = distance_to_rssi(policy.max_distance_m, channel)
-    near = nudged(draw(st.sampled_from([lo, hi, edge])), draw(st.integers(-4, 4)))
+    near = nudged(edge, draw(st.integers(-4, 4)))
     rssi = draw(st.just(near) | st.floats(-120.0, 0.0))
     return channel, policies, rssi
 
 
-class TestRssiBand:
-    """A receiver's judgement of a sample, by its policy's RSSI band and the
-    exact rule inside it, against the exact rule alone."""
+class TestTickJudgement:
+    """A receiver's judgement of a sample in the beacon tick, by its policy's
+    RSSI threshold, against the rule itself."""
 
     @settings(max_examples=300, deadline=None)
-    @given(band_cases())
-    def test_band_judges_as_the_exact_rule(self, case):
-        channel, policies, rssi = case
-        for policy in policies:
-            lo, hi = rssi_band(policy, channel)
-            if rssi >= hi:
-                assert within_policy(rssi, policy, channel)
-            if rssi < lo:
-                assert not within_policy(rssi, policy, channel)
-
-    def test_subnormal_distance_band_is_every_rssi(self):
-        # distances near 5e-324 m round by up to 100%: with a relative band,
-        # the RSSI just below lo would still be within the policy
-        band = rssi_band(SignificancePolicy(1, 5e-324, 0.0), ChannelModel())
-        assert band == (-math.inf, math.inf)
-
-    @settings(max_examples=300, deadline=None)
-    @given(band_cases())
+    @given(edge_cases())
     def test_tick_judges_as_the_exact_rule(self, case):
         channel, policies, rssi = case
         # agents 0 and 1 share a policy, agent 2 holds the other
