@@ -122,7 +122,7 @@ def evidence_query(
     repo_query: Callable[[Pid], bool],
 ) -> EvidenceVerdict:
     """Did the claimant visit during the window, and are they certified sick?"""
-    if window_from > window_to:
+    if not window_from <= window_to:  # also refuses a NaN bound
         raise ValueError(f"from {window_from} > to {window_to}")
     visited = any(
         v.pid == claimant_pid and window_from <= v.visited_at <= window_to

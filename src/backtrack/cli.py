@@ -52,7 +52,10 @@ T = TypeVar("T")
 
 
 def _parse_pids(csv: str) -> list[Pid]:
-    return [Pid(v) for v in csv.split(",") if v]
+    pids = [Pid(v) for v in csv.split(",") if v]
+    if not pids:
+        raise ValueError("no PID given")
+    return pids
 
 
 def _parse_lab_key(text: str) -> LabIdentity:

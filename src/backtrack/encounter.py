@@ -89,7 +89,6 @@ class ContactSession:
 
     own_record: InformationRecord
     peer_record: InformationRecord
-    policy: SignificancePolicy
     # only the latest sample: the next dwell increment is measured from it
     samples: list[RssiSample]
     last_seen: float
@@ -144,7 +143,6 @@ def ingest_beacon(
     own: InformationRecord,
     peer: InformationRecord,
     sample: RssiSample,
-    policy: SignificancePolicy,
     within: bool,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> ContactSession | None:
@@ -181,7 +179,6 @@ def ingest_beacon(
     session_table[key] = ContactSession(
         own_record=own,
         peer_record=peer,
-        policy=policy,
         samples=[sample],
         last_seen=at,
         last_within=within,
@@ -190,10 +187,10 @@ def ingest_beacon(
     return session
 
 
-def classify_contact(session: ContactSession) -> SignificanceVerdict:
+def classify_contact(session: ContactSession, policy: SignificancePolicy) -> SignificanceVerdict:
     """Decide significance from the longest contiguous in-threshold dwell,
-    under the policy the session's samples were judged by."""
-    significant = session.any_within and session.best_s >= session.policy.min_duration_s
+    under the receiver's policy, the one its samples were judged by."""
+    significant = session.any_within and session.best_s >= policy.min_duration_s
     return SignificanceVerdict(significant=significant, dwell_s=session.best_s)
 
 

@@ -104,7 +104,7 @@ def active_pids_in_window(
     pids_used lists (activation time, PID) in activation order; each PID is
     active until the next one's activation, the last one for good.
     """
-    if window_from > window_to:
+    if not window_from <= window_to:  # also refuses a NaN bound
         raise ValueError(f"from {window_from} > to {window_to}")
     active: list[Pid] = []
     for i, (start, pid) in enumerate(pids_used):

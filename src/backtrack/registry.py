@@ -317,9 +317,10 @@ def _roundtrip(host: str, port: int, request: str) -> str:
     _check_port(port)
     with socket.create_connection((host, port), timeout=10) as sock:
         sock.sendall((request + "\n").encode("utf-8"))
-        f = sock.makefile("r", encoding="utf-8")
-        response = f.readline().rstrip("\n")
-    return response
+        response = sock.makefile("r", encoding="utf-8").readline()
+    if not response.endswith("\n"):
+        raise OSError("connection closed before a complete reply")
+    return response[:-1]
 
 
 def client_query(host: str, port: int, pid: Pid) -> str:

@@ -12,11 +12,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from array import array
-from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date, datetime, timezone
-from itertools import repeat, starmap
 from math import cos, log, sin, sqrt, tau as TWOPI
 
 from . import wire
@@ -51,9 +48,6 @@ LOCATION_BUCKET_S = 600.0
 # the log-distance arithmetic, so that no pair the exact per-pair check would
 # hear, and no pair within true_radius_m, is left outside it.
 REACH_MARGIN = 1e-6
-# Box–Muller pairs of shadowing draws a beacon tick computes at a time, so
-# that its lists of floats stay small: whole-tick lists raise peak memory.
-DRAW_CHUNK = 1024
 
 
 class Health(enum.Enum):
@@ -346,7 +340,7 @@ class World:
         )
 
     def _classify_and_log(self, agent: Agent, session: ContactSession) -> None:
-        verdict = classify_contact(session)
+        verdict = classify_contact(session, agent.policy)
         if not verdict.significant:
             return  # non-significant data are discarded
         entry = LogEntry(
@@ -400,51 +394,44 @@ class World:
                     agent.position[1] + dy / dist * agent.speed,
                 )
 
-    def _channel_draws(self, n_pairs: int) -> tuple[Sequence[float], list[bool]]:
+    def _channel_draws(self, n_pairs: int) -> tuple[list[float], list[bool]]:
         """Each pair's shadowing draw and body-blocking outcome, in pair order;
         a pair draws its shadowing before its blocking, and only what is on.
 
         The values and the generator's state afterwards are bit for bit those
         of one `gauss(0.0, 1.0)` call per pair, each followed by that pair's
-        blocking `random()`, but the tick makes them in one batch: it takes
-        its uniforms in one run and applies `random.gauss`'s own Box–Muller
-        arithmetic to them (Box & Muller, 1958).  Each two uniforms give two
-        draws, a cosine and a sine; as in gauss, a sine that no pair is left
-        to use stays in `gauss_next`, for the first pair of the next call."""
+        blocking `random()`: one loop repeats `random.gauss`'s own Box–Muller
+        arithmetic (Box & Muller, 1958) without a call per draw.  Each two
+        uniforms give two draws, a cosine and a sine; as in gauss, a sine that
+        no pair is left to use stays in `gauss_next`, for the first pair of
+        the next call."""
         s = self.scenario
         rng = self._channel_rng
+        u = rng.random
         p = s.body_block_prob
         if s.channel.shadowing_sigma_db <= 0:
-            blocked = [u < p for u in _uniforms(rng, n_pairs)] if p > 0 else [False] * n_pairs
+            blocked = [u() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs
             return [0.0] * n_pairs, blocked
-        blocked = [False] * n_pairs
-        # the draw a previous call left in gauss_next is the first pair's
-        lead = int(n_pairs > 0 and rng.gauss_next is not None)
-        fresh = n_pairs - lead
-        groups = (fresh + 1) // 2  # Box–Muller pairs of draws
-        noise = array("d", bytes(8 * (lead + 2 * groups)))
-        if lead:
-            noise[0] = rng.gauss(0.0, 1.0)
-            blocked[0] = p > 0 and rng.random() < p
-        # two uniforms per group (x2pi's, then g2rad's), each followed, with
-        # blocking on, by the blocking uniforms of the group's pairs
-        stride = 4 if p > 0 else 2
-        u = _uniforms(rng, 2 * groups + (fresh if p > 0 else 0))
-        for c in range(0, groups, DRAW_CHUNK):
-            a, b = c * stride, (c + DRAW_CHUNK) * stride
-            x2pi = [x * TWOPI for x in u[a:b:stride]]
-            g2rad = [sqrt(-2.0 * log(1.0 - y)) for y in u[a + 1 : b : stride]]
-            at, end = lead + 2 * c, lead + 2 * (c + DRAW_CHUNK)
+        noise: list[float] = []
+        blocked = []
+        first = 0
+        if n_pairs and rng.gauss_next is not None:
+            # the draw a previous call left in gauss_next is the first pair's
+            noise.append(rng.gauss(0.0, 1.0))
+            blocked.append(p > 0 and u() < p)
+            first = 1
+        for k in range(first, n_pairs, 2):
+            x2pi = u() * TWOPI
+            g2rad = sqrt(-2.0 * log(1.0 - u()))
             # `0.0 +` is gauss's `mu + z * sigma`, which turns a -0.0 draw to 0.0
-            noise[at:end:2] = array("d", [0.0 + cos(t) * r for t, r in zip(x2pi, g2rad)])
-            noise[at + 1 : end : 2] = array("d", [0.0 + sin(t) * r for t, r in zip(x2pi, g2rad)])
-        if fresh % 2:
-            # no pair is left for the last second draw: gauss keeps it
-            del noise[-1]
-            rng.gauss_next = sin(x2pi[-1]) * g2rad[-1]
-        if p > 0:
-            blocked[lead::2] = [v < p for v in u[2::4]]
-            blocked[lead + 1 :: 2] = [v < p for v in u[3::4]]
+            noise.append(0.0 + cos(x2pi) * g2rad)
+            blocked.append(p > 0 and u() < p)
+            if k + 1 == n_pairs:
+                # no pair is left for the second draw: gauss keeps it
+                rng.gauss_next = sin(x2pi) * g2rad
+                break
+            noise.append(0.0 + sin(x2pi) * g2rad)
+            blocked.append(p > 0 and u() < p)
         return noise, blocked
 
     def _beacon_tick(self) -> None:
@@ -466,7 +453,7 @@ class World:
         dwell_before, self._pair_state = self._pair_state, {}
         for i, a in enumerate(active):
             ax, ay = a.position
-            a_policy, a_record, a_min = a.policy, records[i], min_rssi[i]
+            a_record, a_min = records[i], min_rssi[i]
             row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
             for j in range(i + 1, m):
                 b = active[j]
@@ -481,10 +468,10 @@ class World:
                     sample = RssiSample(now, rssi)
                     b_record = records[j]
                     a_within, b_within = rssi >= a_min, rssi >= min_rssi[j]
-                    closed = ingest(a.sessions, a_record, b_record, sample, a_policy, a_within, gap)
+                    closed = ingest(a.sessions, a_record, b_record, sample, a_within, gap)
                     if closed is not None:
                         self._classify_and_log(a, closed)
-                    closed = ingest(b.sessions, b_record, a_record, sample, b.policy, b_within, gap)
+                    closed = ingest(b.sessions, b_record, a_record, sample, b_within, gap)
                     if closed is not None:
                         self._classify_and_log(b, closed)
                 if true_d <= true_radius:
@@ -681,11 +668,6 @@ class World:
 
 def _utc_date(timestamp: float) -> date:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
-
-
-def _uniforms(rng: random.Random, n: int) -> array:
-    """The next n values of rng.random(), as n calls would return them."""
-    return array("d", starmap(rng.random, repeat((), n)))
 
 
 def _reach(scenario: Scenario, max_noise: float) -> float:

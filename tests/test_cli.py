@@ -523,6 +523,27 @@ class TestRegistryCommands:
         code, _ = run("registry", "query", "--port", "1", "--pid", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("reply", [b"", b"YE"])
+    def test_server_that_hangs_up_exits_2(self, capsys, reply):
+        def hang_up(listener):
+            conn, _ = listener.accept()
+            with conn:
+                conn.makefile("rb").readline()  # the whole request
+                conn.sendall(reply)
+
+        with socket.socket() as listener:
+            listener.settimeout(30)  # so that a client that never connects ends the test
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            port = listener.getsockname()[1]
+            server = threading.Thread(target=hang_up, args=(listener,))
+            server.start()
+            code = main(["registry", "query", "--port", str(port), "--pid", "sickpid"])
+            server.join()
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: registry at 127.0.0.1:{port}: ")
+
 
 class TestBizlogCommands:
     def append(self, run, tmp_path, pid, at):
@@ -793,6 +814,10 @@ def tree(root):
      "--claimant-pid", "c", "--name", "n", "--phrase", "p"],
     ["registry", "ingest", "--port", "99999999", "--cert", "{d}/cert.txt"],
     ["log", "prune", "--log", "{d}/empty.log", "--now", "0", "--retention-days", "1" + "0" * 400],
+    ["bizlog", "evidence", "--chain", "{d}/chain.txt", "--head", "{d}/head.txt",
+     "--pid", "v", "--from", "nan", "--to", "1", "--repo", "{d}/empty.log"],
+    ["notify", "build", "--log", "{d}/empty.log", "--own-pids", "",
+     "--mailbox-dir", "{d}/boxes"],
 ])
 def test_bad_input_exits_2_and_writes_nothing(run, tmp_path, argv):
     lab = LabIdentity.from_seed("lab-A", bytes(32))

@@ -29,7 +29,7 @@ def record(pid, t=0.0, loc="here"):
 def ingest(table, sample, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
     within = within_policy(sample.rssi_dbm, policy, MODEL)
     return ingest_beacon(
-        table, record("own1"), record(peer), sample, policy, within, gap_timeout_s
+        table, record("own1"), record(peer), sample, within, gap_timeout_s
     )
 
 
@@ -190,12 +190,12 @@ class TestClassify:
     def test_interop_distance_significant_under_v1(self):
         # contact at 2.25 m: significant under the 3.0 m rule
         session = session_at_distance(2.25, 900.0, POLICY_V1)
-        assert classify_contact(session).significant
+        assert classify_contact(session, POLICY_V1).significant
 
     def test_interop_distance_ignored_under_v2(self):
         # the same contact is ignored under the newer 1.5 m rule
-        session = session_at_distance(2.25, 900.0, SignificancePolicy(2, 1.5, 600.0))
-        assert not classify_contact(session).significant
+        v2 = SignificancePolicy(2, 1.5, 600.0)
+        assert not classify_contact(session_at_distance(2.25, 900.0, v2), v2).significant
 
     def test_alternating_distance_never_accumulates(self):
         near = distance_to_rssi(1.0, MODEL)
@@ -204,7 +204,8 @@ class TestClassify:
             RssiSample(at=30.0 * i, rssi_dbm=near if i % 2 == 0 else far)
             for i in range(40)
         ]
-        verdict = classify_contact(fed_session(samples, SignificancePolicy(1, 3.0, 600.0)))
+        policy = SignificancePolicy(1, 3.0, 600.0)
+        verdict = classify_contact(fed_session(samples, policy), policy)
         assert not verdict.significant
         assert verdict.dwell_s == 0.0
 
@@ -214,7 +215,8 @@ class TestClassify:
         far = distance_to_rssi(10.0, MODEL)
         pattern = [near, near, near, far, near, near, near, near, near, far, near]
         samples = [RssiSample(at=10.0 * i, rssi_dbm=r) for i, r in enumerate(pattern)]
-        verdict = classify_contact(fed_session(samples, SignificancePolicy(1, 3.0, 30.0)))
+        policy = SignificancePolicy(1, 3.0, 30.0)
+        verdict = classify_contact(fed_session(samples, policy), policy)
         # runs of in-threshold samples: 3, 5, 1 -> max contiguous dwell (5-1)*10
         assert verdict.dwell_s == 40.0
         assert verdict.significant
@@ -223,8 +225,8 @@ class TestClassify:
         # two receivers' tables fed the same samples under different policies
         loose = SignificancePolicy(1, 3.0, 600.0)
         tight = SignificancePolicy(2, 1.5, 600.0)
-        if classify_contact(session_at_distance(2.25, 900.0, tight)).significant:
-            assert classify_contact(session_at_distance(2.25, 900.0, loose)).significant
+        if classify_contact(session_at_distance(2.25, 900.0, tight), tight).significant:
+            assert classify_contact(session_at_distance(2.25, 900.0, loose), loose).significant
 
     @given(
         st.lists(st.floats(min_value=0.5, max_value=12.0), min_size=2, max_size=40),
@@ -238,8 +240,8 @@ class TestClassify:
         ]
         newer = SignificancePolicy(2, tight_max, 30.0)
         older = SignificancePolicy(1, tight_max * 2, 30.0)
-        if classify_contact(fed_session(samples, newer)).significant:
-            assert classify_contact(fed_session(samples, older)).significant
+        if classify_contact(fed_session(samples, newer), newer).significant:
+            assert classify_contact(fed_session(samples, older), older).significant
 
     @given(
         st.floats(5e-324, 1e9),
@@ -343,13 +345,13 @@ class TestStreamingEquivalence:
         for sample in samples:
             within = within_policy(sample.rssi_dbm, policy, model)
             closed = ingest_beacon(
-                table, record("own1"), record("peer1"), sample, policy, within, gap_timeout_s
+                table, record("own1"), record("peer1"), sample, within, gap_timeout_s
             )
             if closed is not None:
                 sessions.append(closed)
         sessions.append(table.pop("peer1"))  # drained, as diagnosis and finalize do
         expected = [batch_classify(seg, policy, model) for seg in split_at_gaps(samples, gap_timeout_s)]
-        assert [classify_contact(s) for s in sessions] == expected
+        assert [classify_contact(s, policy) for s in sessions] == expected
 
     @given(
         st.lists(

@@ -554,7 +554,6 @@ class FullPairLoopWorld(World):
                             own=records[receiver.agent_id],
                             peer=records[sender.agent_id],
                             sample=sample,
-                            policy=receiver.policy,
                             within=within_policy(rssi, receiver.policy, s.channel),
                             gap_timeout_s=s.gap_timeout_s,
                         )
