@@ -27,16 +27,6 @@ class InformationRecord:
             raise ValueError("location label must not contain '|'")
 
 
-@dataclass(frozen=True, slots=True)
-class RssiSample:
-    at: float
-    rssi_dbm: float
-
-    def __post_init__(self) -> None:
-        if not -120.0 <= self.rssi_dbm <= 0.0:
-            raise ValueError(f"RSSI {self.rssi_dbm} outside [-120, 0] dBm")
-
-
 @dataclass(frozen=True)
 class SignificancePolicy:
     """Versioned (max distance, min contiguous dwell) contact rule."""
@@ -80,22 +70,28 @@ class ChannelModel:
 
 @dataclass(slots=True)
 class ContactSession:
-    """An open run of beacons with one peer, summarised as samples arrive.
+    """An open run of beacons with one peer, summarised as beacons arrive.
 
-    Records are fixed at the first beacon.  Each sample arrives judged against
-    the receiver's policy and is folded into the dwell fields, so the session
-    stays the same size however long the contact lasts.
+    Records are fixed at the first beacon.  Each beacon's time and its
+    caller's judgement against the receiver's policy are folded into the
+    dwell fields; no sample is stored, so the session stays the same size
+    however long the contact lasts.
     """
 
     own_record: InformationRecord
     peer_record: InformationRecord
-    # only the latest sample: the next dwell increment is measured from it
-    samples: list[RssiSample]
-    last_seen: float
-    last_within: bool  # the latest sample is within the policy distance
-    any_within: bool  # some sample was within the policy distance
-    run_s: float = 0.0  # contiguous in-threshold dwell ending at the latest sample
+    last_seen: float  # the latest beacon: the next dwell increment is measured from it
+    last_within: bool  # the latest beacon is within the policy distance
+    any_within: bool  # some beacon was within the policy distance
+    run_s: float = 0.0  # contiguous in-threshold dwell ending at the latest beacon
     best_s: float = 0.0  # longest contiguous in-threshold dwell so far
+
+    @property
+    def samples(self) -> tuple[float]:
+        """The latest beacon's time, as a one-sample history.  Kept only for
+        the benchmark tracer, which counts `len(samples)`; it goes with the
+        benchmark revision (ROADMAP item 1)."""
+        return (self.last_seen,)
 
 
 @dataclass(frozen=True)
@@ -142,21 +138,22 @@ def ingest_beacon(
     session_table: dict[Pid, ContactSession],
     own: InformationRecord,
     peer: InformationRecord,
-    sample: RssiSample,
+    at: float,
     within: bool,
     gap_timeout_s: float = DEFAULT_GAP_TIMEOUT_S,
 ) -> ContactSession | None:
-    """Feed one received beacon, judged `within` the receiver's policy by the
-    caller (by `within_policy`'s RSSI threshold), into the session table.
+    """Feed one beacon received at time `at`, judged `within` the receiver's
+    policy by the caller (by `within_policy`'s RSSI threshold), into the
+    session table.  Only the time and the judgement are folded in; no sample
+    is stored.
 
-    Folds the sample into the open session for the peer PID, or closes it
+    Folds the beacon into the open session for the peer PID, or closes it
     (returning it for classification) and opens a fresh one when the gap
-    since the last sample exceeds gap_timeout_s.  Dwell between consecutive
-    samples counts only when both samples are within the policy.
+    since the last beacon exceeds gap_timeout_s.  Dwell between consecutive
+    beacons counts only when both are within the policy.
     """
     key = peer.pid
     session = session_table.get(key)
-    at = sample.at
     if session is not None:
         last = session.last_seen
         if at < last:
@@ -172,14 +169,12 @@ def ingest_beacon(
             if within:
                 session.any_within = True
             session.last_within = within
-            session.samples[0] = sample
             session.last_seen = at
             return None
         del session_table[key]  # closed, and returned below
     session_table[key] = ContactSession(
         own_record=own,
         peer_record=peer,
-        samples=[sample],
         last_seen=at,
         last_within=within,
         any_within=within,
@@ -189,7 +184,7 @@ def ingest_beacon(
 
 def classify_contact(session: ContactSession, policy: SignificancePolicy) -> SignificanceVerdict:
     """Decide significance from the longest contiguous in-threshold dwell,
-    under the receiver's policy, the one its samples were judged by."""
+    under the receiver's policy, the one its beacons were judged by."""
     significant = session.any_within and session.best_s >= policy.min_duration_s
     return SignificanceVerdict(significant=significant, dwell_s=session.best_s)
 

@@ -182,6 +182,9 @@ class RegistryService:
 # listed PID (64 characters and a comma): 1 MiB holds over 16,000 PIDs, where
 # two weeks of PIDs rotated every 10 minutes are 2,016.
 MAX_REQUEST_BYTES = 1 << 20
+# Longest reply line the client reads, newline included.  The longest reply
+# the server sends, `ERROR malformed request`, is 24 bytes with its newline.
+MAX_REPLY_BYTES = 64
 # Seconds a connection may stay silent before the server hangs up, so that an
 # idle client does not hold its worker forever.
 IDLE_TIMEOUT_S = 30.0
@@ -317,10 +320,12 @@ def _roundtrip(host: str, port: int, request: str) -> str:
     _check_port(port)
     with socket.create_connection((host, port), timeout=10) as sock:
         sock.sendall((request + "\n").encode("utf-8"))
-        response = sock.makefile("r", encoding="utf-8").readline()
-    if not response.endswith("\n"):
+        response = sock.makefile("rb").readline(MAX_REPLY_BYTES)
+    if not response.endswith(b"\n"):
+        if len(response) == MAX_REPLY_BYTES:
+            raise OSError(f"reply longer than {MAX_REPLY_BYTES} bytes")
         raise OSError("connection closed before a complete reply")
-    return response[:-1]
+    return response[:-1].decode("utf-8")
 
 
 def client_query(host: str, port: int, pid: Pid) -> str:

@@ -25,7 +25,6 @@ from .encounter import (
     ChannelModel,
     ContactSession,
     InformationRecord,
-    RssiSample,
     SignificancePolicy,
     classify_contact,
     close_expired_sessions,
@@ -438,8 +437,9 @@ class World:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
         pairs within the tick's reach are evaluated.  Each receiver judges a
-        sample as `within_policy` does: by one compare with its policy's RSSI
-        threshold."""
+        sample as `within_policy` does, by one compare with its policy's RSSI
+        threshold, and its session folds in only the beacon's time and that
+        judgement: no sample is stored."""
         s = self.scenario
         # read here, not at import, so that wrappers put on these names are called
         to_rssi, ingest, hypot = distance_to_rssi, ingest_beacon, math.hypot
@@ -465,13 +465,12 @@ class World:
                 rssi = to_rssi(true_d, channel, noise[row + j], blocked[row + j])
                 if rssi >= RADIO_CUTOFF_DBM:
                     rssi = 0.0 if rssi > 0.0 else rssi
-                    sample = RssiSample(now, rssi)
                     b_record = records[j]
                     a_within, b_within = rssi >= a_min, rssi >= min_rssi[j]
-                    closed = ingest(a.sessions, a_record, b_record, sample, a_within, gap)
+                    closed = ingest(a.sessions, a_record, b_record, now, a_within, gap)
                     if closed is not None:
                         self._classify_and_log(a, closed)
-                    closed = ingest(b.sessions, b_record, a_record, sample, b_within, gap)
+                    closed = ingest(b.sessions, b_record, a_record, now, b_within, gap)
                     if closed is not None:
                         self._classify_and_log(b, closed)
                 if true_d <= true_radius:

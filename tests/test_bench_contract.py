@@ -58,6 +58,11 @@ def test_traced_tiny_simulation(monkeypatch):
     assert calls.calls("encounter.ingest_beacon", "sim.beacon") == 18060
     assert calls.calls("encounter.classify_contact") > 0
     assert tracer.counts["encounter.open_sessions_peak"] > 0
+    # a session's samples are its one latest beacon: the tracer's sample
+    # counts read one per session, neither none nor a history
+    counts = tracer.counts
+    assert counts["encounter.stored_samples_peak"] == counts["encounter.open_sessions_peak"]
+    assert counts["encounter.samples_classified"] == calls.calls("encounter.classify_contact")
 
 
 def test_ingest_reaches_handle_request_as_one_ingest_line(lab, directory, monkeypatch):

@@ -7,7 +7,6 @@ from backtrack.encounter import (
     ChannelModel,
     InformationRecord,
     POLICY_V1,
-    RssiSample,
     SignificancePolicy,
     SignificanceVerdict,
     classify_contact,
@@ -26,18 +25,17 @@ def record(pid, t=0.0, loc="here"):
     return InformationRecord(pid=Pid(pid), pad=Pad(f"{pid}@box"), local_time=t, local_location=loc)
 
 
-def ingest(table, sample, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
-    within = within_policy(sample.rssi_dbm, policy, MODEL)
-    return ingest_beacon(
-        table, record("own1"), record(peer), sample, within, gap_timeout_s
-    )
+def ingest(table, at, rssi, policy=POLICY_V1, peer="peer1", gap_timeout_s=60.0):
+    within = within_policy(rssi, policy, MODEL)
+    return ingest_beacon(table, record("own1"), record(peer), at, within, gap_timeout_s)
 
 
 def fed_session(samples, policy):
-    """The open session after feeding every sample, in order, to a new table."""
+    """The open session after feeding every (time, RSSI) sample, in order, to
+    a new table."""
     table = {}
-    for sample in samples:
-        assert ingest(table, sample, policy) is None
+    for at, rssi in samples:
+        assert ingest(table, at, rssi, policy) is None
     return table["peer1"]
 
 
@@ -45,7 +43,7 @@ def session_at_distance(distance_m, duration_s, policy, interval_s=10.0):
     """Constant-distance session with noiseless samples every interval."""
     rssi = distance_to_rssi(distance_m, MODEL)
     times = [i * interval_s for i in range(int(duration_s // interval_s) + 1)]
-    return fed_session([RssiSample(at=t, rssi_dbm=rssi) for t in times], policy)
+    return fed_session([(t, rssi) for t in times], policy)
 
 
 class TestPathLoss:
@@ -98,8 +96,6 @@ class TestPathLoss:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: InformationRecord(Pid("a"), Pad("a@b"), 0.0, "x|y"), "must not contain '|'"),
-        (lambda: RssiSample(at=0.0, rssi_dbm=0.5), r"outside \[-120, 0\] dBm"),
-        (lambda: RssiSample(at=0.0, rssi_dbm=-121.0), r"outside \[-120, 0\] dBm"),
         (lambda: SignificancePolicy(0, 3.0, 600.0), "policy version must be positive"),
     ])
     def test_record_sample_and_policy_refusals(self, make, message):
@@ -117,47 +113,48 @@ class TestPathLoss:
 class TestIngestBeacon:
     def test_first_beacon_opens_session(self):
         table = {}
-        closed = ingest(table, RssiSample(0.0, -60.0))
+        closed = ingest(table, 0.0, -60.0)
         assert closed is None
         assert len(table) == 1
         assert len(table["peer1"].samples) == 1
 
     def test_close_beacons_share_session(self):
         table = {}
-        ingest(table, RssiSample(0.0, -60.0))
+        ingest(table, 0.0, -60.0)
         opened = table["peer1"]
-        closed = ingest(table, RssiSample(5.0, -61.0))
+        closed = ingest(table, 5.0, -61.0)
         assert closed is None
         # the session opened at 0 s took the sample at 5 s
         assert list(table) == ["peer1"] and table["peer1"] is opened
         assert opened.last_seen == 5.0
-        # the session keeps only the latest sample, however many arrived
-        assert opened.samples == [RssiSample(5.0, -61.0)]
+        # the session stores no sample, however many arrived: its one-sample
+        # view for the tracer is the latest beacon's time
+        assert len(opened.samples) == 1
 
     def test_gap_closes_and_reopens(self):
         table = {}
-        ingest(table, RssiSample(0.0, -60.0), gap_timeout_s=60)
+        ingest(table, 0.0, -60.0, gap_timeout_s=60)
         opened = table["peer1"]
-        closed = ingest(table, RssiSample(120.0, -61.0), gap_timeout_s=60)
+        closed = ingest(table, 120.0, -61.0, gap_timeout_s=60)
         assert closed is opened and closed.last_seen == 0.0
-        # a new session, holding only the sample after the gap, took its place
+        # a new session, opened by the beacon after the gap, took its place
         assert list(table) == ["peer1"] and table["peer1"] is not opened
         assert table["peer1"].last_seen == 120.0
-        assert table["peer1"].samples == [RssiSample(120.0, -61.0)]
+        assert len(table["peer1"].samples) == 1
 
     def test_table_keyed_by_peer_pid(self):
         table = {}
-        ingest(table, RssiSample(0.0, -60.0), peer="peer1")
-        ingest(table, RssiSample(0.0, -60.0), peer="peer2")
+        ingest(table, 0.0, -60.0, peer="peer1")
+        ingest(table, 0.0, -60.0, peer="peer2")
         assert all(type(k) is Pid for k in table)
         assert sorted(table) == [Pid("peer1"), Pid("peer2")]
         assert all(table[pid].peer_record.pid is pid for pid in table)
 
     def test_clock_regression_rejected(self):
         table = {}
-        ingest(table, RssiSample(50.0, -60.0))
+        ingest(table, 50.0, -60.0)
         with pytest.raises(ValueError, match="precedes session last_seen"):
-            ingest(table, RssiSample(40.0, -60.0))
+            ingest(table, 40.0, -60.0)
 
     def test_brute_force_segmentation(self):
         # oracle: split the sample trace wherever the inter-sample gap > timeout
@@ -176,7 +173,7 @@ class TestIngestBeacon:
         table = {}
         opened, closed = [], []  # (time of its first sample, session), in order
         for t in times:
-            ended = ingest(table, RssiSample(float(t), -60.0), gap_timeout_s=timeout)
+            ended = ingest(table, float(t), -60.0, gap_timeout_s=timeout)
             if ended is not None:
                 closed.append(ended)
             if not opened or opened[-1][1] is not table["peer1"]:
@@ -201,8 +198,7 @@ class TestClassify:
         near = distance_to_rssi(1.0, MODEL)
         far = distance_to_rssi(10.0, MODEL)
         samples = [
-            RssiSample(at=30.0 * i, rssi_dbm=near if i % 2 == 0 else far)
-            for i in range(40)
+            (30.0 * i, near if i % 2 == 0 else far) for i in range(40)
         ]
         policy = SignificancePolicy(1, 3.0, 600.0)
         verdict = classify_contact(fed_session(samples, policy), policy)
@@ -214,7 +210,7 @@ class TestClassify:
         near = distance_to_rssi(2.0, MODEL)
         far = distance_to_rssi(10.0, MODEL)
         pattern = [near, near, near, far, near, near, near, near, near, far, near]
-        samples = [RssiSample(at=10.0 * i, rssi_dbm=r) for i, r in enumerate(pattern)]
+        samples = [(10.0 * i, r) for i, r in enumerate(pattern)]
         policy = SignificancePolicy(1, 3.0, 30.0)
         verdict = classify_contact(fed_session(samples, policy), policy)
         # runs of in-threshold samples: 3, 5, 1 -> max contiguous dwell (5-1)*10
@@ -234,10 +230,7 @@ class TestClassify:
     )
     def test_version_interop_property(self, distances, tight_max):
         # if the newer (tighter) policy says Significant, the looser one must too
-        samples = [
-            RssiSample(at=10.0 * i, rssi_dbm=distance_to_rssi(d, MODEL))
-            for i, d in enumerate(distances)
-        ]
+        samples = [(10.0 * i, distance_to_rssi(d, MODEL)) for i, d in enumerate(distances)]
         newer = SignificancePolicy(2, tight_max, 30.0)
         older = SignificancePolicy(1, tight_max * 2, 30.0)
         if classify_contact(fed_session(samples, newer), newer).significant:
@@ -266,15 +259,15 @@ class TestCloseExpired:
 
     def test_stale_session_returned_and_removed(self):
         table = {}
-        ingest(table, RssiSample(0.0, -60.0))
+        ingest(table, 0.0, -60.0)
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
         assert len(closed) == 1
         assert table == {}
 
     def test_only_stale_sessions_closed(self):
         table = {}
-        ingest(table, RssiSample(0.0, -60.0), peer="stale")
-        ingest(table, RssiSample(110.0, -60.0), peer="fresh")
+        ingest(table, 0.0, -60.0, peer="stale")
+        ingest(table, 110.0, -60.0, peer="fresh")
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
         assert [s.peer_record.pid.value for s in closed] == ["stale"]
         assert set(table) == {"fresh"}
@@ -283,21 +276,22 @@ class TestCloseExpired:
         # 128 + gap rounds to 130.0, yet 2 s of silence exceed the gap
         gap = 1.9999999999999858
         split = {}
-        ingest(split, RssiSample(128.0, -60.0), gap_timeout_s=gap)
-        assert ingest(split, RssiSample(130.0, -60.0), gap_timeout_s=gap) is not None
+        ingest(split, 128.0, -60.0, gap_timeout_s=gap)
+        assert ingest(split, 130.0, -60.0, gap_timeout_s=gap) is not None
         table = {}
-        ingest(table, RssiSample(128.0, -60.0), gap_timeout_s=gap)
+        ingest(table, 128.0, -60.0, gap_timeout_s=gap)
         assert len(close_expired_sessions(table, now=130.0, gap_timeout_s=gap)) == 1
 
 
 def batch_classify(samples, policy, model):
-    """Oracle: the classifier that stored every sample and rescanned them."""
-    within = [within_policy(s.rssi_dbm, policy, model) for s in samples]
+    """Oracle: the classifier that stored every (time, RSSI) sample and
+    rescanned them."""
+    within = [within_policy(rssi, policy, model) for _, rssi in samples]
     best = 0.0
     run = 0.0
     for i in range(1, len(samples)):
         if within[i - 1] and within[i]:
-            run += samples[i].at - samples[i - 1].at
+            run += samples[i][0] - samples[i - 1][0]
             best = max(best, run)
         else:
             run = 0.0
@@ -307,7 +301,7 @@ def batch_classify(samples, policy, model):
 def split_at_gaps(samples, gap_timeout_s):
     segments = [[samples[0]]]
     for sample in samples[1:]:
-        if sample.at - segments[-1][-1].at > gap_timeout_s:
+        if sample[0] - segments[-1][-1][0] > gap_timeout_s:
             segments.append([sample])
         else:
             segments[-1].append(sample)
@@ -339,13 +333,13 @@ class TestStreamingEquivalence:
         at = start
         for gap, rssi in steps:
             at += gap
-            samples.append(RssiSample(at=at, rssi_dbm=rssi))
+            samples.append((at, rssi))
         table = {}
         sessions = []
-        for sample in samples:
-            within = within_policy(sample.rssi_dbm, policy, model)
+        for at, rssi in samples:
+            within = within_policy(rssi, policy, model)
             closed = ingest_beacon(
-                table, record("own1"), record("peer1"), sample, within, gap_timeout_s
+                table, record("own1"), record("peer1"), at, within, gap_timeout_s
             )
             if closed is not None:
                 sessions.append(closed)
@@ -370,7 +364,7 @@ class TestStreamingEquivalence:
         for dt, kind, peer in events:
             now += dt
             if kind == "beacon":
-                ingest(table, RssiSample(now, -60.0), peer=peer, gap_timeout_s=gap_timeout_s)
+                ingest(table, now, -60.0, peer=peer, gap_timeout_s=gap_timeout_s)
             elif kind == "flush":
                 table.pop(peer, None)
             else:

@@ -10,7 +10,6 @@ from backtrack import sim
 from backtrack.encounter import (
     POLICY_V1,
     ChannelModel,
-    RssiSample,
     SignificancePolicy,
     close_expired_sessions,
     distance_to_rssi,
@@ -547,13 +546,12 @@ class FullPairLoopWorld(World):
                 rssi = distance_to_rssi(true_d, s.channel, noise, blocked)
                 if rssi >= RADIO_CUTOFF_DBM:
                     rssi = min(rssi, 0.0)
-                    sample = RssiSample(at=self.now, rssi_dbm=rssi)
                     for receiver, sender in ((a, b), (b, a)):
                         closed = ingest_beacon(
                             receiver.sessions,
                             own=records[receiver.agent_id],
                             peer=records[sender.agent_id],
-                            sample=sample,
+                            at=self.now,
                             within=within_policy(rssi, receiver.policy, s.channel),
                             gap_timeout_s=s.gap_timeout_s,
                         )
