@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -76,14 +77,19 @@ def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
 
 
 def _check_links(log: VisitorLog, start: int) -> ChainCheck:
-    """Rehash the visits from index start on, trusting the ones before it."""
+    """Rehash the visits from index start on, trusting the ones before it.
+    A visit earlier than the one before it breaks the chain as an edit does:
+    `append_visit` never adds one, so it was not appended."""
     prev_hash = log.chain[start - 1].entry_hash if start else GENESIS_HASH
+    prev_at = log.chain[start - 1].visited_at if start else -math.inf
     for expected_seq, visit in enumerate(log.chain[start:], start=start + 1):
-        if visit.seq != expected_seq or visit.entry_hash != _hash_entry(
-            prev_hash, visit.seq, visit.visited_at, visit.pid
+        if (
+            visit.seq != expected_seq
+            or visit.visited_at < prev_at
+            or visit.entry_hash != _hash_entry(prev_hash, visit.seq, visit.visited_at, visit.pid)
         ):
             return ChainCheck(intact=False, tampered_at=expected_seq)
-        prev_hash = visit.entry_hash
+        prev_hash, prev_at = visit.entry_hash, visit.visited_at
     if log.head != prev_hash:
         return ChainCheck(intact=False, tampered_at=len(log.chain) + 1)
     return ChainCheck(intact=True)
@@ -188,3 +194,20 @@ def save_chain(log: VisitorLog, chain_path: str, head_path: str) -> None:
     commits the new visits, so a crash between the two commits none of them."""
     wire.write_atomic(chain_path, chain_to_lines(log))
     wire.write_atomic(head_path, head_to_line(log))
+
+
+def load_chain(chain_path: str, head_path: str) -> VisitorLog:
+    """The committed visits: those in the chain file up to the head file's."""
+    head = wire.load(head_path, parse_head)
+    return wire.load(chain_path, lambda text: parse_chain(text, head))
+
+
+def nothing_committed(chain_path: str, head_path: str) -> bool:
+    """No head file, and no chain file or only the seq-1 visit of a first
+    `save_chain` cut before its head write; `load_chain` refuses the rest."""
+    if os.path.exists(head_path):
+        return False
+    if not os.path.exists(chain_path):
+        return True
+    orphan = wire.load(chain_path, lambda text: parse_chain(text, GENESIS_HASH))
+    return [v.seq for v in orphan.chain] == [1]

@@ -15,7 +15,6 @@ import os
 import sys
 from collections import Counter
 from datetime import date
-from typing import Callable, TypeVar
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 
-T = TypeVar("T")
-
 
 def _parse_pids(csv: str) -> list[Pid]:
     pids = [Pid(v) for v in csv.split(",") if v]
@@ -67,32 +64,6 @@ def _parse_lab_key(text: str) -> LabIdentity:
 
 def _parse_cert(text: str) -> CertificateOfInfection:
     return parse_certificate_line(text.rstrip("\n"))
-
-
-def _load_chain(args) -> bizlog.VisitorLog:
-    head = wire.load(args.head, bizlog.parse_head)
-    return wire.load(args.chain, lambda text: bizlog.parse_chain(text, head))
-
-
-def _nothing_committed(args) -> bool:
-    """No head file, the commit point, and either no chain file or just the
-    seq-1 visit that a first append failing before its head write leaves.
-    A longer chain with no head had committed visits, so it is loaded and
-    refused, never overwritten."""
-    if os.path.exists(args.head):
-        return False
-    if not os.path.exists(args.chain):
-        return True
-    orphan = wire.load(args.chain, lambda text: bizlog.parse_chain(text, bizlog.GENESIS_HASH))
-    return [v.seq for v in orphan.chain] == [1]
-
-
-def _at_registry(args, call: Callable[..., T], *fields) -> T:
-    """call(host, port, *fields); an OSError names the registry address."""
-    try:
-        return call(args.host, args.port, *fields)
-    except OSError as exc:
-        raise OSError(f"registry at {args.host}:{args.port}: {exc}") from exc
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -192,31 +163,24 @@ def cmd_notify(args) -> int:
 def cmd_registry(args) -> int:
     if args.registry_mode == "serve":
         directory = wire.load(args.directory, LabDirectory.from_lines)
-        server = _at_registry(args, registry.serve, directory, args.state)
+        server = registry.serve(args.host, args.port, directory, args.state)
         with server, contextlib.suppress(KeyboardInterrupt):
             host, port = server.server_address[:2]
             print(f"listening|{host}|{port}", flush=True)
             server.serve_forever()
         return EXIT_OK
+    address = args.host, args.port
     if args.registry_mode == "query":
-        response = _at_registry(args, registry.client_query, Pid(args.pid))
+        response = registry.client_query(*address, Pid(args.pid))
         ok = "YES"
     elif args.registry_mode == "claim":
-        response = _at_registry(
-            args,
-            registry.client_claim,
-            Pid(args.contact_pid),
-            Pid(args.claimant_pid),
-            args.name,
-            args.phrase,
+        response = registry.client_claim(
+            *address, Pid(args.contact_pid), Pid(args.claimant_pid), args.name, args.phrase
         )
         ok = "CONFIRMED"
     else:  # ingest
-        response = _at_registry(args, registry.client_ingest, wire.load(args.cert, _parse_cert))
+        response = registry.client_ingest(*address, wire.load(args.cert, _parse_cert))
         ok = "OK"
-    if response.startswith("ERROR"):
-        # the server failed to answer the request, e.g. an unsaved INGEST: retry
-        raise OSError(f"registry at {args.host}:{args.port}: {response}")
     print(response)
     return EXIT_OK if response == ok else EXIT_REJECTED
 
@@ -225,10 +189,10 @@ def cmd_bizlog(args) -> int:
     if args.bizlog_mode in ("append", "verify"):
         # an append audits the chain first, so that it never extends, and so
         # hides, a chain that was cut or edited
-        if args.bizlog_mode == "append" and _nothing_committed(args):
+        if args.bizlog_mode == "append" and bizlog.nothing_committed(args.chain, args.head):
             log = bizlog.VisitorLog()
         else:
-            log = _load_chain(args)
+            log = bizlog.load_chain(args.chain, args.head)
         check = bizlog.verify_chain(log)
         if not check.intact:
             print(f"TAMPERED-AT {check.tampered_at}")
@@ -241,7 +205,7 @@ def cmd_bizlog(args) -> int:
         print(f"appended|{log.chain[-1].seq}")
         return EXIT_OK
     # evidence
-    log = _load_chain(args)
+    log = bizlog.load_chain(args.chain, args.head)
     repo = wire.load(args.repo, registry.parse_repository)
     verdict = bizlog.evidence_query(
         log,

@@ -31,8 +31,8 @@ class LogEntry:
     def __post_init__(self) -> None:
         if self.own_record.pid == self.peer_record.pid:
             raise ValueError("own and peer PID must differ")
-        if math.isnan(self.recorded_at):
-            raise ValueError("recorded_at is NaN; the log is kept in its order")
+        if not math.isfinite(self.recorded_at):
+            raise ValueError("recorded_at is NaN or infinite; the log is kept in time order")
 
 
 @dataclass

@@ -304,10 +304,14 @@ def serve(
     directory: LabDirectory,
     persist_path: str | None = None,
 ) -> RegistryServer:
-    """Start a registry server (caller drives serve_forever / shutdown)."""
+    """Start a registry server (caller drives serve_forever / shutdown); an
+    OSError that stops it starting names the address."""
     _check_port(port)
-    repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
-    return RegistryServer((host, port), RegistryService(repo, directory, persist_path))
+    try:
+        repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
+        return RegistryServer((host, port), RegistryService(repo, directory, persist_path))
+    except OSError as exc:
+        raise OSError(f"registry at {host}:{port}: {exc}") from exc
 
 
 def _check_port(port: int) -> None:
@@ -317,15 +321,24 @@ def _check_port(port: int) -> None:
 
 
 def _roundtrip(host: str, port: int, request: str) -> str:
+    """The reply to one request line.  Every failed exchange raises OSError
+    naming the address: no connection, a reply cut short or too long, and an
+    `ERROR ...` reply (the server could not serve the request: retry it)."""
     _check_port(port)
-    with socket.create_connection((host, port), timeout=10) as sock:
-        sock.sendall((request + "\n").encode("utf-8"))
-        response = sock.makefile("rb").readline(MAX_REPLY_BYTES)
-    if not response.endswith(b"\n"):
-        if len(response) == MAX_REPLY_BYTES:
-            raise OSError(f"reply longer than {MAX_REPLY_BYTES} bytes")
-        raise OSError("connection closed before a complete reply")
-    return response[:-1].decode("utf-8")
+    try:
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall((request + "\n").encode("utf-8"))
+            response = sock.makefile("rb").readline(MAX_REPLY_BYTES)
+        if not response.endswith(b"\n"):
+            if len(response) == MAX_REPLY_BYTES:
+                raise OSError(f"reply longer than {MAX_REPLY_BYTES} bytes")
+            raise OSError("connection closed before a complete reply")
+        reply = response[:-1].decode("utf-8")
+        if reply.startswith("ERROR"):
+            raise OSError(reply)
+    except OSError as exc:
+        raise OSError(f"registry at {host}:{port}: {exc}") from exc
+    return reply
 
 
 def client_query(host: str, port: int, pid: Pid) -> str:

@@ -127,6 +127,9 @@ class Scenario:
             raise ValueError("transmission_prob must be in [0, 1]")
         if not 0.0 <= self.body_block_prob <= 1.0:
             raise ValueError("body_block_prob must be in [0, 1]")
+        for version, policy in self.policies.items():
+            if version != policy.version:
+                raise ValueError(f"policy key {version} differs from its version {policy.version}")
         if self.default_policy_version not in self.policies:
             raise ValueError("default policy version not declared")
         for agent_id, version in self.agent_policy.items():

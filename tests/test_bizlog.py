@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from backtrack.bizlog import (
     append_visit,
     chain_to_lines,
     evidence_query,
+    head_to_line,
     parse_chain,
     parse_head,
     save_chain,
@@ -130,6 +132,22 @@ class TestVerify:
             check = verify_chain(log)
             assert not check.intact
             assert check.tampered_at == victim + 1
+
+
+def append_unchecked(log, pid, visited_at):
+    """Append a correctly hashed and linked visit, skipping append_visit's time check."""
+    visit = ChainedVisit(len(log.chain) + 1, visited_at, pid, "")
+    prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
+    visit = replace(visit, entry_hash=linked_hash(prev_hash, visit))
+    log.chain.append(visit)
+    log.head = visit.entry_hash
+    return log
+
+
+def out_of_order_chain():
+    """Visits at 500 s then 100 s."""
+    log = append_unchecked(VisitorLog(), Pid("v1"), 500.0)
+    return append_unchecked(log, Pid("v2"), 100.0)
 
 
 def audited_chain(n):
@@ -264,6 +282,51 @@ class TestAfterAudit:
                 append_visit(log, Pid(f"v{step}"), t)
             else:
                 assert verify_chain(log) == full_rehash(log)
+
+
+class TestTimeOrder:
+    def test_visit_earlier_than_its_predecessor_localized(self):
+        assert verify_chain(out_of_order_chain()) == ChainCheck(intact=False, tampered_at=2)
+
+    def test_earlier_visit_after_the_checkpoint_localized(self):
+        log = append_unchecked(audited_chain(3), Pid("late"), 250.0)
+        assert verify_chain(log) == full_rehash(log) == ChainCheck(intact=False, tampered_at=4)
+
+
+def test_load_chain_reads_the_committed_prefix(tmp_path):
+    chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+    save_chain(chain_of(3), chain_path, head_path)
+    loaded = bizlog.load_chain(chain_path, head_path)
+    assert (loaded.chain, loaded.head) == (chain_of(3).chain, chain_of(3).head)
+    # visits past the head were written by an append cut before its head write
+    Path(chain_path).write_text(chain_to_lines(chain_of(5)))
+    loaded = bizlog.load_chain(chain_path, head_path)
+    assert (loaded.chain, loaded.head) == (chain_of(3).chain, chain_of(3).head)
+    assert verify_chain(loaded).intact
+
+
+@pytest.mark.parametrize("chain, head, committed", [
+    (None, None, True),  # no files
+    (1, None, True),  # the orphan seq-1 visit of a first append cut before its head
+    (1, 1, False),
+    (0, 0, False),
+    (2, None, False),  # committed visits that lost their head
+])
+def test_nothing_committed(tmp_path, chain, head, committed):
+    chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+    if chain is not None:
+        Path(chain_path).write_text(chain_to_lines(chain_of(chain)))
+    if head is not None:
+        Path(head_path).write_text(head_to_line(chain_of(head)))
+    assert bizlog.nothing_committed(chain_path, head_path) is committed
+
+
+def test_longer_chain_without_its_head_refused(tmp_path):
+    chain_path, head_path = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+    Path(chain_path).write_text(chain_to_lines(chain_of(2)))
+    assert not bizlog.nothing_committed(chain_path, head_path)
+    with pytest.raises(FileNotFoundError, match=re.escape(head_path)):
+        bizlog.load_chain(chain_path, head_path)
 
 
 class TestEvidence:

@@ -13,13 +13,14 @@ from pathlib import Path
 import pytest
 
 import backtrack
-from backtrack import contactlog, registry, wire
+from backtrack import bizlog, contactlog, registry, wire
 from backtrack.certificates import LabIdentity, certificate_to_line, issue_certificate
 from backtrack.cli import main
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import serve
 
 from conftest import make_entry, make_log
+from test_bizlog import out_of_order_chain
 
 DAY = 86400.0
 
@@ -874,6 +875,16 @@ def test_error_names_file_and_registry(tmp_path, capsys):
     assert state in capsys.readouterr().err
     assert main(["registry", "query", "--port", "1", "--pid", "x"]) == 2
     assert "127.0.0.1:1" in capsys.readouterr().err
+
+
+def test_append_to_a_chain_out_of_time_order_exits_1_and_writes_nothing(run, tmp_path):
+    chain, head = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+    bizlog.save_chain(out_of_order_chain(), chain, head)
+    before = Path(chain).read_bytes(), Path(head).read_bytes()
+    argv = ("bizlog", "append", "--chain", chain, "--head", head, "--pid", "v3", "--at", "300")
+    assert run(*argv) == (1, "TAMPERED-AT 2\n")
+    assert (Path(chain).read_bytes(), Path(head).read_bytes()) == before
+    assert run("bizlog", "verify", "--chain", chain, "--head", head) == (1, "TAMPERED-AT 2\n")
 
 
 def test_serve_on_a_busy_port_exits_2(tmp_path, capsys):

@@ -238,6 +238,15 @@ class TestPeerIndex:
         with pytest.raises(ValueError):
             parse_entry_line(entry_to_line(make_entry()).replace("entry|1000|", "entry|nan|"))
 
+    @pytest.mark.parametrize("at", ["inf", "-inf"])
+    def test_infinite_recorded_at_refused(self, at):
+        # an entry at inf would outlast every prune and refuse every later append
+        with pytest.raises(ValueError, match="recorded_at is NaN or infinite"):
+            make_entry(recorded_at=float(at))
+        line = entry_to_line(make_entry()).replace("entry|1000|", f"entry|{at}|")
+        with pytest.raises(ValueError, match="recorded_at is NaN or infinite"):
+            parse_log(line + "\n")
+
 
 class TestSerialization:
     def test_line_round_trip_bit_exact(self):

@@ -1,3 +1,4 @@
+import re
 import socket
 import socketserver
 import sys
@@ -268,7 +269,8 @@ class TestServer:
         state_dir.mkdir()
         with running(directory, str(state_dir / "state.txt")) as (host, port):
             state_dir.rmdir()
-            assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "ERROR state not saved"
+            with pytest.raises(OSError, match="ERROR state not saved"):
+                client_ingest(host, port, cert_for(lab, [Pid("P1")]))
             assert client_query(host, port, Pid("P1")) == "NO"
             state_dir.mkdir()
             assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
@@ -333,6 +335,71 @@ class TestServer:
         with running(directory, str(tmp_path / "state.txt")) as (host, port):
             assert client_ingest(host, port, cert_for(lab, pids)) == "OK"
             assert client_query(host, port, pids[-1]) == "YES"
+
+
+@contextmanager
+def replying(reply):
+    """The port of a one-shot server that reads a request line, sends reply
+    and hangs up."""
+
+    def answer(listener):
+        conn, _ = listener.accept()
+        with conn:
+            conn.makefile("rb").readline()
+            try:
+                conn.sendall(reply)
+            except OSError:  # a client that read its bounded reply may hang up first
+                pass
+
+    with socket.socket() as listener:
+        listener.settimeout(30)  # so that a client that never connects ends the test
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        thread = threading.Thread(target=answer, args=(listener,))
+        thread.start()
+        try:
+            yield listener.getsockname()[1]
+        finally:
+            thread.join()
+
+
+class TestClientFailures:
+    """Every failed exchange raises OSError naming the registry's address."""
+
+    @pytest.mark.parametrize("reply", [b"ERROR malformed request\n", b"ERROR state not saved\n"])
+    def test_error_reply(self, reply):
+        with replying(reply) as port:
+            message = f"registry at 127.0.0.1:{port}: {reply.decode().rstrip()}"
+            with pytest.raises(OSError, match=f"^{re.escape(message)}$"):
+                client_query("127.0.0.1", port, Pid("P1"))
+
+    @pytest.mark.parametrize(
+        "reply, reason",
+        [(b"", "closed before"), (b"YE", "closed before"), (b"Y" * 100 + b"\n", "longer than")],
+        ids=["empty", "cut", "too-long"],
+    )
+    def test_reply_cut_short_or_too_long(self, reply, reason):
+        with replying(reply) as port:
+            with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: .*{reason}"):
+                client_query("127.0.0.1", port, Pid("P1"))
+
+    def test_no_connection(self):
+        with socket.socket() as bound:
+            bound.bind(("127.0.0.1", 0))  # bound but not listening: refused
+            port = bound.getsockname()[1]
+            with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: "):
+                client_query("127.0.0.1", port, Pid("P1"))
+
+    def test_serve_that_cannot_start(self, directory, tmp_path):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: "):
+                serve("127.0.0.1", port, directory)
+        # a state path that is a directory cannot be read
+        with pytest.raises(OSError, match="^registry at 127.0.0.1:0: .*Is a directory"):
+            serve("127.0.0.1", 0, directory, str(tmp_path))
 
 
 class TestWorkerPool:

@@ -482,6 +482,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="undeclared policy"):
             Scenario(n_agents=2, duration_s=10.0, agent_policy={0: 99})
 
+    def test_policy_key_differs_from_its_version(self):
+        policies = {1: SignificancePolicy(2, 3.0, 600.0)}
+        with pytest.raises(ValueError, match="policy key 1 differs from its version 2"):
+            Scenario(n_agents=2, duration_s=10.0, policies=policies)
+
     def test_bad_transmission_prob(self):
         with pytest.raises(ValueError, match="transmission_prob must be in"):
             Scenario(n_agents=2, duration_s=10.0, transmission_prob=1.5)
