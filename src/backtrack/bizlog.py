@@ -8,11 +8,13 @@ certified infected.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from . import wire
@@ -37,6 +39,10 @@ class ChainedVisit:
 
 @dataclass
 class VisitorLog:
+    """Visits in chain order, and `visit_times`: each PID's visit times in
+    time order.  `append_visit` keeps both up to date; code outside this
+    module only reads them."""
+
     business_id: str = ""
     chain: list[ChainedVisit] = field(default_factory=list)
     head: str = GENESIS_HASH
@@ -44,6 +50,14 @@ class VisitorLog:
     audited: list[ChainedVisit] = field(
         default_factory=list, init=False, compare=False, repr=False
     )
+    visit_times: dict[Pid, list[float]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        # in time order, so that a chain parsed out of order answers as its scan
+        for v in sorted(self.chain, key=attrgetter("visited_at")):
+            self.visit_times.setdefault(v.pid, []).append(v.visited_at)
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,7 @@ def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
     entry_hash = _hash_entry(prev_hash, seq, visited_at, pid)
     log.chain.append(ChainedVisit(seq, visited_at, pid, entry_hash))
+    bisect.insort(log.visit_times.setdefault(pid, []), visited_at)
     log.head = entry_hash
     return log
 
@@ -127,14 +142,15 @@ def evidence_query(
     window_to: float,
     repo_query: Callable[[Pid], bool],
 ) -> EvidenceVerdict:
-    """Did the claimant visit during the window, and are they certified sick?"""
+    """Did the claimant visit during the window, and are they certified sick?
+    Answered from the claimant's sorted visit times in O(log of their visits):
+    the first time not before window_from is a visit in the window unless it
+    is after window_to."""
     if not window_from <= window_to:  # also refuses a NaN bound
         raise ValueError(f"from {window_from} > to {window_to}")
-    visited = any(
-        v.pid == claimant_pid and window_from <= v.visited_at <= window_to
-        for v in log.chain
-    )
-    if not visited:
+    times = log.visit_times.get(claimant_pid, [])
+    i = bisect.bisect_left(times, window_from)
+    if i == len(times) or times[i] > window_to:
         return EvidenceVerdict.NO_VISIT_RECORDED
     if not repo_query(claimant_pid):
         return EvidenceVerdict.NOT_CERTIFIED_SICK

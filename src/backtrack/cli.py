@@ -186,26 +186,24 @@ def cmd_registry(args) -> int:
 
 
 def cmd_bizlog(args) -> int:
-    if args.bizlog_mode in ("append", "verify"):
-        # an append audits the chain first, so that it never extends, and so
-        # hides, a chain that was cut or edited
-        if args.bizlog_mode == "append" and bizlog.nothing_committed(args.chain, args.head):
-            log = bizlog.VisitorLog()
-        else:
-            log = bizlog.load_chain(args.chain, args.head)
-        check = bizlog.verify_chain(log)
-        if not check.intact:
-            print(f"TAMPERED-AT {check.tampered_at}")
-            return EXIT_REJECTED
-        if args.bizlog_mode == "verify":
-            print("INTACT")
-            return EXIT_OK
+    # every mode audits the chain first: an append never extends, and so
+    # hides, a chain that was cut or edited, and evidence never rests on one
+    if args.bizlog_mode == "append" and bizlog.nothing_committed(args.chain, args.head):
+        log = bizlog.VisitorLog()
+    else:
+        log = bizlog.load_chain(args.chain, args.head)
+    check = bizlog.verify_chain(log)
+    if not check.intact:
+        print(f"TAMPERED-AT {check.tampered_at}")
+        return EXIT_REJECTED
+    if args.bizlog_mode == "verify":
+        print("INTACT")
+        return EXIT_OK
+    if args.bizlog_mode == "append":
         bizlog.append_visit(log, Pid(args.pid), args.at)
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")
         return EXIT_OK
-    # evidence
-    log = bizlog.load_chain(args.chain, args.head)
     repo = wire.load(args.repo, registry.parse_repository)
     verdict = bizlog.evidence_query(
         log,

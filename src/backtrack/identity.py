@@ -24,6 +24,10 @@ def check_token(value: str, what: str) -> None:
     without `|` or `,`: the rule for every id written raw into a record."""
     if not 1 <= len(value) <= 64:
         raise ValueError(f"{what} length must be 1-64, got {len(value)}")
+    # the space is the one printable whitespace character, so this is the
+    # rule below for a valid value; the loop finds an invalid one's culprit
+    if value.isprintable() and " " not in value and "|" not in value and "," not in value:
+        return
     for c in value:
         if c in _FORBIDDEN_TOKEN_CHARS or c.isspace() or not c.isprintable():
             raise ValueError(f"{what} contains forbidden character {c!r}")

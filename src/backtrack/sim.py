@@ -10,6 +10,7 @@ and forgery injection. A fixed seed reproduces metrics and trace bit-for-bit.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -308,6 +309,10 @@ class World:
                 agent.infected_at = 0.0
             self.agents.append(agent)
         self._by_pad = {a.pad: a for a in self.agents}
+        # (diagnosis deadline, agent id) of every infectious agent: a min-heap
+        # that _infect pushes onto and _diagnose_due pops
+        delay = scenario.diagnosis_delay_s
+        self._diagnosis_due = [(delay, i) for i in range(scenario.initial_infectious)]
         # the weakest RSSI within each policy an agent can hold, under the
         # scenario's channel: within_policy's threshold, computed once
         self._min_rssi = {
@@ -498,11 +503,18 @@ class World:
                         dst.health is Health.SUSCEPTIBLE
                         and self._infect_rng.random() < s.transmission_prob
                     ):
-                        dst.health = Health.INFECTIOUS
-                        dst.infected_at = self.now
-                        self.metrics.infections += 1
-                        self._emit(f"infect|{dst.agent_id}")
+                        self._infect(dst)
         return dwell
+
+    def _infect(self, agent: Agent) -> None:
+        """Turn a susceptible agent infectious now, due for diagnosis after
+        the scenario's delay."""
+        agent.health = Health.INFECTIOUS
+        agent.infected_at = self.now
+        deadline = self.now + self.scenario.diagnosis_delay_s
+        heapq.heappush(self._diagnosis_due, (deadline, agent.agent_id))
+        self.metrics.infections += 1
+        self._emit(f"infect|{agent.agent_id}")
 
     def _rotate_pids(self) -> None:
         pid_rng = random.Random(self.scenario.rng_seed ^ 0x9E3779B9)
@@ -515,10 +527,13 @@ class World:
             self._emit(f"pid-rotation|{agent.agent_id}")
 
     def _diagnose_due(self) -> None:
-        delay = self.scenario.diagnosis_delay_s
-        for agent in self.agents:
-            if agent.health is Health.INFECTIOUS and agent.infected_at + delay <= self.now:
-                self._diagnose(agent)
+        heap, due = self._diagnosis_due, []
+        while heap and heap[0][0] <= self.now:
+            due.append(heapq.heappop(heap)[1])
+        # in agent id order: rounding can give agents infected a second
+        # apart two deadlines that fall due in the same step
+        for agent_id in sorted(due):
+            self._diagnose(self.agents[agent_id])
 
     def _diagnose(self, agent: Agent) -> None:
         self._close_sessions(agent, sorted(agent.sessions))

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import re
@@ -6,7 +7,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from backtrack import bizlog, wire
 from backtrack.bizlog import (
@@ -362,6 +363,71 @@ class TestEvidence:
         log = chain_of(5)
         args = (Pid("pid0002"), 0.0, 1000.0, self.repo_with("pid0002"))
         assert evidence_query(log, *args) == evidence_query(log, *args)
+
+
+VISITORS = [Pid("v1"), Pid("v2"), Pid("v3")]
+# few distinct times, so that visits share a time and bounds fall on visits
+VISIT_TIMES = st.integers(0, 10).map(float)
+
+
+@st.composite
+def visitor_logs(draw):
+    """A log built by append_visit, or parsed from a chain file in drawn or
+    falling time order and cut at any visit's head; then extended by
+    append_visit."""
+    visits = draw(st.lists(st.tuples(st.sampled_from(VISITORS), VISIT_TIMES), max_size=20))
+    how = draw(st.sampled_from(["appended", "parsed", "parsed-falling"]))
+    if how == "appended":
+        log = VisitorLog()
+        for pid, at in sorted(visits, key=lambda visit: visit[1]):
+            append_visit(log, pid, at)
+    else:
+        if how == "parsed-falling":
+            visits.sort(key=lambda visit: -visit[1])
+        source = VisitorLog()
+        for pid, at in visits:
+            append_unchecked(source, pid, at)
+        heads = [v.entry_hash for v in source.chain] or [GENESIS_HASH]
+        log = parse_chain(chain_to_lines(source), draw(st.sampled_from(heads)))
+    at = max((v.visited_at for v in log.chain[-1:]), default=0.0)
+    steps = st.integers(0, 3).map(float)
+    for pid, step in draw(st.lists(st.tuples(st.sampled_from(VISITORS), steps), max_size=5)):
+        at += step
+        append_visit(log, pid, at)
+    return log
+
+
+def scanned_verdict(log, pid, window_from, window_to, certified):
+    """The verdict of a scan over the whole chain, as evidence_query answered
+    before it kept an index."""
+    if not any(v.pid == pid and window_from <= v.visited_at <= window_to for v in log.chain):
+        return EvidenceVerdict.NO_VISIT_RECORDED
+    if not certified:
+        return EvidenceVerdict.NOT_CERTIFIED_SICK
+    return EvidenceVerdict.VISIT_AND_CERTIFIED
+
+
+class TestEvidenceIndex:
+    @settings(max_examples=300)
+    @given(visitor_logs(), st.data())
+    def test_answers_as_the_scan(self, log, data):
+        # bounds at ±inf, on the log's visit times, anywhere, and equal
+        bound = st.sampled_from([-math.inf, math.inf, *(v.visited_at for v in log.chain)])
+        bound |= st.floats(allow_nan=False)
+        window_from, window_to = sorted(
+            data.draw(st.tuples(bound, bound) | bound.map(lambda b: (b, b)))
+        )
+        pid = data.draw(st.sampled_from([*VISITORS, Pid("absent")]))
+        certified = data.draw(st.booleans())
+        verdict = evidence_query(log, pid, window_from, window_to, lambda _: certified)
+        assert verdict is scanned_verdict(log, pid, window_from, window_to, certified)
+
+    @given(visitor_logs())
+    def test_index_equals_a_rebuild_from_the_chain(self, log):
+        pids = {v.pid for v in log.chain}
+        assert log.visit_times == {
+            pid: sorted(v.visited_at for v in log.chain if v.pid == pid) for pid in pids
+        }
 
 
 class TestFiles:

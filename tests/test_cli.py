@@ -697,6 +697,21 @@ class TestBizlogCommands:
                         "--from", "0", "--to", "500", "--repo", repo)
         assert (code, out.strip()) == (1, "NOT-CERTIFIED-SICK")
 
+    def test_evidence_on_a_tampered_chain_exits_1_and_answers_nothing(
+        self, run, tmp_path, capsys
+    ):
+        self.append(run, tmp_path, "alice", 100.0)
+        chain, head, _ = self.append(run, tmp_path, "bob", 200.0)
+        # the edit credits bob's visit to a PID that is certified sick
+        Path(chain).write_text(Path(chain).read_text().replace("|bob|", "|mallory|"))
+        repo = write(tmp_path / "repo.txt", "notified|mallory|lab-A|2020-04-01\n")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = ["bizlog", "evidence", "--chain", chain, "--head", head, "--pid", "mallory",
+                "--from", "0", "--to", "1000", "--repo", repo]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("TAMPERED-AT 2\n", "")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
 
 class TestLogCommands:
     def log_file(self, tmp_path):

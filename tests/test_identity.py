@@ -9,6 +9,7 @@ from backtrack.identity import (
     Pad,
     Pid,
     active_pids_in_window,
+    check_token,
     commitment_to_line,
     generate_random_pid,
     generate_trusted_pid,
@@ -50,6 +51,21 @@ class TestPid:
     def test_value_is_a_plain_str(self):
         value = Pid("ab").value
         assert type(value) is str and value == "ab"
+
+    def test_every_code_point_judged_by_the_per_character_rule(self):
+        # check_token's fast path rests on the Python version's Unicode
+        # tables (str.isprintable), so hold it to the per-character rule on
+        # every code point, with the same message for each one it refuses
+        for code in range(0x110000):
+            c = chr(code)
+            allowed = not (c in "|," or c.isspace() or not c.isprintable())
+            try:
+                check_token(c, "PID")
+            except ValueError as exc:
+                assert not allowed, hex(code)
+                assert str(exc) == f"PID contains forbidden character {c!r}", hex(code)
+            else:
+                assert allowed, hex(code)
 
     @given(st.text(min_size=1, max_size=64))
     def test_constructed_pids_never_contain_separator(self, s):

@@ -587,10 +587,7 @@ class FullPairLoopWorld(World):
                         dst.health is Health.SUSCEPTIBLE
                         and self._infect_rng.random() < s.transmission_prob
                     ):
-                        dst.health = Health.INFECTIOUS
-                        dst.infected_at = self.now
-                        self.metrics.infections += 1
-                        self._emit(f"infect|{dst.agent_id}")
+                        self._infect(dst)
 
 
 class NearPairsCheckedWorld(World):
@@ -815,6 +812,64 @@ class TestExpirySchedule:
         assert metrics_to_lines(gated_metrics) == metrics_to_lines(every_second_metrics)
         assert gated._channel_rng.getstate() == every_second._channel_rng.getstate()
         assert gated._infect_rng.getstate() == every_second._infect_rng.getstate()
+
+
+class WalkDiagnosisWorld(World):
+    """Reference for the diagnosis heap: the step as it was before diagnosis
+    deadlines were kept in a heap, walking every agent every second."""
+
+    def _diagnose_due(self):
+        delay = self.scenario.diagnosis_delay_s
+        for agent in self.agents:
+            if agent.health is Health.INFECTIOUS and agent.infected_at + delay <= self.now:
+                self._diagnose(agent)
+
+
+@st.composite
+def diagnosis_scenarios(draw):
+    """expiry_scenarios with transmission on, and a diagnosis delay of zero,
+    a fraction of a second or whole seconds."""
+    return replace(
+        draw(expiry_scenarios()),
+        transmission_prob=draw(st.sampled_from([0.5, 1.0])),
+        diagnosis_delay_s=draw(
+            st.just(0.0)
+            | st.floats(0.0, 200.0).filter(lambda d: d != int(d))
+            | st.integers(1, 200).map(float)
+        ),
+    )
+
+
+class TestDiagnosisHeap:
+    @settings(max_examples=150, deadline=None)
+    @given(diagnosis_scenarios())
+    def test_matches_the_walk_over_every_agent(self, scenario):
+        heap, walk = World(scenario), WalkDiagnosisWorld(scenario)
+        heap_metrics, walk_metrics = heap.run(), walk.run()
+        assert heap.trace == walk.trace
+        assert metrics_to_lines(heap_metrics) == metrics_to_lines(walk_metrics)
+        assert heap._channel_rng.getstate() == walk._channel_rng.getstate()
+        assert heap._infect_rng.getstate() == walk._infect_rng.getstate()
+
+    def test_deadlines_rounded_apart_fall_due_in_agent_id_order(self):
+        # 1018 + delay is 1023.0000000000001 but 1019 + delay rounds to 1024.0,
+        # so agents infected a second apart both fall due at 1024 s
+        delay = 5 + 2**-43
+        worlds = [
+            cls(Scenario(n_agents=3, duration_s=2000, initial_infectious=0, diagnosis_delay_s=delay))
+            for cls in (World, WalkDiagnosisWorld)
+        ]
+        for world in worlds:
+            for now, agent_id in ((1018.0, 2), (1019.0, 1)):
+                world.now = now
+                world._infect(world.agents[agent_id])
+            for now in (1023.0, 1024.0):
+                world.now = now
+                world._diagnose_due()
+        assert worlds[0].trace == worlds[1].trace
+        assert [line.split("|")[2:4] for line in worlds[0].trace[2:]] == [
+            ["diagnose", "1"], ["diagnose", "2"]
+        ]
 
 
 class TestChannelDraws:
