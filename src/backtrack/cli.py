@@ -204,7 +204,7 @@ def cmd_bizlog(args) -> int:
         bizlog.save_chain(log, args.chain, args.head)
         print(f"appended|{log.chain[-1].seq}")
         return EXIT_OK
-    repo = wire.load(args.repo, registry.parse_repository)
+    repo = wire.load_lines(args.repo, registry.parse_repository)
     verdict = bizlog.evidence_query(
         log,
         Pid(args.pid),

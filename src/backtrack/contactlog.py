@@ -112,10 +112,20 @@ def _record_fields(r: InformationRecord) -> str:
     )
 
 
-def _parse_record(parts: list[str]) -> InformationRecord:
+def _parse_record(
+    parts: list[str], pids: dict[str, Pid], pads: dict[str, Pad]
+) -> InformationRecord:
+    # pids and pads hold the one checked Pid and Pad made for each id text
+    # seen so far, so a log's repeated ids are checked and stored once
+    pid = pids.get(parts[0])
+    if pid is None:
+        pid = pids[parts[0]] = Pid(parts[0])
+    pad = pads.get(parts[1])
+    if pad is None:
+        pad = pads[parts[1]] = Pad(parts[1])
     return InformationRecord(
-        pid=Pid(parts[0]),
-        pad=Pad(parts[1]),
+        pid=pid,
+        pad=pad,
         local_time=float(parts[2]),
         local_location=wire.unquote(parts[3]),
     )
@@ -131,12 +141,16 @@ def entry_to_line(entry: LogEntry) -> str:
 
 
 def parse_entry_line(line: str) -> LogEntry:
+    return _parse_entry(line, {}, {})
+
+
+def _parse_entry(line: str, pids: dict[str, Pid], pads: dict[str, Pad]) -> LogEntry:
     parts = line.rstrip("\n").split("|")
     if len(parts) != 14 or parts[0] != "entry" or parts[4] != "OWN" or parts[9] != "PEER":
         raise ValueError(f"malformed log entry line: {line!r}")
     return LogEntry(
-        own_record=_parse_record(parts[5:9]),
-        peer_record=_parse_record(parts[10:14]),
+        own_record=_parse_record(parts[5:9], pids, pads),
+        peer_record=_parse_record(parts[10:14], pids, pads),
         recorded_at=float(parts[1]),
         dwell_s=float(parts[2]),
         policy_version=int(parts[3]),
@@ -148,7 +162,11 @@ def serialize_log(log: ContactLog) -> str:
 
 
 def parse_log(text: str) -> ContactLog:
-    return ContactLog([parse_entry_line(line) for line in text.splitlines() if line])
+    """Parse a serialized log; every PID and PAD text that repeats is one
+    shared `Pid` or `Pad`."""
+    pids: dict[str, Pid] = {}
+    pads: dict[str, Pad] = {}
+    return ContactLog([_parse_entry(line, pids, pads) for line in text.splitlines() if line])
 
 
 def save_log(log: ContactLog, path: str) -> None:

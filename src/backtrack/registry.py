@@ -14,6 +14,7 @@ import socketserver
 import threading
 from dataclasses import dataclass, field
 from datetime import date
+from typing import Iterable
 
 from . import wire
 from .certificates import (
@@ -35,9 +36,14 @@ class ClaimVerdict(enum.Enum):
 
 @dataclass
 class NotifiedPidRepository:
-    """pid -> (lab_id, test_date); re-insertion keeps the earliest test date."""
+    """pid -> (lab_id, test_date); re-insertion keeps the earliest test date.
+
+    `shared` maps each `<lab>|<test date>` text recorded so far to its one
+    (lab_id, test_date) value, which every PID of that lab and day points at:
+    a state file repeats few such pairs (labs times days) over many PIDs."""
 
     entries: dict[str, tuple[str, date]] = field(default_factory=dict)
+    shared: dict[str, tuple[str, date]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def ingest_certificate(
@@ -52,21 +58,21 @@ def ingest_certificate(
     repo is left unchanged, so it never holds a PID the file lacks."""
     if verify_certificate(cert, directory) is not VerificationStatus.VERIFIED:
         raise ValueError("certificate did not verify against the directory")
+    lab_day = f"{cert.lab_id}|{cert.test_date.isoformat()}"
     if persist_path:
-        day = cert.test_date.isoformat()
-        wire.append_lines(
-            persist_path, "".join(f"notified|{pid}|{cert.lab_id}|{day}\n" for pid in cert.pids)
-        )
+        wire.append_lines(persist_path, "".join(f"notified|{pid}|{lab_day}\n" for pid in cert.pids))
+    value = repo.shared.setdefault(lab_day, (cert.lab_id, cert.test_date))
     for pid in cert.pids:
-        _record(repo, pid, cert.lab_id, cert.test_date)
+        _record(repo, pid, value)
     return repo
 
 
-def _record(repo: NotifiedPidRepository, pid: str, lab_id: str, test_date: date) -> None:
-    """Insert pid; the earliest test date wins."""
+def _record(repo: NotifiedPidRepository, pid: str, value: tuple[str, date]) -> None:
+    """Point pid at value, a (lab_id, test_date) from repo.shared; the
+    earliest test date wins."""
     existing = repo.entries.get(pid)
-    if existing is None or test_date < existing[1]:
-        repo.entries[pid] = (lab_id, test_date)
+    if existing is None or value[1] < existing[1]:
+        repo.entries[pid] = value
 
 
 def is_notified_pid(repo: NotifiedPidRepository, pid: Pid) -> bool:
@@ -89,24 +95,49 @@ def check_test_priority_claim(
     return ClaimVerdict.CONTACT_CONFIRMED
 
 
-def parse_repository(text: str) -> NotifiedPidRepository:
-    """Parse a state file, whose lines the server appends through
-    `wire.append_lines`: an unterminated last line is a record torn by a crash
-    and is skipped, while a malformed complete line raises ValueError."""
+def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
+    """Parse the complete lines of a state file, without their newlines, as
+    `wire.load_lines` reads them or `wire.complete_lines` splits a text: the
+    caller leaves out an unterminated last line, a record torn by a crash.
+    Every non-empty line must be `notified|<pid>|<lab>|<test date>`, with the
+    date in its one ISO spelling, `YYYY-MM-DD`; any other raises ValueError.
+    Each distinct `<lab>|<test date>` text is parsed once, into the value
+    `repo.shared` keeps for it."""
     repo = NotifiedPidRepository()
-    for line in wire.complete_lines(text)[0]:
+    for line in lines:
         if not line:
             continue
-        parts = line.split("|")
-        if len(parts) != 4 or parts[0] != "notified":
+        # a `<lab>|<test date>` already in shared was checked whole when first
+        # seen, so one hit there checks the rest of this line
+        parts = line.split("|", 2)
+        if len(parts) != 3 or parts[0] != "notified":
             raise ValueError(f"malformed repository line: {line!r}")
-        _record(repo, parts[1], parts[2], date.fromisoformat(parts[3]))
+        value = repo.shared.get(parts[2])
+        if value is None:
+            value = repo.shared[parts[2]] = _parse_shared(parts[2], line)
+        _record(repo, parts[1], value)
     return repo
 
 
+def _parse_shared(text: str, line: str) -> tuple[str, date]:
+    """The (lab_id, test_date) that `<lab>|<test date>` text spells."""
+    lab_id, sep, day = text.partition("|")
+    if not sep or "|" in day:
+        raise ValueError(f"malformed repository line: {line!r}")
+    # Python 3.11 and later also read `20200301` and `2020-W10-1`; refuse
+    # every spelling but the one ingest writes, on every version
+    test_date = date.fromisoformat(day)
+    if test_date.isoformat() != day:
+        raise ValueError(f"test date {day!r} is not YYYY-MM-DD in repository line: {line!r}")
+    return lab_id, test_date
+
+
 def load_repository(path: str) -> NotifiedPidRepository:
+    """The repository in the state file at path, read line by line; a missing
+    file is an empty repository.  A malformed complete line raises ValueError
+    prefixed with the path."""
     try:
-        return wire.load(path, parse_repository)
+        return wire.load_lines(path, parse_repository)
     except FileNotFoundError:
         return NotifiedPidRepository()
 

@@ -1,7 +1,8 @@
 """Shared helpers for the line-oriented `|`-separated file and wire formats,
-and the one way a file is read (`load`). A file is written one of two ways:
-replaced whole (`write_atomic`) or appended whole lines (`append_lines`,
-read back through `complete_lines`)."""
+and the two ways a file is read: whole (`load`) or one line at a time as it
+is read (`load_lines`). A file is written one of two ways: replaced whole
+(`write_atomic`) or appended whole lines (`append_lines`, read back through
+`complete_lines` or `load_lines`)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import fcntl
 import os
 import tempfile
 import urllib.parse
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -88,5 +89,19 @@ def load(path: str, parse: Callable[[str], T]) -> T:
     try:
         with open(path, encoding="utf-8") as f:
             return parse(f.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_lines(path: str, parse: Callable[[Iterator[str]], T]) -> T:
+    """Parse the file at path one line at a time, as it is read, holding
+    neither its whole text nor a list of its lines.  parse gets each
+    newline-terminated line, split on `\\n` only and decoded from UTF-8,
+    without its newline; an unterminated last line, torn by a crash
+    mid-append, is left out undecoded.  A ValueError is raised again
+    prefixed with the path, as `load` does."""
+    try:
+        with open(path, "rb") as f:
+            return parse(raw[:-1].decode("utf-8") for raw in f if raw.endswith(b"\n"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -265,6 +265,12 @@ class TestSerialization:
         parsed = parse_log(text)
         assert serialize_log(parsed) == text
         assert parsed.entries == log.entries
+        # each id text repeated across lines is one checked Pid or Pad
+        first, second = parsed.entries
+        assert first.own_record.pid is second.own_record.pid
+        assert first.own_record.pad is second.own_record.pad
+        assert first.peer_record.pad is second.peer_record.pad
+        assert first.peer_record.pid is not second.peer_record.pid
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):

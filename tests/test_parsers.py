@@ -3,8 +3,11 @@ with one character replaced, either parses or raises ValueError; the
 registry answers every request line with one of its documented responses."""
 
 import base64
+import os
+import tempfile
 from datetime import date
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from backtrack import bizlog, cli, wire
@@ -23,7 +26,12 @@ from backtrack.notify import (
     parse_mailbox,
     parse_notifications,
 )
-from backtrack.registry import NotifiedPidRepository, RegistryService, parse_repository
+from backtrack.registry import (
+    NotifiedPidRepository,
+    RegistryService,
+    load_repository,
+    parse_repository,
+)
 from backtrack.sim import parse_scenario
 
 from conftest import make_entry, make_log
@@ -63,6 +71,24 @@ REGISTRY_RESPONSES = {
 }
 
 
+def parse_and_load_repository(text: str) -> None:
+    """Parse text split on `\\n`, and load it written to a state file: the
+    two agree, raising ValueError (the load's naming the file) or giving the
+    same entries."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "state.txt")
+        with open(path, "wb") as f:
+            f.write(text.encode("utf-8"))
+        try:
+            loaded = load_repository(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            with pytest.raises(ValueError):
+                parse_repository(wire.complete_lines(text)[0])
+            raise
+    assert parse_repository(wire.complete_lines(text)[0]).entries == loaded.entries
+
+
 def registry_request(line: str) -> None:
     service = RegistryService(NotifiedPidRepository(), DIRECTORY)
     service.handle_request([f"INGEST {CERT_LINE}"])
@@ -87,7 +113,10 @@ PARSERS = {
     ),
     "log": (parse_log, serialize_log(make_log(make_entry(), make_entry(t=2000.0)))),
     "directory": (LabDirectory.from_lines, DIRECTORY.to_lines()),
-    "repository": (parse_repository, "notified|P1|lab-A|2020-04-01\nnotified|P2|lab-A|2020-04-02\n"),
+    "repository": (
+        parse_and_load_repository,
+        "notified|P1|lab-A|2020-04-01\nnotified|P2|lab-A|2020-04-02\n",
+    ),
     "chain": (lambda text: bizlog.parse_chain(text, CHAIN.head), CHAIN_TEXT),
     "head": (bizlog.parse_head, HEAD_TEXT),
     "scenario": (parse_scenario, SCENARIO_TEXT),

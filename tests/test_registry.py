@@ -1,7 +1,9 @@
+import os
 import re
 import socket
 import socketserver
 import sys
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
@@ -9,9 +11,15 @@ from dataclasses import replace
 from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from backtrack import registry
-from backtrack.certificates import certificate_to_line, issue_certificate
+from backtrack import registry, wire
+from backtrack.certificates import (
+    LabDirectory,
+    LabIdentity,
+    certificate_to_line,
+    issue_certificate,
+)
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import (
     MAX_REQUEST_BYTES,
@@ -36,6 +44,13 @@ def cert_for(lab, pids, test_date=date(2020, 4, 1)):
 
 def ingest_line(lab, pids):
     return f"INGEST {certificate_to_line(cert_for(lab, pids))}"
+
+
+def load_state(tmp_path, text):
+    """Write text as a state file and load it."""
+    path = tmp_path / "state.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return load_repository(str(path))
 
 
 @contextmanager
@@ -91,8 +106,8 @@ class TestMembership:
         ingest_certificate(repo, cert_for(lab, [Pid("abcd")]), directory)
         assert not is_notified_pid(repo, Pid("abce"))
 
-    def test_fresh_pid_found_among_parsed_str_keys(self):
-        repo = parse_repository("notified|P1|lab-A|2020-04-05\n")
+    def test_fresh_pid_found_among_parsed_str_keys(self, tmp_path):
+        repo = load_state(tmp_path, "notified|P1|lab-A|2020-04-05\n")
         assert all(type(k) is str for k in repo.entries)
         assert is_notified_pid(repo, Pid("P1"))
         assert not is_notified_pid(repo, Pid("P2"))
@@ -134,36 +149,133 @@ class TestPersistence:
             assert svc.handle_request([f"INGEST {cert}"]) == "OK"
         assert load_repository(path).entries == svc.repo.entries
 
-    def test_replay_keeps_earliest(self):
+    def test_replay_keeps_earliest(self, tmp_path):
         text = (
             "notified|P1|lab-A|2020-04-05\n"
             "notified|P1|lab-B|2020-03-30\n"
         )
-        repo = parse_repository(text)
+        repo = load_state(tmp_path, text)
         assert repo.entries["P1"][1] == date(2020, 3, 30)
 
-    def test_torn_final_line_skipped(self):
-        repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|la")
+    def test_torn_final_line_skipped(self, tmp_path):
+        repo = load_state(tmp_path, "notified|a|lab|2020-03-01\nnotified|b|la")
         assert repo.entries == {"a": ("lab", date(2020, 3, 1))}
 
-    def test_unterminated_whole_final_line_skipped(self):
+    def test_unterminated_whole_final_line_skipped(self, tmp_path):
         # OK is sent only after the append returns, so a line without its
         # newline was never acknowledged, even when it parses
-        repo = parse_repository("notified|a|lab|2020-03-01\nnotified|b|lab|2020-03-02")
+        repo = load_state(tmp_path, "notified|a|lab|2020-03-01\nnotified|b|lab|2020-03-02")
         assert set(repo.entries) == {"a"}
 
     @pytest.mark.parametrize("text", [
         "notified|a|lab|2020-03-01\nnotified|b|la\n",  # complete, so not torn
         "notified|b|la\nnotified|a|lab|2020-03-01",  # not the final line
         "notified|a|lab|2020-03-01\nnotified|b|lab|2020-13-01\n",
+        # a line ends at `\n` alone, as `wire.append_lines` cuts a torn one
+        "notified|a|lab|2020-03-01\r\n",
+        "notified|a|lab|2020-03-01\rnotified|b|lab|2020-03-01\n",
+        # a line's shared `<lab>|<date>` is checked whole on a repeat too
+        "notified|a|lab|2020-03-01\nnotified|b|c|lab|2020-03-01\n",
+        "notified|a|lab|2020-03-01\nnotice|b|lab|2020-03-01\n",
     ])
-    def test_other_malformed_lines_raise(self, text):
+    def test_other_malformed_lines_raise(self, text, tmp_path):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
+            load_state(tmp_path, text)
         with pytest.raises(ValueError):
-            parse_repository(text)
+            parse_repository(wire.complete_lines(text)[0])
+
+    @pytest.mark.parametrize(
+        "day", ["20200301", "2020-W10-1", "2020W101", "2020-3-1", " 2020-03-01"]
+    )
+    def test_only_the_canonical_date_spelling_loads(self, day, tmp_path):
+        # Python 3.11 and later read the first three as 2020-03-01 and 3.10
+        # refuses them: a state line has one spelling on every version
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
+            load_state(tmp_path, f"notified|a|lab|{day}\n")
+
+    def test_every_cut_of_the_last_two_lines(self, tmp_path):
+        lines = [
+            "notified|P1|lab-A|2020-03-01\n",
+            "notified|pid-\u00e9\u20ac|lab-A|2020-03-12\n",  # a cut can split a character
+            "notified|P3|lab-B|2020-03-01\n",
+        ]
+        data = "".join(lines).encode("utf-8")
+        path = tmp_path / "state.txt"
+
+        def prefix(n):
+            return parse_repository(line[:-1] for line in lines[:n]).entries
+
+        for cut in range(len(lines[0].encode("utf-8")), len(data) + 1):
+            head = data[:cut]
+            whole = head.count(b"\n")
+            path.write_bytes(head)
+            assert load_repository(str(path)).entries == prefix(whole), cut
+            # the cut line given its newline is a complete line: a whole
+            # record loads, anything shorter is malformed
+            torn = head[head.rfind(b"\n") + 1:]
+            path.write_bytes(head + b"\n")
+            if not torn or torn in data.split(b"\n"):
+                assert load_repository(str(path)).entries == prefix(whole + bool(torn)), cut
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+                    load_repository(str(path))
 
     def test_missing_file_is_empty_repo(self, tmp_path):
         repo = load_repository(str(tmp_path / "absent.txt"))
         assert repo.entries == {}
+
+
+LABS = [LabIdentity.from_seed(name, bytes([i]) * 32) for i, name in enumerate(("lab-A", "lab-B"))]
+LAB_DIRECTORY = LabDirectory()
+for _lab in LABS:
+    LAB_DIRECTORY.add_lab(_lab)
+
+# certificates as (lab index, test date, PIDs), with few labs, days and PIDs
+# so that pairs and PIDs repeat
+CERTIFICATES = st.lists(
+    st.tuples(
+        st.integers(0, len(LABS) - 1),
+        st.dates(date(2020, 3, 1), date(2020, 3, 4)),
+        st.lists(st.sampled_from([f"P{i}" for i in range(8)]), min_size=1, max_size=4, unique=True),
+    ),
+    max_size=8,
+)
+
+
+class TestSharedValues:
+    """Every PID of one (lab, test date) points at one shared value, after a
+    load, after ingests, and after ingests into a loaded repository."""
+
+    @staticmethod
+    def check(repo, certs):
+        expected = {}
+        for i, day, pids in certs:
+            for pid in pids:
+                if pid not in expected or day < expected[pid][1]:
+                    expected[pid] = (LABS[i].lab_id, day)
+        assert repo.entries == expected
+        assert len({id(v) for v in repo.entries.values()}) == len(set(repo.entries.values()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(loaded=CERTIFICATES, ingested=CERTIFICATES)
+    def test_one_value_per_lab_and_date(self, loaded, ingested):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "state.txt")
+            with open(path, "w") as f:
+                f.writelines(
+                    f"notified|{pid}|{LABS[i].lab_id}|{day.isoformat()}\n"
+                    for i, day, pids in loaded
+                    for pid in pids
+                )
+            repo = load_repository(path)
+        self.check(repo, loaded)
+        fresh = NotifiedPidRepository()
+        for i, day, pids in ingested:
+            cert = issue_certificate(LABS[i], [Pid(p) for p in pids], day, date(2020, 2, 25))
+            ingest_certificate(fresh, cert, LAB_DIRECTORY)
+            ingest_certificate(repo, cert, LAB_DIRECTORY)
+        self.check(fresh, ingested)
+        self.check(repo, loaded + ingested)
 
 
 class TestWireProtocol:
@@ -181,8 +293,6 @@ class TestWireProtocol:
         assert svc.handle_request(["INGEST not-a-cert"]) == "REJECTED"
 
     def test_claim_responses(self, lab, directory):
-        from backtrack import wire
-
         svc = self.service(lab, directory)
         svc.handle_request([ingest_line(lab, [Pid("sickpid")])])
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
