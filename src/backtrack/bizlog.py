@@ -13,8 +13,8 @@ import enum
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
-from operator import attrgetter
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from typing import Callable
 
 from . import wire
@@ -37,27 +37,42 @@ class ChainedVisit:
     entry_hash: str
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class Visits(Sequence):
+    """A log's visits in chain order, to index, slice, measure and iterate."""
+
+    _visits: list[ChainedVisit]
+
+    def __getitem__(self, i):
+        return self._visits[i]
+
+    def __len__(self) -> int:
+        return len(self._visits)
+
+
 class VisitorLog:
-    """Visits in chain order, and `visit_times`: each PID's visit times in
-    time order.  `append_visit` keeps both up to date; code outside this
-    module only reads them."""
+    """A business's visits in chain order, read through the `chain` view, and
+    the head hash that commits them.  Only `append_visit` changes a log once
+    it is built.  `visit_times` holds each PID's visit times in time order."""
 
-    business_id: str = ""
-    chain: list[ChainedVisit] = field(default_factory=list)
-    head: str = GENESIS_HASH
-    # the visits the last intact audit covered; see verify_chain
-    audited: list[ChainedVisit] = field(
-        default_factory=list, init=False, compare=False, repr=False
-    )
-    visit_times: dict[Pid, list[float]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    def __init__(
+        self, business_id: str = "", chain: Iterable[ChainedVisit] = (), head: str = GENESIS_HASH
+    ) -> None:
+        self.business_id = business_id
+        self._visits = list(chain)
+        self._head = head
+        self._audited = 0  # the visits the last intact audit covered; see verify_chain
+        self.visit_times: dict[Pid, list[float]] = {}
+        for v in self._visits:  # insort, as append_visit does: a parsed chain may be unordered
+            bisect.insort(self.visit_times.setdefault(v.pid, []), v.visited_at)
 
-    def __post_init__(self) -> None:
-        # in time order, so that a chain parsed out of order answers as its scan
-        for v in sorted(self.chain, key=attrgetter("visited_at")):
-            self.visit_times.setdefault(v.pid, []).append(v.visited_at)
+    @property
+    def chain(self) -> Visits:
+        return Visits(self._visits)
+
+    @property
+    def head(self) -> str:
+        return self._head
 
 
 @dataclass(frozen=True)
@@ -80,24 +95,31 @@ def _hash_entry(prev_hash: str, seq: int, visited_at: float, pid: Pid) -> str:
 def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     if not math.isfinite(visited_at):
         raise ValueError(f"visit time {visited_at} is not finite")
-    if log.chain and visited_at < log.chain[-1].visited_at:
-        raise ValueError(f"visit at {visited_at} precedes head visit {log.chain[-1].visited_at}")
-    seq = log.chain[-1].seq + 1 if log.chain else 1
-    prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
-    entry_hash = _hash_entry(prev_hash, seq, visited_at, pid)
-    log.chain.append(ChainedVisit(seq, visited_at, pid, entry_hash))
+    last = log._visits[-1] if log._visits else None
+    if last and visited_at < last.visited_at:
+        raise ValueError(f"visit at {visited_at} precedes head visit {last.visited_at}")
+    seq = last.seq + 1 if last else 1
+    entry_hash = _hash_entry(last.entry_hash if last else GENESIS_HASH, seq, visited_at, pid)
+    log._visits.append(ChainedVisit(seq, visited_at, pid, entry_hash))
     bisect.insort(log.visit_times.setdefault(pid, []), visited_at)
-    log.head = entry_hash
+    log._head = entry_hash
     return log
 
 
-def _check_links(log: VisitorLog, start: int) -> ChainCheck:
-    """Rehash the visits from index start on, trusting the ones before it.
+def verify_chain(log: VisitorLog) -> ChainCheck:
+    """Recompute every hash and link; report the smallest violating seq.
     A visit earlier than the one before it breaks the chain as an edit does:
-    `append_visit` never adds one, so it was not appended."""
-    prev_hash = log.chain[start - 1].entry_hash if start else GENESIS_HASH
-    prev_at = log.chain[start - 1].visited_at if start else -math.inf
-    for expected_seq, visit in enumerate(log.chain[start:], start=start + 1):
+    `append_visit` never adds one.  A head that does not match the last
+    entry (e.g. truncation with a stale head) is reported at the sequence
+    number after the last surviving entry.
+
+    An intact result checkpoints the count of visits it covered, and the
+    next audit rehashes only the visits `append_visit` added since, the only
+    change a log takes.  A tampered result leaves the count; a new log has 0."""
+    visits, start = log._visits, log._audited
+    prev_hash = visits[start - 1].entry_hash if start else GENESIS_HASH
+    prev_at = visits[start - 1].visited_at if start else -math.inf
+    for expected_seq, visit in enumerate(visits[start:], start=start + 1):
         if (
             visit.seq != expected_seq
             or visit.visited_at < prev_at
@@ -105,34 +127,10 @@ def _check_links(log: VisitorLog, start: int) -> ChainCheck:
         ):
             return ChainCheck(intact=False, tampered_at=expected_seq)
         prev_hash, prev_at = visit.entry_hash, visit.visited_at
-    if log.head != prev_hash:
-        return ChainCheck(intact=False, tampered_at=len(log.chain) + 1)
+    if log._head != prev_hash:
+        return ChainCheck(intact=False, tampered_at=len(visits) + 1)
+    log._audited = len(visits)
     return ChainCheck(intact=True)
-
-
-def verify_chain(log: VisitorLog) -> ChainCheck:
-    """Recompute every hash and link; report the smallest violating seq.
-
-    A head that does not match the last entry (e.g. truncation with a stale
-    head) is reported at the sequence number after the last surviving entry.
-
-    An intact result checkpoints the chain on this log object, so the next
-    audit rehashes only the visits appended since, from the checkpoint's
-    hash: it rehashes O(new visits) and compares O(n) references. If the
-    audited prefix no longer equals the checkpoint, visit by visit, because
-    a visit there was replaced, removed or reordered, it rehashes the whole
-    chain from genesis, so the violating seq is still exact. The compare
-    trusts `ChainedVisit` to be frozen and its fields to keep their declared
-    types (int seq, float time, Pid): a visit changed in place through
-    `object.__setattr__`, or replaced by one that compares equal but renders
-    another payload (seq=True for seq=1), is not rehashed. A tampered result
-    leaves the checkpoint where it was, and a log parsed afresh has none.
-    """
-    n = len(log.audited)
-    check = _check_links(log, n if log.chain[:n] == log.audited else 0)
-    if check.intact:
-        log.audited = list(log.chain)
-    return check
 
 
 def evidence_query(
@@ -164,7 +162,7 @@ def _visit_line(v: ChainedVisit) -> str:
 def chain_to_lines(log: VisitorLog) -> str:
     """One `visit|<seq>|<t>|<pid>|<hash>` line per visit: the hashed payload,
     then its entry hash."""
-    return "".join(_visit_line(v) + "\n" for v in log.chain)
+    return "".join(_visit_line(v) + "\n" for v in log._visits)
 
 
 def head_to_line(log: VisitorLog) -> str:

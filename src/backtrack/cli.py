@@ -90,24 +90,25 @@ def cmd_sim(args) -> int:
 
 def cmd_cert(args) -> int:
     if args.cert_mode == "keygen":
-        if os.path.exists(args.directory):
-            directory = wire.load(args.directory, LabDirectory.from_lines)
-        else:
-            directory = LabDirectory()
-        key_exists = os.path.exists(args.key_out)
-        if key_exists:
-            # a key whose directory write failed is published by the retry;
-            # any other key file is kept as it is
-            lab = wire.load(args.key_out, _parse_lab_key)
-            if lab.lab_id != args.lab_id or directory.lookup(lab.lab_id) is not None:
-                raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
-        else:
-            lab = LabIdentity.generate(args.lab_id)
-        directory.add_lab(lab)
-        if not key_exists:
-            seed = base64.b64encode(lab.private_bytes()).decode("ascii")
-            wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|{SCHEME_ED25519}|{seed}\n")
-        wire.write_atomic(args.directory, directory.to_lines())
+        with wire.locked(args.directory):
+            if os.path.exists(args.directory):
+                directory = wire.load(args.directory, LabDirectory.from_lines)
+            else:
+                directory = LabDirectory()
+            key_exists = os.path.exists(args.key_out)
+            if key_exists:
+                # a key whose directory write failed is published by the retry;
+                # any other key file is kept as it is
+                lab = wire.load(args.key_out, _parse_lab_key)
+                if lab.lab_id != args.lab_id or directory.lookup(lab.lab_id) is not None:
+                    raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
+            else:
+                lab = LabIdentity.generate(args.lab_id)
+            directory.add_lab(lab)
+            if not key_exists:
+                seed = base64.b64encode(lab.private_bytes()).decode("ascii")
+                wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|{SCHEME_ED25519}|{seed}\n")
+            wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK
     if args.cert_mode == "issue":
@@ -186,46 +187,50 @@ def cmd_registry(args) -> int:
 
 
 def cmd_bizlog(args) -> int:
-    # every mode audits the chain first: an append never extends, and so
-    # hides, a chain that was cut or edited, and evidence never rests on one
-    if args.bizlog_mode == "append" and bizlog.nothing_committed(args.chain, args.head):
-        log = bizlog.VisitorLog()
-    else:
-        log = bizlog.load_chain(args.chain, args.head)
-    check = bizlog.verify_chain(log)
-    if not check.intact:
-        print(f"TAMPERED-AT {check.tampered_at}")
-        return EXIT_REJECTED
-    if args.bizlog_mode == "verify":
-        print("INTACT")
-        return EXIT_OK
-    if args.bizlog_mode == "append":
-        bizlog.append_visit(log, Pid(args.pid), args.at)
-        bizlog.save_chain(log, args.chain, args.head)
-        print(f"appended|{log.chain[-1].seq}")
-        return EXIT_OK
-    repo = wire.load_lines(args.repo, registry.parse_repository)
-    verdict = bizlog.evidence_query(
-        log,
-        Pid(args.pid),
-        args.window_from,
-        args.window_to,
-        lambda pid: registry.is_notified_pid(repo, pid),
-    )
-    print(verdict.value)
-    return EXIT_OK if verdict is bizlog.EvidenceVerdict.VISIT_AND_CERTIFIED else EXIT_REJECTED
+    # an append holds the chain's lock from its audit to its head write
+    with wire.locked(args.chain) if args.bizlog_mode == "append" else contextlib.nullcontext():
+        # every mode audits the chain first: an append never extends, and so
+        # hides, a chain that was cut or edited, and evidence never rests on one
+        if args.bizlog_mode == "append" and bizlog.nothing_committed(args.chain, args.head):
+            log = bizlog.VisitorLog()
+        else:
+            log = bizlog.load_chain(args.chain, args.head)
+        check = bizlog.verify_chain(log)
+        if not check.intact:
+            print(f"TAMPERED-AT {check.tampered_at}")
+            return EXIT_REJECTED
+        if args.bizlog_mode == "verify":
+            print("INTACT")
+            return EXIT_OK
+        if args.bizlog_mode == "append":
+            bizlog.append_visit(log, Pid(args.pid), args.at)
+            bizlog.save_chain(log, args.chain, args.head)
+            print(f"appended|{log.chain[-1].seq}")
+            return EXIT_OK
+        repo = wire.load_lines(args.repo, registry.parse_repository)
+        verdict = bizlog.evidence_query(
+            log,
+            Pid(args.pid),
+            args.window_from,
+            args.window_to,
+            lambda pid: registry.is_notified_pid(repo, pid),
+        )
+        print(verdict.value)
+        return EXIT_OK if verdict is bizlog.EvidenceVerdict.VISIT_AND_CERTIFIED else EXIT_REJECTED
 
 
 def cmd_log(args) -> int:
+    if args.log_mode == "prune":
+        with wire.locked(args.log):
+            log = contactlog.load_log(args.log)
+            before = len(log.entries)
+            contactlog.prune(log, args.now, args.retention_days)
+            contactlog.save_log(log, args.log)
+        print(f"pruned|{before - len(log.entries)}")
+        return EXIT_OK
     log = contactlog.load_log(args.log)
     if args.log_mode == "show":
         sys.stdout.write(contactlog.serialize_log(log))
-        return EXIT_OK
-    if args.log_mode == "prune":
-        before = len(log.entries)
-        contactlog.prune(log, args.now, args.retention_days)
-        contactlog.save_log(log, args.log)
-        print(f"pruned|{before - len(log.entries)}")
         return EXIT_OK
     # stats
     print(f"count|{len(log.entries)}")

@@ -1,12 +1,14 @@
 """Shared helpers for the line-oriented `|`-separated file and wire formats,
 and the two ways a file is read: whole (`load`) or one line at a time as it
 is read (`load_lines`). A file is written one of two ways: replaced whole
-(`write_atomic`) or appended whole lines (`append_lines`, read back through
-`complete_lines` or `load_lines`)."""
+(`write_atomic`, under `locked` when the new text is made from the old) or
+appended whole lines (`append_lines`, read back through `complete_lines` or
+`load_lines`)."""
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import fcntl
 import os
 import tempfile
@@ -57,6 +59,20 @@ def write_atomic(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def locked(path: str) -> Iterator[None]:
+    """Hold an exclusive flock on `<path>.lock` for the block, which loads
+    path, changes it and replaces it with `write_atomic`; so writers that
+    each do that take turns, and none replaces path with text made before
+    another's write.  The lock is on a file beside path, created if missing
+    and never removed, because `write_atomic` replaces path itself and a
+    lock on the replaced file would not exclude a process that opens the
+    new one.  Readers take no lock: they see the old file or the new one."""
+    with open(path + ".lock", "ab") as f:
+        fcntl.flock(f, fcntl.LOCK_EX)  # released when f is closed
+        yield
 
 
 def append_lines(path: str, text: str) -> None:

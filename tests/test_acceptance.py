@@ -204,25 +204,27 @@ def test_criterion_06_trusted_pid_ownership():
 
 
 def test_criterion_07_hash_chain_tamper_localization():
-    from backtrack.bizlog import VisitorLog, append_visit, verify_chain
+    from backtrack.bizlog import VisitorLog, append_visit, chain_to_lines, parse_chain, verify_chain
 
     rng = random.Random(21)
     for _ in range(100):
         n = rng.randrange(1, 501)
-        log = VisitorLog(business_id="b")
+        log = VisitorLog()
         for i in range(n):
             append_visit(log, Pid(f"v{i}"), float(i))
         victim = rng.randrange(n)
         mutation = rng.choice(["pid", "time", "hash"])
+        # the edit is made in the chain file's text: visit|<seq>|<time>|<pid>|<hash>
+        lines = chain_to_lines(log).split("\n")
+        fields = lines[victim].split("|")
         if mutation == "pid":
-            log.chain[victim] = replace(log.chain[victim], pid=Pid("x"))
+            fields[3] = "x"
         elif mutation == "time":
-            log.chain[victim] = replace(
-                log.chain[victim], visited_at=log.chain[victim].visited_at + 0.5
-            )
+            fields[2] = repr(log.chain[victim].visited_at + 0.5)
         else:
-            log.chain[victim] = replace(log.chain[victim], entry_hash="e" * 64)
-        check = verify_chain(log)
+            fields[4] = "e" * 64
+        lines[victim] = "|".join(fields)
+        check = verify_chain(parse_chain("\n".join(lines), log.head))
         assert not check.intact
         assert check.tampered_at == victim + 1
     print("criterion 7 PASS: 100 chains, tamper localized to the exact seq")
@@ -238,10 +240,10 @@ def test_criterion_08_retention_prune():
     boundary = make_entry(peer_pid="edge", recorded_at=now - 21 * day)
     log = make_log(*stale, boundary, *fresh)
     prune(log, now)
-    kept = [e.peer_record.pid.value for e in log.entries]
+    kept = [e.peer_record.pid for e in log.entries]
     assert kept == ["edge", "f0", "f1", "f2", "f3", "f4"]
     prune(log, now)
-    assert [e.peer_record.pid.value for e in log.entries] == kept
+    assert [e.peer_record.pid for e in log.entries] == kept
     print("criterion 8 PASS: prune removes exactly the stale set, idempotent")
 
 

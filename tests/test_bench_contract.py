@@ -1,8 +1,9 @@
 """The benchmark's tracer wraps program functions by name, at every place
 callers look them up, its observers read program attributes, its simulator
-workloads write scenario files by key, and its registry server names spans
-by a request's first word.  Changing one of those breaks `bench/run.py`;
-this catches it without running a workload."""
+workloads write scenario files by key, its registry server names spans by a
+request's first word, and its device-log workload builds and audits a
+visitor log.  Changing one of those breaks `bench/run.py`; this catches it
+with at most a fraction of a second of a tiny workload."""
 
 import threading
 from datetime import date
@@ -84,3 +85,23 @@ def test_ingest_reaches_handle_request_as_one_ingest_line(lab, directory, monkey
         server.server_close()
     assert len(seen) == 1
     assert isinstance(seen[0], list) and seen[0][0].startswith("INGEST ")
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_device_log_workload_runs(monkeypatch, tmp_path, traced):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import wl_devicelog
+
+    built = []
+
+    class Recorded(wl_devicelog.DeviceLog):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(wl_devicelog, "DeviceLog", Recorded)
+    out = wl_devicelog.run(0, 0.2, tracing.Tracer() if traced else None, "tiny", tmp_path)
+    assert out.attempted > 0 and out.failed == 0
+    # the set-up visits and every visit operation, all on the audited chain
+    assert out.notes["chain_visits"] == len(built[0].visits) > wl_devicelog.SIZES["tiny"]["visits"]

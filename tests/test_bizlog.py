@@ -29,8 +29,8 @@ from backtrack.bizlog import (
 from backtrack.identity import Pid
 
 
-def chain_of(n, business="cafe"):
-    log = VisitorLog(business_id=business)
+def chain_of(n):
+    log = VisitorLog()
     for i in range(n):
         append_visit(log, Pid(f"pid{i:04d}"), 100.0 * (i + 1))
     return log
@@ -44,6 +44,53 @@ def linked_hash(prev_hash, visit):
 def load(chain_path, head_path):
     with open(chain_path) as chain, open(head_path) as head:
         return parse_chain(chain.read(), parse_head(head.read()))
+
+
+# Tampering is an edit of the chain text, the threat the CLI faces between
+# two commands: a log changes only through append_visit once it is built.
+
+
+def chain_lines(log):
+    return chain_to_lines(log).splitlines()
+
+
+def reparse(lines, head):
+    """The log parse_chain reads from these visit lines under head."""
+    return parse_chain("".join(line + "\n" for line in lines), head)
+
+
+def edited(log, index, **fields):
+    """log read back, under its head, from its chain text with the given
+    fields of the visit line at index rewritten."""
+    lines = chain_lines(log)
+    names = ("tag", "seq", "visited_at", "pid", "entry_hash")
+    line = dict(zip(names, lines[index].split("|")), **fields)
+    lines[index] = "|".join(line[name] for name in names)
+    return reparse(lines, log.head)
+
+
+def tamper(log, index, field):
+    """log read back with one field of the visit at index changed in its
+    text: the PID, the time (one second later) or the hash."""
+    change = {
+        "pid": "evil",
+        "visited_at": wire.fmt_num(log.chain[index].visited_at + 1),
+        "entry_hash": "f" * 64,
+    }
+    return edited(log, index, **{field: change[field]})
+
+
+def full_rehash(log):
+    """The audit of log's text parsed afresh, which has no checkpoint."""
+    return verify_chain(parse_chain(chain_to_lines(log), log.head))
+
+
+def hashes_seen(monkeypatch):
+    """The seq of every visit hashed from now on, in order."""
+    hashed = []
+    hash_entry = bizlog._hash_entry
+    monkeypatch.setattr(bizlog, "_hash_entry", lambda *a: hashed.append(a[1]) or hash_entry(*a))
+    return hashed
 
 
 class TestAppend:
@@ -67,7 +114,7 @@ class TestAppend:
         log = chain_of(2)
         with pytest.raises(ValueError, match="is not finite"):
             append_visit(log, Pid("late"), at)
-        assert log == chain_of(2)
+        assert (log.chain, log.head) == (chain_of(2).chain, chain_of(2).head)
         with pytest.raises(ValueError, match="is not finite"):
             append_visit(VisitorLog(), Pid("first"), at)
 
@@ -80,36 +127,69 @@ class TestAppend:
         assert len(log.chain) == 2
 
 
+class TestReadOnly:
+    """Only append_visit changes a log once it is built."""
+
+    @pytest.mark.parametrize("change", [
+        "log.chain[0] = log.chain[1]",
+        "log.chain[0:1] = []",
+        "del log.chain[0]",
+        "log.chain.append(log.chain[0])",
+        "log.chain.pop()",
+        "log.chain.insert(0, log.chain[0])",
+        "log.chain.extend(log.chain)",
+        "log.chain.remove(log.chain[0])",
+        "log.chain.clear()",
+        "log.chain.sort(key=id)",
+        "log.chain.reverse()",
+        "log.chain += [log.chain[0]]",
+        "log.chain = []",
+        "del log.chain",
+        "log.head = GENESIS_HASH",
+        "del log.head",
+    ])
+    def test_each_change_raises(self, change):
+        log = chain_of(3)
+        with pytest.raises((TypeError, AttributeError)):
+            exec(change, {"log": log, "GENESIS_HASH": GENESIS_HASH})
+        assert (log.chain, log.head) == (chain_of(3).chain, chain_of(3).head)
+        assert verify_chain(log).intact
+
+    def test_a_slice_and_the_constructor_take_copies(self):
+        log = chain_of(3)
+        visits = log.chain[:]
+        visits.pop()
+        built = VisitorLog(chain=visits, head=visits[-1].entry_hash)
+        visits.clear()
+        assert (len(log.chain), len(built.chain)) == (3, 2)
+        assert verify_chain(built).intact
+
+
 class TestVerify:
     def test_intact_100_entries(self):
         assert verify_chain(chain_of(100)).intact
 
     def test_mutated_pid_localized(self):
-        log = chain_of(100)
-        log.chain[36] = replace(log.chain[36], pid=Pid("evil"))
-        check = verify_chain(log)
+        check = verify_chain(edited(chain_of(100), 36, pid="evil"))
         assert not check.intact
         assert check.tampered_at == 37
 
     def test_mutated_timestamp_localized(self):
-        log = chain_of(50)
-        log.chain[10] = replace(log.chain[10], visited_at=999999.0)
-        assert verify_chain(log).tampered_at == 11
+        assert verify_chain(edited(chain_of(50), 10, visited_at="999999")).tampered_at == 11
 
     def test_truncation_with_stale_head(self):
         log = chain_of(10)
-        log.chain.pop()
-        check = verify_chain(log)
+        check = verify_chain(reparse(chain_lines(log)[:-1], log.head))
         assert not check.intact
         assert check.tampered_at == 10
 
     def test_empty_chain_intact(self):
-        assert verify_chain(VisitorLog(business_id="cafe")).intact
+        assert verify_chain(VisitorLog()).intact
 
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=2**31))
     def test_append_then_verify_always_intact(self, n, seed):
         rng = random.Random(seed)
-        log = VisitorLog(business_id="b")
+        log = VisitorLog()
         t = 0.0
         for _ in range(n):
             t += rng.uniform(0, 100)
@@ -120,29 +200,22 @@ class TestVerify:
         rng = random.Random(4)
         for _ in range(50):
             n = rng.randrange(2, 120)
-            log = chain_of(n)
             victim = rng.randrange(n)
             field = rng.choice(["pid", "visited_at", "entry_hash"])
-            if field == "pid":
-                mutated = replace(log.chain[victim], pid=Pid("tampered"))
-            elif field == "visited_at":
-                mutated = replace(log.chain[victim], visited_at=log.chain[victim].visited_at + 1)
-            else:
-                mutated = replace(log.chain[victim], entry_hash="f" * 64)
-            log.chain[victim] = mutated
-            check = verify_chain(log)
+            check = verify_chain(tamper(chain_of(n), victim, field))
             assert not check.intact
             assert check.tampered_at == victim + 1
 
 
 def append_unchecked(log, pid, visited_at):
-    """Append a correctly hashed and linked visit, skipping append_visit's time check."""
+    """log read back from its chain text with a correctly hashed and linked
+    visit appended under a head that commits it, skipping append_visit's
+    time check."""
     visit = ChainedVisit(len(log.chain) + 1, visited_at, pid, "")
     prev_hash = log.chain[-1].entry_hash if log.chain else GENESIS_HASH
     visit = replace(visit, entry_hash=linked_hash(prev_hash, visit))
-    log.chain.append(visit)
-    log.head = visit.entry_hash
-    return log
+    line = f"{visit_payload(visit.seq, visit.visited_at, visit.pid)}|{visit.entry_hash}"
+    return reparse([*chain_lines(log), line], visit.entry_hash)
 
 
 def out_of_order_chain():
@@ -157,39 +230,53 @@ def audited_chain(n):
     return log
 
 
-def full_rehash(log):
-    """The audit of a copy of log with no checkpoint."""
-    return verify_chain(VisitorLog(chain=list(log.chain), head=log.head))
+def mutated(log, kind, at):
+    """log read back from its chain text or head line changed one way, and
+    the seq its audit must report; None if log is too short for the change."""
+    lines, n = chain_lines(log), len(log.chain)
+    i = at % n
+    if kind in ("pid", "visited_at", "entry_hash"):
+        return tamper(log, i, kind), i + 1
+    if kind == "forge-last":
+        return edited(log, n - 1, pid="evil"), n
+    if kind == "head":
+        return reparse(lines, "f" * 64), n + 1
+    if kind == "pop":
+        return reparse(lines[:-1], log.head), n
+    if kind == "delete":
+        del lines[i]
+        return reparse(lines, log.head), i + 1
+    if n < 2:
+        return None
+    i = at % (n - 1)  # swap a visit with the next one
+    lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return reparse(lines, log.head), i + 1
 
 
 class TestAfterAudit:
-    """Tampering after an intact audit, audited again on the same log object."""
+    """An audited log's chain text, edited and read back. A log read afresh
+    has no checkpoint, so its audit localizes each edit as a full rehash
+    does; only visits appended to the same log skip the rehash."""
 
-    def test_checkpoint_is_state_not_an_option(self):
-        log = audited_chain(3)
-        assert log.audited == log.chain
-        assert log == chain_of(3)
-        assert "audited" not in repr(log)
+    def test_checkpoint_is_state_not_an_option(self, monkeypatch):
         with pytest.raises(TypeError):
-            VisitorLog(audited=[])
+            VisitorLog(audited=3)
+        log = audited_chain(3)
+        hashed = hashes_seen(monkeypatch)
+        assert verify_chain(VisitorLog(chain=log.chain, head=log.head)).intact
+        assert hashed == [1, 2, 3]
 
     def test_rehashes_only_the_visits_after_the_checkpoint(self, monkeypatch):
         log = audited_chain(100)
         for i in range(5):
             append_visit(log, Pid(f"new{i}"), 20000.0 + i)
-        hashed = []
-        hash_entry = bizlog._hash_entry
-        monkeypatch.setattr(bizlog, "_hash_entry", lambda *a: hashed.append(a[1]) or hash_entry(*a))
+        hashed = hashes_seen(monkeypatch)
         assert verify_chain(log).intact
         assert hashed == [101, 102, 103, 104, 105]
         hashed.clear()
         assert verify_chain(log).intact
         assert hashed == []
-        log.chain[3] = replace(log.chain[3])  # equal, not identical: still the checkpoint
-        assert verify_chain(log).intact
-        assert hashed == []
-        log.chain[3] = replace(log.chain[3], pid=Pid("evil"))
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=4)
+        assert verify_chain(edited(log, 3, pid="evil")) == ChainCheck(intact=False, tampered_at=4)
         assert hashed == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("appended", [0, 3])
@@ -199,90 +286,77 @@ class TestAfterAudit:
         log = audited_chain(40)
         for i in range(appended):
             append_visit(log, Pid(f"new{i}"), 9000.0 + i)
-        visit = log.chain[victim]
-        change = {"pid": Pid("evil"), "visited_at": visit.visited_at + 1, "entry_hash": "f" * 64}
-        log.chain[victim] = replace(visit, **{field: change[field]})
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=victim + 1)
+        assert verify_chain(log).intact
+        check = verify_chain(tamper(log, victim, field))
+        assert check == ChainCheck(intact=False, tampered_at=victim + 1)
 
     def test_pop_last_audited_visit(self):
         log = audited_chain(10)
-        log.chain.pop()
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=10)
+        check = verify_chain(reparse(chain_lines(log)[:-1], log.head))
+        assert check == ChainCheck(intact=False, tampered_at=10)
 
     def test_pop_last_audited_visit_and_put_back_a_forgery(self):
         log = audited_chain(10)
-        last = log.chain.pop()
-        log.chain.append(replace(last, pid=Pid("evil")))
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=10)
+        assert verify_chain(edited(log, 9, pid="evil")) == ChainCheck(intact=False, tampered_at=10)
 
     def test_pop_last_audited_visit_and_append_another(self):
-        # a tail rewritten through append_visit moves the head with it, so
-        # it reads as a full rehash reads it: intact, and the new checkpoint
+        # the last line cut and the head rewritten to match read as the
+        # shorter chain, which an append extends as it extends any chain
         log = audited_chain(10)
-        log.chain.pop()
-        append_visit(log, Pid("other"), 1000.0)
-        assert verify_chain(log) == full_rehash(log) == ChainCheck(intact=True)
-        assert log.audited == log.chain
+        cut = reparse(chain_lines(log)[:-1], log.chain[-2].entry_hash)
+        append_visit(cut, Pid("other"), 1000.0)
+        assert verify_chain(cut) == full_rehash(cut) == ChainCheck(intact=True)
 
     def test_reordered_audited_visits_localized(self):
         log = audited_chain(10)
-        log.chain[4], log.chain[5] = log.chain[5], log.chain[4]
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=5)
+        lines = chain_lines(log)
+        lines[4], lines[5] = lines[5], lines[4]
+        assert verify_chain(reparse(lines, log.head)) == ChainCheck(intact=False, tampered_at=5)
 
     @pytest.mark.parametrize("head", ["f" * 64, "earlier", GENESIS_HASH])
     def test_rewritten_head(self, head):
         log = audited_chain(10)
-        log.head = log.chain[-2].entry_hash if head == "earlier" else head
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=11)
+        line = f"head|{log.chain[-2].entry_hash if head == 'earlier' else head}\n"
+        read = parse_chain(chain_to_lines(log), parse_head(line))
+        if head == "earlier":
+            # the commit rule: the visit after the head is not committed
+            assert (read.chain, verify_chain(read)) == (chain_of(9).chain, ChainCheck(intact=True))
+        else:
+            assert verify_chain(read) == ChainCheck(intact=False, tampered_at=11)
 
-    def test_tampered_result_keeps_the_checkpoint(self):
+    def test_tampered_result_keeps_the_checkpoint(self, monkeypatch):
         log = audited_chain(10)
         append_visit(log, Pid("new"), 5000.0)
-        log.head = "f" * 64
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=12)
-        assert log.audited == chain_of(10).chain
-        log.chain[3] = replace(log.chain[3], pid=Pid("evil"))
-        assert verify_chain(log) == ChainCheck(intact=False, tampered_at=4)
-        assert log.audited == chain_of(10).chain
+        assert verify_chain(reparse(chain_lines(log), "f" * 64)) == ChainCheck(
+            intact=False, tampered_at=12
+        )
+        read = edited(log, 3, pid="evil")
+        hashed = hashes_seen(monkeypatch)
+        assert verify_chain(read) == ChainCheck(intact=False, tampered_at=4)
+        # an append after a tampered audit does not hide the edit from the next
+        append_visit(read, Pid("later"), 6000.0)
+        assert verify_chain(read) == ChainCheck(intact=False, tampered_at=4)
+        assert hashed == [1, 2, 3, 4, 12, 1, 2, 3, 4]
 
     @given(
         st.lists(st.sampled_from(["append", "audit"]), max_size=40),
-        st.none() | st.tuples(
-            st.integers(min_value=0, max_value=2**16),
-            st.sampled_from(["pid", "visited_at", "entry_hash", "pop", "forge-last", "delete",
-                             "swap", "head"]),
-            st.integers(min_value=0, max_value=2**16),
-        ),
+        st.sampled_from(["pid", "visited_at", "entry_hash", "pop", "forge-last", "delete",
+                         "swap", "head"]),
+        st.integers(min_value=0, max_value=2**16),
     )
-    def test_matches_a_full_rehash(self, ops, mutation):
+    def test_matches_a_full_rehash(self, ops, kind, at):
         log = VisitorLog()
         t = 0.0
         for step, op in enumerate(ops):
-            if mutation is not None and step == mutation[0] % len(ops) and log.chain:
-                _, kind, at = mutation
-                i = at % len(log.chain)
-                visit = log.chain[i]
-                if kind == "pid":
-                    log.chain[i] = replace(visit, pid=Pid("evil"))
-                elif kind == "visited_at":
-                    log.chain[i] = replace(visit, visited_at=visit.visited_at + 1)
-                elif kind == "entry_hash":
-                    log.chain[i] = replace(visit, entry_hash="f" * 64)
-                elif kind == "pop":
-                    log.chain.pop()
-                elif kind == "forge-last":
-                    log.chain[-1] = replace(log.chain[-1], pid=Pid("evil"))
-                elif kind == "delete":
-                    del log.chain[i]
-                elif kind == "swap":
-                    log.chain[i], log.chain[-1] = log.chain[-1], log.chain[i]
-                else:
-                    log.head = visit.entry_hash
             if op == "append":
                 t += 10.0  # later than any mutated time
                 append_visit(log, Pid(f"v{step}"), t)
-            else:
-                assert verify_chain(log) == full_rehash(log)
+                continue
+            assert verify_chain(log) == full_rehash(log) == ChainCheck(intact=True)
+            change = mutated(log, kind, at) if log.chain else None
+            if change is not None:
+                read, seq = change
+                assert verify_chain(read) == ChainCheck(intact=False, tampered_at=seq)
 
 
 class TestTimeOrder:
@@ -333,7 +407,7 @@ def test_longer_chain_without_its_head_refused(tmp_path):
 class TestEvidence:
     def repo_with(self, *pids):
         member = set(pids)
-        return lambda pid: pid.value in member
+        return lambda pid: pid in member
 
     def test_visit_and_certified(self):
         log = chain_of(5)
@@ -386,7 +460,7 @@ def visitor_logs(draw):
             visits.sort(key=lambda visit: -visit[1])
         source = VisitorLog()
         for pid, at in visits:
-            append_unchecked(source, pid, at)
+            source = append_unchecked(source, pid, at)
         heads = [v.entry_hash for v in source.chain] or [GENESIS_HASH]
         log = parse_chain(chain_to_lines(source), draw(st.sampled_from(heads)))
     at = max((v.visited_at for v in log.chain[-1:]), default=0.0)

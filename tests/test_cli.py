@@ -7,6 +7,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from datetime import date
 from pathlib import Path
 
@@ -14,7 +15,12 @@ import pytest
 
 import backtrack
 from backtrack import bizlog, contactlog, registry, wire
-from backtrack.certificates import LabIdentity, certificate_to_line, issue_certificate
+from backtrack.certificates import (
+    LabDirectory,
+    LabIdentity,
+    certificate_to_line,
+    issue_certificate,
+)
 from backtrack.cli import main
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.registry import serve
@@ -55,7 +61,7 @@ class TestPid:
         )
         assert code == 0
         expected = generate_trusted_pid("Ada Lovelace", "tea at noon")
-        assert out.strip() == expected.pid.value
+        assert out.strip() == expected.pid
         assert Path(commitment_file).read_text().startswith("trusted-pid|")
 
 
@@ -141,16 +147,24 @@ class TestCertCommands:
         assert key in captured.err
         assert (Path(key).read_bytes(), Path(directory).read_bytes()) == before
 
-    def test_keygen_retry_publishes_the_key_a_failed_run_left(self, run, tmp_path):
-        # the key is written before the directory, so a directory in a
-        # missing folder fails after the key exists
+    def test_keygen_retry_publishes_the_key_a_failed_run_left(self, run, tmp_path, monkeypatch):
+        # the key is written before the directory, so a failed directory
+        # write leaves the key
         key = str(tmp_path / "lab.key")
-        directory = str(tmp_path / "nodir" / "labs.txt")
+        directory = str(tmp_path / "labs.txt")
         argv = ("cert", "keygen", "--lab-id", "lab-A", "--key-out", key, "--directory", directory)
+        write_atomic = wire.write_atomic
+
+        def fail_on_directory(path, text):
+            if path == directory:
+                raise OSError("the directory write failed")
+            write_atomic(path, text)
+
+        monkeypatch.setattr(wire, "write_atomic", fail_on_directory)
         code, _ = run(*argv)
-        assert code == 2 and os.path.exists(key)
+        monkeypatch.undo()
+        assert code == 2 and os.path.exists(key) and not os.path.exists(directory)
         left = Path(key).read_bytes()
-        os.mkdir(tmp_path / "nodir")
         code, out = run(*argv)
         assert (code, out.strip()) == (0, "lab-A")
         assert Path(key).read_bytes() == left
@@ -164,7 +178,8 @@ class TestCertCommands:
                         "--key-out", str(tmp_path / "lab.key"),
                         "--directory", str(tmp_path / "labs.txt"))
         assert (code, out) == (2, "")
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["labs.txt.lock"]  # the empty lock it held
+        assert Path(tmp_path / "labs.txt.lock").read_bytes() == b""
 
     @pytest.mark.parametrize("line", ["lab|lab-A|ed25519|AAAA", "lab|lab-A|rsa|{key}"])
     def test_bad_directory_line_exits_2_and_names_file(
@@ -433,12 +448,12 @@ class TestRegistryCommands:
         assert (code, out.strip()) == (1, "NO")
         code, out = run("registry", "claim", "--port", str(port),
                         "--contact-pid", "sickpid",
-                        "--claimant-pid", claimant.pid.value,
+                        "--claimant-pid", claimant.pid,
                         "--name", "Ada Lovelace", "--phrase", "tea at noon")
         assert (code, out.strip()) == (0, "CONFIRMED")
         code, out = run("registry", "claim", "--port", str(port),
                         "--contact-pid", "sickpid",
-                        "--claimant-pid", claimant.pid.value,
+                        "--claimant-pid", claimant.pid,
                         "--name", "Ada Lovelace", "--phrase", "wrong")
         assert (code, out.strip()) == (1, "OWNERSHIP-FAILED")
 
@@ -610,7 +625,7 @@ class TestBizlogCommands:
         argv = ("bizlog", "append", "--chain", chain, "--head", head,
                 "--pid", "v2", f"--at={at}")
         assert run(*argv) == (2, "")
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["chain.txt.lock"]  # the empty lock it held
         self.append(run, tmp_path, "v1", 100.0)
         before = Path(chain).read_bytes(), Path(head).read_bytes()
         assert run(*argv) == (2, "")
@@ -654,7 +669,8 @@ class TestBizlogCommands:
         monkeypatch.setattr(wire, "write_atomic", crash_on_head)
         assert run(*argv) == (2, "")
         monkeypatch.undo()
-        assert sorted(os.listdir(tmp_path)) == ["chain.txt", "repo.txt"]  # a chain, no head
+        # a chain, no head
+        assert sorted(os.listdir(tmp_path)) == ["chain.txt", "chain.txt.lock", "repo.txt"]
         verify = ("bizlog", "verify", "--chain", chain, "--head", head)
         evidence = ("bizlog", "evidence", "--chain", chain, "--head", head, "--pid", "v1",
                     "--from", "0", "--to", "500", "--repo", repo)
@@ -853,7 +869,9 @@ def test_bad_input_exits_2_and_writes_nothing(run, tmp_path, argv):
     before = tree(tmp_path)
     code, out = run(*(a.format(d=tmp_path) for a in argv))
     assert (code, out) == (2, "")
-    assert tree(tmp_path) == before
+    # a command that replaces a file made from its old text leaves its empty lock
+    lock = ["empty.log.lock"] if argv[:2] == ["log", "prune"] else []
+    assert tree(tmp_path) == sorted(before + lock)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -911,3 +929,97 @@ def test_serve_on_a_busy_port_exits_2(tmp_path, capsys):
         assert main(["registry", "serve", "--port", str(port), "--directory", directory]) == 2
     in_use = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
     assert capsys.readouterr() == ("", f"error: registry at 127.0.0.1:{port}: {in_use}\n")
+
+
+# Each process imports the CLI, says it is ready, then waits for the gate file
+# before it runs its command, so that the commands start together rather than
+# an interpreter start-up apart.
+GATED_MAIN = """
+import os, sys, time
+from backtrack.cli import main
+gate = sys.argv[1]
+open(f"{gate}.{os.getpid()}", "w").close()
+while not os.path.exists(gate):
+    time.sleep(0.001)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_together(gate_dir, argvs, timeout=60.0):
+    """Run one CLI process per argv, all commands started together; each
+    one's exit code and stdout, in argv order."""
+    gate_dir.mkdir()
+    gate = str(gate_dir / "go")
+    src = str(Path(backtrack.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", GATED_MAIN, gate, *argv],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+        for argv in argvs
+    ]
+    try:
+        deadline = time.monotonic() + timeout
+        while len(os.listdir(gate_dir)) < len(procs):
+            assert time.monotonic() < deadline, "the processes never got ready"
+            time.sleep(0.01)
+        Path(gate).touch()
+        outs = [p.communicate(timeout=timeout)[0] for p in procs]
+        return [(p.returncode, out) for p, out in zip(procs, outs)]
+    finally:
+        for p in procs:
+            if p.returncode is None:
+                p.kill()
+                p.communicate()
+
+
+class TestConcurrentWriters:
+    """Eight runs of one read-modify-write command on one file at once: each
+    write acknowledged by exit 0 is in the final file."""
+
+    def test_bizlog_appends(self, tmp_path):
+        chain, head = str(tmp_path / "chain.txt"), str(tmp_path / "head.txt")
+        bizlog.save_chain(bizlog.append_visit(bizlog.VisitorLog(), Pid("v0"), 100.0), chain, head)
+        pids = [f"v{i}" for i in range(1, 9)]
+        results = run_together(tmp_path / "gate", [
+            ["bizlog", "append", "--chain", chain, "--head", head, "--pid", pid, "--at", "200"]
+            for pid in pids
+        ])
+        log = bizlog.load_chain(chain, head)
+        assert bizlog.verify_chain(log).intact
+        seq = {v.pid: v.seq for v in log.chain}
+        for pid, (code, out) in zip(pids, results):
+            assert (code, out) == (0, f"appended|{seq.get(pid)}\n"), pid
+        assert len(log.chain) == 9
+
+    def test_cert_keygens(self, tmp_path):
+        directory = str(tmp_path / "labs.txt")
+        labs = [f"lab-{i}" for i in range(8)]
+        results = run_together(tmp_path / "gate", [
+            ["cert", "keygen", "--lab-id", lab, "--key-out", str(tmp_path / f"{lab}.key"),
+             "--directory", directory]
+            for lab in labs
+        ])
+        published = wire.load(directory, LabDirectory.from_lines)
+        for lab, (code, out) in zip(labs, results):
+            assert (code, out) == (0, f"{lab}\n"), lab
+            _, lab_id, _, seed = (tmp_path / f"{lab}.key").read_text().strip().split("|")
+            key = LabIdentity.from_seed(lab_id, wire.b64decode(seed)).public_bytes()
+            lookup = published.lookup(lab)
+            assert lookup is not None and lookup.public_bytes_raw() == key, lab
+
+    def test_log_prunes(self, tmp_path):
+        # 400 entries, one every 2.4 h over 40 days; prune i keeps 21 days
+        # before day 21 + 2i, so its cutoff is day 2i
+        entries = [make_entry(peer_pid=f"p{k}", recorded_at=k * DAY / 10) for k in range(400)]
+        path = str(tmp_path / "contact.log")
+        contactlog.save_log(make_log(*entries), path)
+        cutoffs = [2 * i * DAY for i in range(8)]
+        results = run_together(tmp_path / "gate", [
+            ["log", "prune", "--log", path, "--now", str(cutoff + 21 * DAY)] for cutoff in cutoffs
+        ])
+        assert [code for code, _ in results] == [0] * 8
+        kept = contactlog.load_log(path).entries
+        latest = max(cutoffs)
+        expected = [e.recorded_at for e in entries if e.recorded_at >= latest]
+        assert [e.recorded_at for e in kept] == expected
+        assert sum(int(out.split("|")[1]) for _, out in results) == len(entries) - len(kept)

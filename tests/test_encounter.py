@@ -269,7 +269,7 @@ class TestCloseExpired:
         ingest(table, 0.0, -60.0, peer="stale")
         ingest(table, 110.0, -60.0, peer="fresh")
         closed = close_expired_sessions(table, now=120.0, gap_timeout_s=60.0)
-        assert [s.peer_record.pid.value for s in closed] == ["stale"]
+        assert [s.peer_record.pid for s in closed] == ["stale"]
         assert set(table) == {"fresh"}
 
     def test_expiry_agrees_with_the_split_rule(self):
@@ -371,5 +371,5 @@ class TestStreamingEquivalence:
                 stale = sorted(k for k, s in table.items() if now - s.last_seen > gap_timeout_s)
                 remaining = set(table) - set(stale)
                 closed = close_expired_sessions(table, now, gap_timeout_s)
-                assert [s.peer_record.pid.value for s in closed] == stale
+                assert [s.peer_record.pid for s in closed] == stale
                 assert set(table) == remaining

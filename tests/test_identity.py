@@ -73,7 +73,7 @@ class TestPid:
             pid = Pid(s)
         except ValueError:
             return
-        assert "|" not in pid.value and "," not in pid.value
+        assert "|" not in pid and "," not in pid
 
 
 class TestPad:
@@ -97,13 +97,13 @@ class TestRandomPid:
 
     def test_format(self):
         pid = generate_random_pid(7)
-        assert len(pid.value) == 32
-        int(pid.value, 16)
+        assert len(pid) == 32
+        int(pid, 16)
 
     def test_ten_thousand_distinct(self):
         # 10k draws from a 128-bit space: collision probability < 1e-29
         rng = random.Random(1)
-        pids = {generate_random_pid(rng).value for _ in range(10_000)}
+        pids = {generate_random_pid(rng) for _ in range(10_000)}
         assert len(pids) == 10_000
 
 
@@ -112,7 +112,7 @@ class TestTrustedPid:
         # oracle: sha256 over name + 0x1f + phrase, first 32 hex chars
         expected = hashlib.sha256(b"Ada Lovelace\x1ftea at noon").hexdigest()[:32]
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
-        assert c.pid.value == expected
+        assert c.pid == expected
 
     def test_deterministic(self):
         a = generate_trusted_pid("Ada Lovelace", "tea at noon")
@@ -201,10 +201,10 @@ class TestCommitmentFile:
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
         line = commitment_to_line(c)
         assert "tea" not in line
-        assert line == f"trusted-pid|{c.pid.value}|Ada%20Lovelace|"
+        assert line == f"trusted-pid|{c.pid}|Ada%20Lovelace|"
 
     def test_personal_data_with_separator_chars(self):
         c = generate_trusted_pid("we|weird%name", "s3cret")
         tag, pid, personal, phrase = commitment_to_line(c).split("|")
         assert wire.unquote(personal) == "we|weird%name"
-        assert (tag, pid, phrase) == ("trusted-pid", c.pid.value, "")
+        assert (tag, pid, phrase) == ("trusted-pid", c.pid, "")

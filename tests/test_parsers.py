@@ -42,7 +42,7 @@ DIRECTORY.add_lab(LAB)
 CERT_LINE = certificate_to_line(
     issue_certificate(LAB, [Pid("P1"), Pid("P2")], date(2020, 4, 1), date(2020, 3, 25))
 )
-CHAIN = bizlog.VisitorLog("cafe")
+CHAIN = bizlog.VisitorLog()
 for _i in range(3):
     bizlog.append_visit(CHAIN, Pid(f"pid{_i}"), 100.0 * _i)
 CHAIN_TEXT = bizlog.chain_to_lines(CHAIN)
@@ -124,7 +124,7 @@ PARSERS = {
     "registry-query": (registry_request, "QUERY P1"),
     "registry-claim": (
         registry_request,
-        f"CLAIM P1 {CLAIMANT.pid.value} {wire.quote(CLAIMANT.personal_data)} "
+        f"CLAIM P1 {CLAIMANT.pid} {wire.quote(CLAIMANT.personal_data)} "
         f"{wire.quote(CLAIMANT.phrase)}",
     ),
 }

@@ -297,9 +297,9 @@ class TestWireProtocol:
         svc.handle_request([ingest_line(lab, [Pid("sickpid")])])
         c = generate_trusted_pid("Ada Lovelace", "tea at noon")
         name, phrase = wire.quote(c.personal_data), wire.quote(c.phrase)
-        assert svc.handle_request([f"CLAIM sickpid {c.pid.value} {name} {phrase}"]) == "CONFIRMED"
-        assert svc.handle_request([f"CLAIM healthy {c.pid.value} {name} {phrase}"]) == "UNKNOWN"
-        assert svc.handle_request([f"CLAIM sickpid {c.pid.value} {name} wrong"]) == "OWNERSHIP-FAILED"
+        assert svc.handle_request([f"CLAIM sickpid {c.pid} {name} {phrase}"]) == "CONFIRMED"
+        assert svc.handle_request([f"CLAIM healthy {c.pid} {name} {phrase}"]) == "UNKNOWN"
+        assert svc.handle_request([f"CLAIM sickpid {c.pid} {name} wrong"]) == "OWNERSHIP-FAILED"
 
     def test_malformed_request(self, lab, directory):
         svc = self.service(lab, directory)

@@ -140,7 +140,7 @@ class TestStaticPairs:
         assert metrics.missed == 0
         assert metrics.notified_true == 1
         # infectious from the start, so both PIDs are certified
-        assert set(world.repo.entries) == {pid.value for _, pid in world.agents[0].pids_used}
+        assert set(world.repo.entries) == {pid for _, pid in world.agents[0].pids_used}
 
     def test_infected_after_rotation_discloses_only_later_pids(self):
         # agent 1 logs agent 0 under its first PID (0-290 s), gets the new PID
@@ -153,11 +153,11 @@ class TestStaticPairs:
         world = World(scenario)
         world.run()
         (first0, second0), (first1, second1) = (
-            [pid.value for _, pid in a.pids_used] for a in world.agents
+            [pid for _, pid in a.pids_used] for a in world.agents
         )
         assert world.agents[1].infected_at == 600.0
         assert set(world.repo.entries) == {first0, second0, second1}
-        assert [e.own_record.pid.value for e in world.agents[1].log.entries] == [first1, second1]
+        assert [e.own_record.pid for e in world.agents[1].log.entries] == [first1, second1]
         assert "trace|1300|diagnose|1|notifications=1" in world.trace
 
 
