@@ -13,6 +13,7 @@ import enum
 import hashlib
 import math
 import os
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
@@ -53,7 +54,7 @@ class Visits(Sequence):
 class VisitorLog:
     """A business's visits in chain order, read through the `chain` view, and
     the head hash that commits them.  Only `append_visit` changes a log once
-    it is built.  `visit_times` holds each PID's visit times in time order."""
+    it is built, its index of each PID's sorted visit times included."""
 
     def __init__(
         self, business_id: str = "", chain: Iterable[ChainedVisit] = (), head: str = GENESIS_HASH
@@ -62,9 +63,9 @@ class VisitorLog:
         self._visits = list(chain)
         self._head = head
         self._audited = 0  # the visits the last intact audit covered; see verify_chain
-        self.visit_times: dict[Pid, list[float]] = {}
+        self._visit_times: dict[Pid, list[float]] = {}
         for v in self._visits:  # insort, as append_visit does: a parsed chain may be unordered
-            bisect.insort(self.visit_times.setdefault(v.pid, []), v.visited_at)
+            bisect.insort(self._visit_times.setdefault(v.pid, []), v.visited_at)
 
     @property
     def chain(self) -> Visits:
@@ -101,7 +102,7 @@ def append_visit(log: VisitorLog, pid: Pid, visited_at: float) -> VisitorLog:
     seq = last.seq + 1 if last else 1
     entry_hash = _hash_entry(last.entry_hash if last else GENESIS_HASH, seq, visited_at, pid)
     log._visits.append(ChainedVisit(seq, visited_at, pid, entry_hash))
-    bisect.insort(log.visit_times.setdefault(pid, []), visited_at)
+    bisect.insort(log._visit_times.setdefault(pid, []), visited_at)
     log._head = entry_hash
     return log
 
@@ -146,7 +147,7 @@ def evidence_query(
     is after window_to."""
     if not window_from <= window_to:  # also refuses a NaN bound
         raise ValueError(f"from {window_from} > to {window_to}")
-    times = log.visit_times.get(claimant_pid, [])
+    times = log._visit_times.get(claimant_pid, [])
     i = bisect.bisect_left(times, window_from)
     if i == len(times) or times[i] > window_to:
         return EvidenceVerdict.NO_VISIT_RECORDED
@@ -170,12 +171,11 @@ def head_to_line(log: VisitorLog) -> str:
 
 
 def parse_head(text: str) -> str:
-    """The hash in a head file's `head|<hash>` line."""
-    line = text.strip()
-    parts = line.split("|")
-    if len(parts) != 2 or parts[0] != "head":
+    """The hash in a head file's one line, spelled as `head_to_line` writes it."""
+    line = wire.only_line(text)
+    if not re.fullmatch(r"head\|[0-9a-f]{64}", line):
         raise ValueError(f"malformed head line: {line!r}")
-    return parts[1]
+    return line[len("head|"):]
 
 
 def parse_chain(chain_text: str, head: str) -> VisitorLog:
@@ -183,15 +183,12 @@ def parse_chain(chain_text: str, head: str) -> VisitorLog:
     the commit point that `parse_head` read from the head file: the visits
     after it were left by an append that failed before it moved the head."""
     chain: list[ChainedVisit] = []
-    for line in chain_text.splitlines():
-        if not line:
-            continue
+    for line in wire.replaced_lines(chain_text):
         parts = line.split("|")
         if len(parts) != 5 or parts[0] != "visit":
             raise ValueError(f"malformed visit line: {line!r}")
         visit = ChainedVisit(int(parts[1]), float(parts[2]), Pid(parts[3]), parts[4])
-        # the hash covers the re-rendered payload, so only the canonical
-        # spelling may stand in the file
+        # the hash covers the re-rendered payload: one spelling stands in the file
         if _visit_line(visit) != line:
             raise ValueError(f"non-canonical visit line: {line!r}")
         if not math.isfinite(visit.visited_at):

@@ -52,8 +52,29 @@ class LabIdentity:
     def public_bytes(self) -> bytes:
         return self.private_key.public_key().public_bytes_raw()
 
-    def private_bytes(self) -> bytes:
-        return self.private_key.private_bytes_raw()
+    def to_lines(self) -> str:
+        """The lab-key file: `labkey|<lab>|ed25519|<base64 32-byte seed>`."""
+        return _key_line("labkey", self.lab_id, self.private_key.private_bytes_raw()) + "\n"
+
+    @classmethod
+    def from_lines(cls, text: str) -> "LabIdentity":
+        return cls.from_seed(*_parse_key_line("labkey", wire.only_line(text)))
+
+
+def _key_line(tag: str, lab_id: str, key: bytes) -> str:
+    return f"{tag}|{lab_id}|{SCHEME_ED25519}|{base64.b64encode(key).decode('ascii')}"
+
+
+def _parse_key_line(tag: str, line: str) -> tuple[str, bytes]:
+    """The lab id and key bytes of a line `_key_line` writes back byte for
+    byte; a message never quotes the line, which may hold a private key."""
+    parts = line.split("|")
+    if len(parts) != 4 or parts[0] != tag or parts[2] != SCHEME_ED25519:
+        raise ValueError("malformed lab key line")
+    lab_id, key = parts[1], base64.b64decode(parts[3], validate=True)
+    if _key_line(tag, lab_id, key) != line:
+        raise ValueError("non-canonical lab key line")
+    return lab_id, key
 
 
 class LabDirectory:
@@ -77,23 +98,18 @@ class LabDirectory:
         return self._keys.get(lab_id)
 
     def to_lines(self) -> str:
+        """One `lab|<lab>|ed25519|<base64 32-byte public key>` line per lab."""
         return "".join(
-            f"lab|{lab_id}|{SCHEME_ED25519}|"
-            f"{base64.b64encode(key.public_bytes_raw()).decode('ascii')}\n"
+            _key_line("lab", lab_id, key.public_bytes_raw()) + "\n"
             for lab_id, key in sorted(self._keys.items())
         )
 
     @classmethod
     def from_lines(cls, text: str) -> "LabDirectory":
         directory = cls()
-        for line in text.splitlines():
-            if not line:
-                continue
-            parts = line.split("|")
-            if len(parts) != 4 or parts[0] != "lab" or parts[2] != SCHEME_ED25519:
-                raise ValueError(f"malformed directory line: {line!r}")
+        for line in wire.replaced_lines(text):
             try:
-                directory.add(parts[1], wire.b64decode(parts[3]))
+                directory.add(*_parse_key_line("lab", line))
             except ValueError as exc:
                 raise ValueError(f"bad directory line {line!r}: {exc}") from exc
         return directory
@@ -196,8 +212,16 @@ def parse_certificate_line(line: str) -> CertificateOfInfection:
         test_date=date.fromisoformat(parts[3]),
         infectious_from=date.fromisoformat(parts[4]),
         pids=tuple(Pid(v) for v in parts[5].split(",")),
-        signature=wire.b64decode(parts[6]),
+        signature=base64.b64decode(parts[6], validate=True),
     )
     if certificate_to_line(cert) != line:
         raise ValueError(f"non-canonical certificate line: {line!r}")
     return cert
+
+
+def certificate_to_file(cert: CertificateOfInfection) -> str:
+    return certificate_to_line(cert) + "\n"
+
+
+def parse_certificate_file(text: str) -> CertificateOfInfection:
+    return parse_certificate_line(wire.only_line(text))

@@ -9,7 +9,6 @@ stderr. Machine-readable output goes to stdout only.
 from __future__ import annotations
 
 import argparse
-import base64
 import contextlib
 import os
 import sys
@@ -18,14 +17,12 @@ from datetime import date
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
-    SCHEME_ED25519,
-    CertificateOfInfection,
     LabIdentity,
     LabDirectory,
     VerificationStatus,
-    certificate_to_line,
+    certificate_to_file,
     issue_certificate,
-    parse_certificate_line,
+    parse_certificate_file,
     verify_certificate,
 )
 from .identity import (
@@ -53,17 +50,6 @@ def _parse_pids(csv: str) -> list[Pid]:
     if not pids:
         raise ValueError("no PID given")
     return pids
-
-
-def _parse_lab_key(text: str) -> LabIdentity:
-    parts = text.strip().split("|")
-    if len(parts) != 4 or parts[0] != "labkey" or parts[2] != SCHEME_ED25519:
-        raise ValueError("malformed lab key line")
-    return LabIdentity.from_seed(parts[1], wire.b64decode(parts[3]))
-
-
-def _parse_cert(text: str) -> CertificateOfInfection:
-    return parse_certificate_line(text.rstrip("\n"))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -99,31 +85,31 @@ def cmd_cert(args) -> int:
             if key_exists:
                 # a key whose directory write failed is published by the retry;
                 # any other key file is kept as it is
-                lab = wire.load(args.key_out, _parse_lab_key)
+                lab = wire.load(args.key_out, LabIdentity.from_lines)
                 if lab.lab_id != args.lab_id or directory.lookup(lab.lab_id) is not None:
                     raise ValueError(f"{args.key_out}: exists; refusing to overwrite a lab key")
             else:
                 lab = LabIdentity.generate(args.lab_id)
             directory.add_lab(lab)
             if not key_exists:
-                seed = base64.b64encode(lab.private_bytes()).decode("ascii")
-                wire.write_atomic(args.key_out, f"labkey|{args.lab_id}|{SCHEME_ED25519}|{seed}\n")
+                wire.write_atomic(args.key_out, lab.to_lines())
             wire.write_atomic(args.directory, directory.to_lines())
         print(args.lab_id)
         return EXIT_OK
     if args.cert_mode == "issue":
         cert = issue_certificate(
-            wire.load(args.key, _parse_lab_key),
+            wire.load(args.key, LabIdentity.from_lines),
             _parse_pids(args.pids),
             test_date=date.fromisoformat(args.test_date),
             infectious_from=date.fromisoformat(args.infectious_from),
         )
-        wire.write_atomic(args.out, certificate_to_line(cert) + "\n")
+        wire.write_atomic(args.out, certificate_to_file(cert))
         print(args.out)
         return EXIT_OK
     # verify
     status = verify_certificate(
-        wire.load(args.cert, _parse_cert), wire.load(args.directory, LabDirectory.from_lines)
+        wire.load(args.cert, parse_certificate_file),
+        wire.load(args.directory, LabDirectory.from_lines),
     )
     print(status.value)
     return EXIT_OK if status is VerificationStatus.VERIFIED else EXIT_REJECTED
@@ -132,7 +118,7 @@ def cmd_cert(args) -> int:
 def cmd_notify(args) -> int:
     log = contactlog.load_log(args.log)
     if args.notify_mode == "build":
-        cert = wire.load(args.cert, _parse_cert) if args.cert else None
+        cert = wire.load(args.cert, parse_certificate_file) if args.cert else None
         pairs = build_notifications(log, _parse_pids(args.own_pids), cert)
         store = FileMailboxStore(args.mailbox_dir)
         for pad, n in pairs:
@@ -180,7 +166,7 @@ def cmd_registry(args) -> int:
         )
         ok = "CONFIRMED"
     else:  # ingest
-        response = registry.client_ingest(*address, wire.load(args.cert, _parse_cert))
+        response = registry.client_ingest(*address, wire.load(args.cert, parse_certificate_file))
         ok = "OK"
     print(response)
     return EXIT_OK if response == ok else EXIT_REJECTED

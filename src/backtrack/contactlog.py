@@ -140,12 +140,8 @@ def entry_to_line(entry: LogEntry) -> str:
     )
 
 
-def parse_entry_line(line: str) -> LogEntry:
-    return _parse_entry(line, {}, {})
-
-
 def _parse_entry(line: str, pids: dict[str, Pid], pads: dict[str, Pad]) -> LogEntry:
-    parts = line.rstrip("\n").split("|")
+    parts = line.split("|")
     if len(parts) != 14 or parts[0] != "entry" or parts[4] != "OWN" or parts[9] != "PEER":
         raise ValueError(f"malformed log entry line: {line!r}")
     return LogEntry(
@@ -166,7 +162,7 @@ def parse_log(text: str) -> ContactLog:
     shared `Pid` or `Pad`."""
     pids: dict[str, Pid] = {}
     pads: dict[str, Pad] = {}
-    return ContactLog([_parse_entry(line, pids, pads) for line in text.splitlines() if line])
+    return ContactLog([_parse_entry(line, pids, pads) for line in wire.replaced_lines(text)])
 
 
 def save_log(log: ContactLog, path: str) -> None:

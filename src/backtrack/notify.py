@@ -142,24 +142,16 @@ def notification_to_line(n: Notification) -> str:
     return line + "|" + certificate_to_line(n.certificate)
 
 
-def parse_notifications(text: str) -> list[Notification]:
-    """Parse a stream of wire-format notifications, one per line."""
-    out: list[Notification] = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        parts = line.split("|", 5)
-        if len(parts) < 5 or parts[0] != "notif" or parts[1] != "v1":
-            raise ValueError(f"malformed notification line: {line!r}")
-        out.append(
-            Notification(
-                sender_pid=Pid(parts[2]),
-                echoed_time=float(parts[3]),
-                echoed_location=wire.unquote(parts[4]),
-                certificate=parse_certificate_line(parts[5]) if len(parts) == 6 else None,
-            )
-        )
-    return out
+def _parse_notification(line: str) -> Notification:
+    parts = line.split("|", 5)
+    if len(parts) < 5 or parts[0] != "notif" or parts[1] != "v1":
+        raise ValueError(f"malformed notification line: {line!r}")
+    cert = parse_certificate_line(parts[5]) if len(parts) == 6 else None
+    n = Notification(Pid(parts[2]), float(parts[3]), wire.unquote(parts[4]), cert)
+    # one spelling, so that a retried delivery is told by its identical line
+    if notification_to_line(n) != line:
+        raise ValueError(f"non-canonical notification line: {line!r}")
+    return n
 
 
 def parse_mailbox(text: str) -> tuple[list[Notification], bool, int]:
@@ -172,9 +164,8 @@ def parse_mailbox(text: str) -> tuple[list[Notification], bool, int]:
     delivery appended again, so it is read once.
     """
     lines, torn = wire.complete_lines(text)
-    lines = [line for line in lines if line]
     unique = list(dict.fromkeys(lines))
-    return parse_notifications("\n".join(unique)), torn, len(lines) - len(unique)
+    return [_parse_notification(line) for line in unique], torn, len(lines) - len(unique)
 
 
 class MailboxStore:

@@ -25,7 +25,7 @@ from .certificates import (
     parse_certificate_line,
     verify_certificate,
 )
-from .identity import Pid, prove_pid_ownership
+from .identity import Pid, check_token, prove_pid_ownership
 
 
 class ClaimVerdict(enum.Enum):
@@ -99,19 +99,18 @@ def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
     """Parse the complete lines of a state file, without their newlines, as
     `wire.load_lines` reads them or `wire.complete_lines` splits a text: the
     caller leaves out an unterminated last line, a record torn by a crash.
-    Every non-empty line must be `notified|<pid>|<lab>|<test date>`, with the
-    date in its one ISO spelling, `YYYY-MM-DD`; any other raises ValueError.
-    Each distinct `<lab>|<test date>` text is parsed once, into the value
-    `repo.shared` keeps for it."""
+    Every line must be `notified|<pid>|<lab>|<test date>`, with valid ids
+    and the date in its one ISO spelling, `YYYY-MM-DD`; any other, a blank
+    one included, raises ValueError.  Each distinct `<lab>|<test date>` text
+    is parsed once, into the value `repo.shared` keeps for it."""
     repo = NotifiedPidRepository()
     for line in lines:
-        if not line:
-            continue
         # a `<lab>|<test date>` already in shared was checked whole when first
         # seen, so one hit there checks the rest of this line
         parts = line.split("|", 2)
         if len(parts) != 3 or parts[0] != "notified":
             raise ValueError(f"malformed repository line: {line!r}")
+        check_token(parts[1], "PID")
         value = repo.shared.get(parts[2])
         if value is None:
             value = repo.shared[parts[2]] = _parse_shared(parts[2], line)
@@ -124,6 +123,7 @@ def _parse_shared(text: str, line: str) -> tuple[str, date]:
     lab_id, sep, day = text.partition("|")
     if not sep or "|" in day:
         raise ValueError(f"malformed repository line: {line!r}")
+    check_token(lab_id, "lab id")
     # Python 3.11 and later also read `20200301` and `2020-W10-1`; refuse
     # every spelling but the one ingest writes, on every version
     test_date = date.fromisoformat(day)

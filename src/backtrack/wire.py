@@ -1,13 +1,12 @@
-"""Shared helpers for the line-oriented `|`-separated file and wire formats,
-and the two ways a file is read: whole (`load`) or one line at a time as it
-is read (`load_lines`). A file is written one of two ways: replaced whole
-(`write_atomic`, under `locked` when the new text is made from the old) or
-appended whole lines (`append_lines`, read back through `complete_lines` or
-`load_lines`)."""
+"""Shared helpers for the line-oriented `|`-separated file and wire formats.
+Every record file is split on newline only; its parser refuses a blank line.
+A file replaced whole (`write_atomic`, under `locked` when the new text is
+made from the old) is read by `replaced_lines` or `only_line`, which refuse
+an unterminated last line.  A file appended whole lines (`append_lines`) is
+read by `complete_lines` or `load_lines`, which skip one: a torn append."""
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import fcntl
 import os
@@ -25,16 +24,6 @@ def quote(label: str) -> str:
 
 def unquote(encoded: str) -> str:
     return urllib.parse.unquote(encoded)
-
-
-def b64decode(text: str) -> bytes:
-    """Decode base64, raising ValueError unless text is the one canonical
-    encoding of the result, so that no other spelling of a key or signature
-    is accepted."""
-    raw = base64.b64decode(text, validate=True)
-    if base64.b64encode(raw).decode("ascii") != text:
-        raise ValueError(f"non-canonical base64: {text!r}")
-    return raw
 
 
 def fmt_num(x: float) -> str:
@@ -91,6 +80,22 @@ def append_lines(path: str, text: str) -> None:
         f.write(text.encode("utf-8"))
 
 
+def replaced_lines(text: str) -> list[str]:
+    """The lines of a replaced file's text, without their newlines; raises
+    ValueError if the last line has no newline."""
+    if text and not text.endswith("\n"):
+        raise ValueError("last line has no newline")
+    return text.split("\n")[:-1]
+
+
+def only_line(text: str) -> str:
+    """The line of a replaced file that holds one record."""
+    lines = replaced_lines(text)
+    if len(lines) != 1:
+        raise ValueError(f"expected one line, got {len(lines)}")
+    return lines[0]
+
+
 def complete_lines(text: str) -> tuple[list[str], bool]:
     """The newline-terminated lines of text, without their newlines, and
     whether an unterminated last line, torn by a crash mid-append and never
@@ -100,10 +105,10 @@ def complete_lines(text: str) -> tuple[list[str], bool]:
 
 
 def load(path: str, parse: Callable[[str], T]) -> T:
-    """Parse the UTF-8 text of the file at path; a ValueError, a decode error
-    included, is raised again prefixed with the path."""
+    """Parse the UTF-8 text of the file at path, no `\\r` translated; a
+    ValueError, a decode error included, is raised again prefixed with path."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return parse(f.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -498,10 +498,12 @@ class TestEvidenceIndex:
 
     @given(visitor_logs())
     def test_index_equals_a_rebuild_from_the_chain(self, log):
-        pids = {v.pid for v in log.chain}
-        assert log.visit_times == {
-            pid: sorted(v.visited_at for v in log.chain if v.pid == pid) for pid in pids
-        }
+        # each visit is found at its own time, and only its own PID's are
+        visited = {(v.pid, v.visited_at) for v in log.chain}
+        for pid in {*VISITORS, Pid("absent")}:
+            for at in {v.visited_at for v in log.chain}:
+                verdict = evidence_query(log, pid, at, at, lambda _: True)
+                assert (verdict is EvidenceVerdict.VISIT_AND_CERTIFIED) == ((pid, at) in visited)
 
 
 class TestFiles:

@@ -266,14 +266,14 @@ class TestNotifyCommands:
         from dataclasses import replace
 
         from backtrack import wire
-        from backtrack.notify import notification_to_line, parse_notifications
+        from backtrack.notify import notification_to_line, parse_mailbox
 
         cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path)
         boxes = str(tmp_path / "boxes")
         run("notify", "build", "--log", sender_log, "--own-pids", "sick",
             "--cert", cert, "--mailbox-dir", boxes)
         mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
-        (genuine,) = parse_notifications(mailbox.read_text())
+        (genuine,), _, _ = parse_mailbox(mailbox.read_text())
         forged = replace(genuine, sender_pid=Pid("mallory"))
         mailbox.write_text("".join(notification_to_line(n) + "\n" for n in (genuine, forged)))
         code, out = run("notify", "verify", "--log", victim_log,
@@ -289,7 +289,7 @@ class TestNotifyCommands:
         from dataclasses import replace
 
         from backtrack import wire
-        from backtrack.notify import notification_to_line, parse_notifications
+        from backtrack.notify import notification_to_line, parse_mailbox
 
         def run(*argv):
             code = main(list(argv))
@@ -302,7 +302,7 @@ class TestNotifyCommands:
             "--cert", cert, "--mailbox-dir", boxes)
         mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
         first = mailbox.read_text()
-        (genuine,) = parse_notifications(first)
+        (genuine,), _, _ = parse_mailbox(first)
         # the last record is certified, so a cut can fall in either part
         last = notification_to_line(replace(genuine, sender_pid=Pid("mallory")))
         argv = ("notify", "verify", "--log", victim_log, "--directory", directory,
@@ -1002,8 +1002,7 @@ class TestConcurrentWriters:
         published = wire.load(directory, LabDirectory.from_lines)
         for lab, (code, out) in zip(labs, results):
             assert (code, out) == (0, f"{lab}\n"), lab
-            _, lab_id, _, seed = (tmp_path / f"{lab}.key").read_text().strip().split("|")
-            key = LabIdentity.from_seed(lab_id, wire.b64decode(seed)).public_bytes()
+            key = wire.load(str(tmp_path / f"{lab}.key"), LabIdentity.from_lines).public_bytes()
             lookup = published.lookup(lab)
             assert lookup is not None and lookup.public_bytes_raw() == key, lab
 

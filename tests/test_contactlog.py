@@ -12,7 +12,6 @@ from backtrack.contactlog import (
     entry_to_line,
     find_matching_contact,
     load_log,
-    parse_entry_line,
     parse_log,
     prune,
     save_log,
@@ -236,7 +235,7 @@ class TestPeerIndex:
         with pytest.raises(ValueError):
             make_entry(recorded_at=float("nan"))
         with pytest.raises(ValueError):
-            parse_entry_line(entry_to_line(make_entry()).replace("entry|1000|", "entry|nan|"))
+            parse_log(entry_to_line(make_entry()).replace("entry|1000|", "entry|nan|") + "\n")
 
     @pytest.mark.parametrize("at", ["inf", "-inf"])
     def test_infinite_recorded_at_refused(self, at):
@@ -253,7 +252,8 @@ class TestSerialization:
         entry = make_entry(own_loc="on the walk, weird % label", t=1234.5)
         line = entry_to_line(entry)
         assert "\n" not in line
-        again = entry_to_line(parse_entry_line(line))
+        (parsed,) = parse_log(line + "\n").entries
+        again = entry_to_line(parsed)
         assert line == again
 
     def test_log_round_trip(self):
@@ -274,7 +274,7 @@ class TestSerialization:
 
     def test_malformed_line(self):
         with pytest.raises(ValueError):
-            parse_entry_line("entry|nope")
+            parse_log("entry|nope\n")
 
     def test_file_round_trip_identity_default(self, tmp_path):
         log = make_log(make_entry())

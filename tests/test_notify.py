@@ -16,7 +16,7 @@ from backtrack.notify import (
     VerdictStatus,
     build_notifications,
     notification_to_line,
-    parse_notifications,
+    parse_mailbox,
     verify_notification,
 )
 
@@ -37,8 +37,7 @@ class FileBoxReader(FileMailboxStore):
         path = os.path.join(self.root, wire.quote(pad))
         if not os.path.exists(path):
             return []
-        with open(path, encoding="utf-8") as f:
-            notifications = parse_notifications(f.read())
+        notifications, _, _ = wire.load(path, parse_mailbox)
         os.remove(path)
         return notifications
 
@@ -115,24 +114,24 @@ class TestMailbox:
 class TestWireFormat:
     def test_round_trip_without_cert(self):
         n = Notification(Pid("abc"), 1234.5, "on the walk")
-        text = notification_to_line(n)
-        assert parse_notifications(text) == [n]
+        text = notification_to_line(n) + "\n"
+        assert parse_mailbox(text) == ([n], False, 0)
 
     def test_round_trip_with_cert(self, lab):
         n = Notification(Pid("abc"), 1234.5, "on the walk", certified(lab, [Pid("abc")]))
         text = notification_to_line(n)
         assert "\n" not in text
-        assert parse_notifications(text) == [n]
+        assert parse_mailbox(text + "\n") == ([n], False, 0)
 
     def test_stream_of_mixed_messages(self, lab):
         n1 = Notification(Pid("a1"), 1.0, "x", certified(lab, [Pid("a1")]))
         n2 = Notification(Pid("a2"), 2.0, "y")
         text = notification_to_line(n1) + "\n" + notification_to_line(n2) + "\n"
-        assert parse_notifications(text) == [n1, n2]
+        assert parse_mailbox(text) == ([n1, n2], False, 0)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            parse_notifications("notif|v2|x\n")
+            parse_mailbox("notif|v2|x\n")
 
 
 class TestVerify:

@@ -177,6 +177,9 @@ class TestPersistence:
         # a line's shared `<lab>|<date>` is checked whole on a repeat too
         "notified|a|lab|2020-03-01\nnotified|b|c|lab|2020-03-01\n",
         "notified|a|lab|2020-03-01\nnotice|b|lab|2020-03-01\n",
+        # a blank line is no record
+        "notified|a|lab|2020-03-01\n\nnotified|b|lab|2020-03-01\n",
+        "\n",
     ])
     def test_other_malformed_lines_raise(self, text, tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
@@ -192,6 +195,19 @@ class TestPersistence:
         # refuses them: a state line has one spelling on every version
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
             load_state(tmp_path, f"notified|a|lab|{day}\n")
+
+    @pytest.mark.parametrize("pid, lab_id", [
+        ("", "lab"), ("a b", "lab"), ("a,b", "lab"), ("p" * 65, "lab"), ("p\x00", "lab"),
+        ("a", ""), ("a", "x y"), ("a", "x,y"),
+    ])
+    def test_ids_follow_the_token_rule(self, pid, lab_id, tmp_path):
+        # ids an ingest could never write: a PID after a line that already
+        # holds its `<lab>|<date>` pair is checked too
+        text = f"notified|ok|lab|2020-03-01\nnotified|{pid}|{lab_id}|2020-03-01\n"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
+            load_state(tmp_path, text)
+        with pytest.raises(ValueError):
+            parse_repository(wire.complete_lines(text)[0])
 
     def test_every_cut_of_the_last_two_lines(self, tmp_path):
         lines = [
@@ -211,10 +227,10 @@ class TestPersistence:
             path.write_bytes(head)
             assert load_repository(str(path)).entries == prefix(whole), cut
             # the cut line given its newline is a complete line: a whole
-            # record loads, anything shorter is malformed
+            # record loads, anything shorter, a blank line included, is malformed
             torn = head[head.rfind(b"\n") + 1:]
             path.write_bytes(head + b"\n")
-            if not torn or torn in data.split(b"\n"):
+            if torn in data.splitlines():
                 assert load_repository(str(path)).entries == prefix(whole + bool(torn)), cut
             else:
                 with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):

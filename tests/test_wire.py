@@ -113,3 +113,10 @@ def test_delivery_waits_for_a_half_written_record(tmp_path):
     delivery.join(timeout=30)
     assert not delivery.is_alive()
     assert wire.load(path, parse_mailbox) == ([first, second], False, 0)
+
+
+def test_load_translates_no_line_end(tmp_path):
+    # a `\r` stays in the text, where the format's parser refuses it
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert wire.load(str(path), lambda text: text) == "a\r\nb\rc\n"
