@@ -185,7 +185,7 @@ def parse_chain(chain_text: str, head: str) -> VisitorLog:
     chain: list[ChainedVisit] = []
     for line in wire.replaced_lines(chain_text):
         parts = line.split("|")
-        if len(parts) != 5 or parts[0] != "visit":
+        if len(parts) != 5 or parts[0] != "visit" or not re.fullmatch("[0-9a-f]{64}", parts[4]):
             raise ValueError(f"malformed visit line: {line!r}")
         visit = ChainedVisit(int(parts[1]), float(parts[2]), Pid(parts[3]), parts[4])
         # the hash covers the re-rendered payload: one spelling stands in the file

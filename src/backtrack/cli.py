@@ -27,7 +27,7 @@ from .certificates import (
 )
 from .identity import (
     Pid,
-    commitment_to_line,
+    commitment_to_file,
     generate_random_pid,
     generate_trusted_pid,
 )
@@ -38,7 +38,7 @@ from .notify import (
     parse_mailbox,
     verify_notification,
 )
-from .sim import metrics_to_lines, parse_scenario, run_scenario
+from .sim import metrics_to_lines, parse_scenario, run_scenario, trace_to_lines
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -61,7 +61,7 @@ def cmd_pid(args) -> int:
         return EXIT_OK
     commitment = generate_trusted_pid(args.name, args.phrase)
     if args.commitment_file:
-        wire.write_atomic(args.commitment_file, commitment_to_line(commitment) + "\n")
+        wire.write_atomic(args.commitment_file, commitment_to_file(commitment))
     print(commitment.pid)
     return EXIT_OK
 
@@ -69,7 +69,7 @@ def cmd_pid(args) -> int:
 def cmd_sim(args) -> int:
     metrics, trace = run_scenario(wire.load(args.scenario, parse_scenario))
     if args.trace:
-        wire.write_atomic(args.trace, "".join(line + "\n" for line in trace))
+        wire.write_atomic(args.trace, trace_to_lines(trace))
     sys.stdout.write(metrics_to_lines(metrics))
     return EXIT_OK
 

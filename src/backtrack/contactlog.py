@@ -127,7 +127,7 @@ def _parse_record(
         pid=pid,
         pad=pad,
         local_time=float(parts[2]),
-        local_location=wire.unquote(parts[3]),
+        local_location=wire.unquote_written(parts[3]),
     )
 
 

@@ -121,3 +121,8 @@ def active_pids_in_window(
 def commitment_to_line(c: TrustedPidCommitment) -> str:
     """Persisted commitment record; the secret phrase is never written."""
     return f"trusted-pid|{c.pid}|{wire.quote(c.personal_data)}|"
+
+
+def commitment_to_file(c: TrustedPidCommitment) -> str:
+    """The trusted-PID commitment file: the commitment's one line."""
+    return commitment_to_line(c) + "\n"

@@ -8,7 +8,6 @@ line-oriented TCP protocol and persisted as an append-only file.
 from __future__ import annotations
 
 import enum
-import queue
 import socket
 import socketserver
 import threading
@@ -223,37 +222,48 @@ IDLE_TIMEOUT_S = 30.0
 POOL_SIZE = 16
 
 
-class _Handler(socketserver.StreamRequestHandler):
+class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         service: RegistryService = self.server.service  # type: ignore[attr-defined]
-        self.connection.settimeout(IDLE_TIMEOUT_S)
+        sock: socket.socket = self.request
+        sock.settimeout(IDLE_TIMEOUT_S)
+        pending = bytearray()  # received, not yet answered
+        scanned = 0  # pending[:scanned] holds no newline
         while True:
-            try:
-                line = self.rfile.readline(MAX_REQUEST_BYTES + 1)
-            except TimeoutError:
-                return
-            if not line:
-                return
-            if len(line) > MAX_REQUEST_BYTES:
+            end = pending.find(b"\n", scanned)
+            if end < 0 and len(pending) <= MAX_REQUEST_BYTES:
+                try:
+                    chunk = sock.recv(1 << 16)
+                except TimeoutError:
+                    return
+                if chunk:
+                    scanned = len(pending)
+                    pending += chunk
+                    continue
+                if not pending:
+                    return
+                end = len(pending)  # an unterminated last line before end of file
+            if end < 0 or end >= MAX_REQUEST_BYTES:
                 # the rest of the line is never read: answer, then hang up
-                self.wfile.write(b"ERROR request too long\n")
+                sock.sendall(b"ERROR request too long\n")
                 return
             try:
-                request = line.decode("utf-8").rstrip("\n")
+                request = pending[:end].decode("utf-8")
             except UnicodeDecodeError:
                 response = "ERROR malformed request"
             else:
                 response = service.handle_request([request])
-            self.wfile.write((response + "\n").encode("utf-8"))
+            del pending[: end + 1]
+            scanned = 0
+            sock.sendall(response.encode("utf-8") + b"\n")
 
 
 class RegistryServer(socketserver.TCPServer):
-    """Serves each accepted connection on one of POOL_SIZE worker threads.
-
-    A connection is accepted only when a worker is idle, so threads and
-    accepted sockets are both bounded; while every worker is busy, new
-    connections wait in the listen backlog.  server_close() hangs up on the
-    connections still being served and stops the workers.
+    """POOL_SIZE worker threads each accept a connection and serve it to the
+    end, so at most POOL_SIZE connections are accepted at once; the rest wait
+    in the listen backlog.  serve_forever() only waits for shutdown();
+    server_close() hangs up on the connections still being served, wakes the
+    workers waiting in accept and joins them.
     """
 
     allow_reuse_address = True
@@ -262,39 +272,33 @@ class RegistryServer(socketserver.TCPServer):
     request_queue_size = 4 * POOL_SIZE
 
     def __init__(self, address: tuple[str, int], service: RegistryService) -> None:
-        # start the pool first: a failed bind calls server_close(), which stops it
         self.service = service
-        self._idle = threading.Semaphore(POOL_SIZE)
-        self._jobs = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._serving: set[socket.socket] = set()
         self._closing = False
-        self._workers = [
-            threading.Thread(target=self._work, name=f"registry-worker-{i}", daemon=True)
-            for i in range(POOL_SIZE)
-        ]
-        for worker in self._workers:
-            worker.start()
+        self._stopped = threading.Event()
+        self._workers: list[threading.Thread] = []  # a failed bind calls server_close()
         super().__init__(address, _Handler)
+        for i in range(POOL_SIZE):
+            worker = threading.Thread(target=self._work, name=f"registry-worker-{i}", daemon=True)
+            worker.start()
+            self._workers.append(worker)
 
-    def get_request(self):
-        # Wait at most half a second for an idle worker, so that the serve
-        # loop still sees shutdown() while the pool is busy; the connection
-        # stays in the backlog and the loop comes back for it.
-        if not self._idle.acquire(timeout=0.5):
-            raise OSError("every worker is busy")
-        try:
-            return super().get_request()
-        except OSError:
-            self._idle.release()
-            raise
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        # the workers serve; poll_interval is kept for socketserver's signature
+        self._stopped.wait()
 
-    def process_request(self, request, client_address) -> None:
-        self._jobs.put((request, client_address))
+    def shutdown(self) -> None:
+        self._stopped.set()
 
     def _work(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            request, client_address = job
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if self._closing:
+                    return
+                continue  # the connection failed before it was accepted
             with self._lock:
                 self._serving.add(request)
                 if self._closing:
@@ -307,22 +311,20 @@ class RegistryServer(socketserver.TCPServer):
                 with self._lock:
                     self._serving.discard(request)
                 self.shutdown_request(request)
-                self._idle.release()
 
     def server_close(self) -> None:
-        super().server_close()
         with self._lock:
             self._closing = True
             for request in self._serving:
                 _hang_up(request)
-        for _ in self._workers:
-            self._jobs.put(None)
+        _hang_up(self.socket)  # on Linux, accept fails from now on, also where it waits
         for worker in self._workers:
             worker.join()
+        super().server_close()
 
 
 def _hang_up(sock: socket.socket) -> None:
-    """Wake a worker blocked reading sock: its read returns end of file."""
+    """Wake a worker blocked on sock: a read returns end of file, an accept fails."""
     try:
         sock.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -335,8 +337,8 @@ def serve(
     directory: LabDirectory,
     persist_path: str | None = None,
 ) -> RegistryServer:
-    """Start a registry server (caller drives serve_forever / shutdown); an
-    OSError that stops it starting names the address."""
+    """A registry server whose workers serve from now until server_close();
+    an OSError that stops it starting names the address."""
     _check_port(port)
     try:
         repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()
@@ -359,12 +361,18 @@ def _roundtrip(host: str, port: int, request: str) -> str:
     try:
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall((request + "\n").encode("utf-8"))
-            response = sock.makefile("rb").readline(MAX_REPLY_BYTES)
-        if not response.endswith(b"\n"):
+            response = b""
+            while b"\n" not in response and len(response) < MAX_REPLY_BYTES:
+                chunk = sock.recv(MAX_REPLY_BYTES - len(response))
+                if not chunk:
+                    break
+                response += chunk
+        line, newline, _ = response.partition(b"\n")
+        if not newline:
             if len(response) == MAX_REPLY_BYTES:
                 raise OSError(f"reply longer than {MAX_REPLY_BYTES} bytes")
             raise OSError("connection closed before a complete reply")
-        reply = response[:-1].decode("utf-8")
+        reply = line.decode("utf-8")
         if reply.startswith("ERROR"):
             raise OSError(reply)
     except OSError as exc:

@@ -703,3 +703,8 @@ def run_scenario(scenario: Scenario) -> tuple[SimMetrics, list[str]]:
     world = World(scenario)
     metrics = world.run()
     return metrics, world.trace
+
+
+def trace_to_lines(trace: list[str]) -> str:
+    """The trace file: one line per trace line."""
+    return "".join(line + "\n" for line in trace)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
+import string
 import tempfile
 import urllib.parse
 from typing import Callable, Iterator, TypeVar
@@ -24,6 +25,21 @@ def quote(label: str) -> str:
 
 def unquote(encoded: str) -> str:
     return urllib.parse.unquote(encoded)
+
+
+# the characters `quote` writes as they are
+_UNQUOTED = string.ascii_letters + string.digits + "_.-~"
+
+
+def unquote_written(encoded: str) -> str:
+    """The label that `quote` wrote as encoded; raises ValueError for any
+    other spelling, such as a raw `\\r` or space, `%41` for `A` or `%2f`."""
+    if not encoded.strip(_UNQUOTED):  # nothing escaped: the label itself
+        return encoded
+    label = unquote(encoded)
+    if quote(label) != encoded:
+        raise ValueError(f"label {encoded!r} is not spelled as quote writes it")
+    return label
 
 
 def fmt_num(x: float) -> str:

@@ -64,6 +64,15 @@ class TestPid:
         assert out.strip() == expected.pid
         assert Path(commitment_file).read_text().startswith("trusted-pid|")
 
+    def test_commitment_file_bytes(self, run, tmp_path):
+        # identity owns this file's text; the CLI writes it unchanged
+        commitment_file = tmp_path / "commit.txt"
+        run("pid", "trusted", "--name", "Ada Lovelace", "--phrase", "tea at noon",
+            "--commitment-file", str(commitment_file))
+        assert commitment_file.read_bytes() == (
+            b"trusted-pid|a0d504649ca515521dea2a88c422a834|Ada%20Lovelace|\n"
+        )
+
 
 class TestCertCommands:
     @pytest.fixture
@@ -401,6 +410,19 @@ class TestSimCommand:
         assert "metric|true_exposures|1\n" in out
         assert "metric|missed|0\n" in out
         assert any(line.startswith("trace|") for line in Path(trace).read_text().splitlines())
+
+    def test_trace_file_bytes(self, run, tmp_path):
+        # sim owns this file's text; the CLI writes it unchanged
+        scenario = write(tmp_path / "s.txt", self.SCENARIO)
+        trace = tmp_path / "trace.txt"
+        run("sim", "--scenario", scenario, "--trace", str(trace))
+        assert trace.read_bytes() == (
+            b"trace|600|exposure|0|1\n"
+            b"trace|900|log-entry|0|peer=1c1c2a9cc5d37036b195f2d0e22c7fcb|dwell=900\n"
+            b"trace|900|diagnose|0|notifications=1\n"
+            b"trace|900|log-entry|1|peer=11e07c6292987b2cd55bfad3a2100881|dwell=900\n"
+            b"trace|900|verdict|1|ACCEPTED|forged=0\n"
+        )
 
     def test_deterministic_across_invocations(self, run, tmp_path):
         scenario = write(tmp_path / "s.txt", self.SCENARIO)

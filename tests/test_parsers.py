@@ -210,3 +210,12 @@ def test_a_last_line_without_its_newline(name):
         assert parse(valid[:-1]) == (parse(kept)[0], True, 0)
     else:
         assert parse(valid[:-1]) == parse(kept)
+
+
+@pytest.mark.parametrize("name", [*REPLACED_FILES, "mailbox", "repository"])
+def test_crlf_line_ends_are_refused(name):
+    # every record file is written with `\n` line ends; one rewritten with
+    # `\r\n` must not load with a `\r` glued to each line's last field
+    parse, valid = PARSERS[name]
+    with pytest.raises(ValueError):
+        parse(valid.replace("\n", "\r\n"))

@@ -412,6 +412,28 @@ class TestServer:
                 sock.sendall(b"QUERY P1\n")
                 assert replies.readline() == b"NO\n"
 
+    def test_pipelined_requests_answered_in_order(self, lab, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                replies = sock.makefile("rb")
+                sock.sendall(f"{ingest_line(lab, [Pid('P1')])}\nQUERY P1\nQUERY P2\n".encode())
+                assert [replies.readline() for _ in range(3)] == [b"OK\n", b"YES\n", b"NO\n"]
+
+    def test_request_sent_one_byte_at_a_time(self, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for byte in b"QUERY P1\n":
+                    sock.send(bytes([byte]))
+                assert sock.makefile("rb").readline() == b"NO\n"
+
+    def test_unterminated_last_request_answered(self, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(b"QUERY P1\nQUERY P2")
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.makefile("rb").read() == b"NO\nNO\n"
+
     def test_request_line_cap(self, directory, tmp_path):
         # a line of MAX_REQUEST_BYTES, newline included, is served; a line one
         # byte longer is refused and the connection closed
@@ -464,16 +486,20 @@ class TestServer:
 
 
 @contextmanager
-def replying(reply):
-    """The port of a one-shot server that reads a request line, sends reply
-    and hangs up."""
+def replying(*segments):
+    """The port of a one-shot server that reads a request line, sends the
+    reply segments with a pause between them and hangs up."""
 
     def answer(listener):
         conn, _ = listener.accept()
         with conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.makefile("rb").readline()
             try:
-                conn.sendall(reply)
+                for i, segment in enumerate(segments):
+                    if i:
+                        time.sleep(0.1)
+                    conn.sendall(segment)
             except OSError:  # a client that read its bounded reply may hang up first
                 pass
 
@@ -508,6 +534,10 @@ class TestClientFailures:
         with replying(reply) as port:
             with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: .*{reason}"):
                 client_query("127.0.0.1", port, Pid("P1"))
+
+    def test_reply_in_two_segments(self):
+        with replying(b"YE", b"S\n") as port:
+            assert client_query("127.0.0.1", port, Pid("P1")) == "YES"
 
     def test_no_connection(self):
         with socket.socket() as bound:
@@ -622,7 +652,7 @@ class TestWorkerPool:
             server.shutdown()
             server.server_close()
             loop.join(timeout=10)
-            assert time.monotonic() - start < 5
+            assert time.monotonic() - start < 2
             assert idle.recv(16) == b""
             try:
                 assert waiting.recv(16) == b""

@@ -120,3 +120,16 @@ def test_load_translates_no_line_end(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"a\r\nb\rc\n")
     assert wire.load(str(path), lambda text: text) == "a\r\nb\rc\n"
+
+
+@pytest.mark.parametrize("label", ["", "cell-3-17", "the gym", "café|bar", "a%b", "~_.-", "\r"])
+def test_unquote_written_reads_what_quote_writes(label):
+    assert wire.unquote_written(wire.quote(label)) == label
+
+
+@pytest.mark.parametrize(
+    "encoded", ["walk\r", "the gym", "%41", "the%2fgym", "%FF", "%", "caf%C3"]
+)
+def test_unquote_written_refuses_every_other_spelling(encoded):
+    with pytest.raises(ValueError, match="not spelled as quote writes it"):
+        wire.unquote_written(encoded)
