@@ -209,8 +209,8 @@ def parse_certificate_line(line: str) -> CertificateOfInfection:
     check_token(parts[2], "lab id")
     cert = CertificateOfInfection(
         lab_id=parts[2],
-        test_date=date.fromisoformat(parts[3]),
-        infectious_from=date.fromisoformat(parts[4]),
+        test_date=wire.parse_day(parts[3]),
+        infectious_from=wire.parse_day(parts[4]),
         pids=tuple(Pid(v) for v in parts[5].split(",")),
         signature=base64.b64decode(parts[6], validate=True),
     )

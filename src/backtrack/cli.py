@@ -13,7 +13,6 @@ import contextlib
 import os
 import sys
 from collections import Counter
-from datetime import date
 
 from . import bizlog, contactlog, registry, wire
 from .certificates import (
@@ -100,8 +99,8 @@ def cmd_cert(args) -> int:
         cert = issue_certificate(
             wire.load(args.key, LabIdentity.from_lines),
             _parse_pids(args.pids),
-            test_date=date.fromisoformat(args.test_date),
-            infectious_from=date.fromisoformat(args.infectious_from),
+            test_date=wire.parse_day(args.test_date),
+            infectious_from=wire.parse_day(args.infectious_from),
         )
         wire.write_atomic(args.out, certificate_to_file(cert))
         print(args.out)

@@ -8,7 +8,9 @@ as beacons arrive, and the versioned significant-contact decision rule.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, fields
+from math import cos, log, sin, sqrt, tau as TWOPI
 
 from .identity import Pad, Pid
 
@@ -124,6 +126,42 @@ def distance_to_rssi(
     if body_blocked:
         rssi -= model.body_shadow_db
     return rssi
+
+
+def channel_draws(
+    rng: random.Random, n_pairs: int, model: ChannelModel, block_prob: float
+) -> tuple[list[float], list[bool]]:
+    """Each pair's shadowing draw and body blocking for `distance_to_rssi`,
+    in pair order.  They and rng's state afterwards are bit for bit those of
+    one `gauss(0.0, 1.0)` call per pair, if model shadows, each followed by
+    that pair's blocking `random()`, if block_prob is on.  One loop repeats
+    `random.gauss`'s own Box–Muller arithmetic (Box & Muller, 1958) without
+    a call per draw: two uniforms give two draws, a cosine and a sine; as in
+    gauss, a sine that no pair is left to use stays in `gauss_next`, for the
+    first pair of the next call."""
+    u, p = rng.random, block_prob
+    if model.shadowing_sigma_db <= 0:
+        blocked = [u() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs
+        return [0.0] * n_pairs, blocked
+    noise: list[float] = []
+    blocked = []
+    if n_pairs and rng.gauss_next is not None:
+        # the draw a previous call left in gauss_next is the first pair's
+        noise.append(rng.gauss(0.0, 1.0))
+        blocked.append(p > 0 and u() < p)
+    for k in range(len(noise), n_pairs, 2):
+        x2pi = u() * TWOPI
+        g2rad = sqrt(-2.0 * log(1.0 - u()))
+        # `0.0 +` is gauss's `mu + z * sigma`, which turns a -0.0 draw to 0.0
+        noise.append(0.0 + cos(x2pi) * g2rad)
+        blocked.append(p > 0 and u() < p)
+        if k + 1 == n_pairs:
+            # no pair is left for the second draw: gauss keeps it
+            rng.gauss_next = sin(x2pi) * g2rad
+            break
+        noise.append(0.0 + sin(x2pi) * g2rad)
+        blocked.append(p > 0 and u() < p)
+    return noise, blocked
 
 
 def within_policy(rssi_dbm: float, policy: SignificancePolicy, model: ChannelModel) -> bool:

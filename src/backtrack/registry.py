@@ -99,8 +99,8 @@ def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
     `wire.load_lines` reads them or `wire.complete_lines` splits a text: the
     caller leaves out an unterminated last line, a record torn by a crash.
     Every line must be `notified|<pid>|<lab>|<test date>`, with valid ids
-    and the date in its one ISO spelling, `YYYY-MM-DD`; any other, a blank
-    one included, raises ValueError.  Each distinct `<lab>|<test date>` text
+    and a date that `wire.parse_day` reads; any other, a blank one
+    included, raises ValueError.  Each distinct `<lab>|<test date>` text
     is parsed once, into the value `repo.shared` keeps for it."""
     repo = NotifiedPidRepository()
     for line in lines:
@@ -112,23 +112,17 @@ def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
         check_token(parts[1], "PID")
         value = repo.shared.get(parts[2])
         if value is None:
-            value = repo.shared[parts[2]] = _parse_shared(parts[2], line)
+            value = repo.shared[parts[2]] = _parse_shared(parts[2])
         _record(repo, parts[1], value)
     return repo
 
 
-def _parse_shared(text: str, line: str) -> tuple[str, date]:
-    """The (lab_id, test_date) that `<lab>|<test date>` text spells."""
-    lab_id, sep, day = text.partition("|")
-    if not sep or "|" in day:
-        raise ValueError(f"malformed repository line: {line!r}")
+def _parse_shared(text: str) -> tuple[str, date]:
+    """The (lab_id, test_date) that `<lab>|<test date>` text spells; with no
+    `|` or a second one, the day is one that `wire.parse_day` refuses."""
+    lab_id, _, day = text.partition("|")
     check_token(lab_id, "lab id")
-    # Python 3.11 and later also read `20200301` and `2020-W10-1`; refuse
-    # every spelling but the one ingest writes, on every version
-    test_date = date.fromisoformat(day)
-    if test_date.isoformat() != day:
-        raise ValueError(f"test date {day!r} is not YYYY-MM-DD in repository line: {line!r}")
-    return lab_id, test_date
+    return lab_id, wire.parse_day(day)
 
 
 def load_repository(path: str) -> NotifiedPidRepository:
@@ -227,6 +221,7 @@ class _Handler(socketserver.BaseRequestHandler):
         service: RegistryService = self.server.service  # type: ignore[attr-defined]
         sock: socket.socket = self.request
         sock.settimeout(IDLE_TIMEOUT_S)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no reply waits for an ACK
         pending = bytearray()  # received, not yet answered
         scanned = 0  # pending[:scanned] holds no newline
         while True:

@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from datetime import date, datetime, timezone
-from math import cos, log, sin, sqrt, tau as TWOPI
 
 from . import wire
 from .certificates import LabDirectory, LabIdentity, issue_certificate
@@ -27,6 +26,7 @@ from .encounter import (
     ContactSession,
     InformationRecord,
     SignificancePolicy,
+    channel_draws,
     classify_contact,
     close_expired_sessions,
     distance_to_rssi,
@@ -401,46 +401,6 @@ class World:
                     agent.position[1] + dy / dist * agent.speed,
                 )
 
-    def _channel_draws(self, n_pairs: int) -> tuple[list[float], list[bool]]:
-        """Each pair's shadowing draw and body-blocking outcome, in pair order;
-        a pair draws its shadowing before its blocking, and only what is on.
-
-        The values and the generator's state afterwards are bit for bit those
-        of one `gauss(0.0, 1.0)` call per pair, each followed by that pair's
-        blocking `random()`: one loop repeats `random.gauss`'s own Box–Muller
-        arithmetic (Box & Muller, 1958) without a call per draw.  Each two
-        uniforms give two draws, a cosine and a sine; as in gauss, a sine that
-        no pair is left to use stays in `gauss_next`, for the first pair of
-        the next call."""
-        s = self.scenario
-        rng = self._channel_rng
-        u = rng.random
-        p = s.body_block_prob
-        if s.channel.shadowing_sigma_db <= 0:
-            blocked = [u() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs
-            return [0.0] * n_pairs, blocked
-        noise: list[float] = []
-        blocked = []
-        first = 0
-        if n_pairs and rng.gauss_next is not None:
-            # the draw a previous call left in gauss_next is the first pair's
-            noise.append(rng.gauss(0.0, 1.0))
-            blocked.append(p > 0 and u() < p)
-            first = 1
-        for k in range(first, n_pairs, 2):
-            x2pi = u() * TWOPI
-            g2rad = sqrt(-2.0 * log(1.0 - u()))
-            # `0.0 +` is gauss's `mu + z * sigma`, which turns a -0.0 draw to 0.0
-            noise.append(0.0 + cos(x2pi) * g2rad)
-            blocked.append(p > 0 and u() < p)
-            if k + 1 == n_pairs:
-                # no pair is left for the second draw: gauss keeps it
-                rng.gauss_next = sin(x2pi) * g2rad
-                break
-            noise.append(0.0 + sin(x2pi) * g2rad)
-            blocked.append(p > 0 and u() < p)
-        return noise, blocked
-
     def _beacon_tick(self) -> None:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
@@ -453,8 +413,8 @@ class World:
         to_rssi, ingest, hypot = distance_to_rssi, ingest_beacon, math.hypot
         channel, gap, now, true_radius = s.channel, s.gap_timeout_s, self.now, s.true_radius_m
         active = [a for a in self.agents if a.health is not Health.DIAGNOSED]
-        m = len(active)
-        noise, blocked = self._channel_draws(m * (m - 1) // 2)
+        m, rng = len(active), self._channel_rng
+        noise, blocked = channel_draws(rng, m * (m - 1) // 2, channel, s.body_block_prob)
         reach = _reach(s, max(noise, default=0.0))
         records = [self._own_record(a) for a in active]
         min_rssi = [self._min_rssi[a.policy] for a in active]

@@ -13,6 +13,7 @@ import os
 import string
 import tempfile
 import urllib.parse
+from datetime import date
 from typing import Callable, Iterator, TypeVar
 
 T = TypeVar("T")
@@ -40,6 +41,16 @@ def unquote_written(encoded: str) -> str:
     if quote(label) != encoded:
         raise ValueError(f"label {encoded!r} is not spelled as quote writes it")
     return label
+
+
+def parse_day(text: str) -> date:
+    """The date text spells as `YYYY-MM-DD`; any other text raises ValueError,
+    also `20200301` and `2020-W10-1`, which Python 3.11 on reads as ISO dates."""
+    with contextlib.suppress(ValueError):
+        day = date.fromisoformat(text)
+        if day.isoformat() == text:
+            return day
+    raise ValueError(f"{text!r} is not a date spelled YYYY-MM-DD")
 
 
 def fmt_num(x: float) -> str:

@@ -124,6 +124,19 @@ class TestCertCommands:
                       "--out", str(tmp_path / "x.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--test-date", "--infectious-from"])
+    @pytest.mark.parametrize("day", ["2020-W10-1", "20200301"])
+    def test_dates_not_spelled_yyyy_mm_dd_exit_2(self, run, tmp_path, lab_files, flag, day):
+        # Python 3.11's date.fromisoformat reads both, as 2020-03-02 and
+        # 2020-03-01, which lie between the other flag's date and the test date
+        key, _ = lab_files
+        dates = {"--test-date": "2020-04-01", "--infectious-from": "2020-02-25", flag: day}
+        cert = tmp_path / "cert.txt"
+        code, out = run("cert", "issue", "--key", key, "--pids", "P1",
+                        *(a for item in dates.items() for a in item), "--out", str(cert))
+        assert (code, out) == (2, "")
+        assert not cert.exists()
+
     def test_missing_key_file_exits_2(self, run, tmp_path):
         code, _ = run("cert", "issue", "--key", str(tmp_path / "absent.key"),
                       "--pids", "P1", "--test-date", "2020-04-01",

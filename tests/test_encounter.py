@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ from backtrack.encounter import (
     POLICY_V1,
     SignificancePolicy,
     SignificanceVerdict,
+    channel_draws,
     classify_contact,
     close_expired_sessions,
     distance_to_rssi,
@@ -373,3 +375,32 @@ class TestStreamingEquivalence:
                 closed = close_expired_sessions(table, now, gap_timeout_s)
                 assert [s.peer_record.pid for s in closed] == stale
                 assert set(table) == remaining
+
+
+class TestChannelDraws:
+    """A tick's batched channel draws against the per-pair calls they stand
+    for: one gauss(0.0, 1.0) per pair, then that pair's blocking random()."""
+
+    # in sequence, so odd sizes leave a draw in gauss_next for the next call
+    SIZES = [*range(10), 4005, 19_900, 1, 19_900, *range(9, -1, -1)]
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.0])
+    @pytest.mark.parametrize("block", [0.0, 0.3])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_matches_per_pair_calls(self, sigma, block, carried):
+        model = ChannelModel(shadowing_sigma_db=sigma)
+        rng = random.Random(7)
+        if carried:
+            rng.gauss(0.0, 1.0)
+            assert rng.gauss_next is not None
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        for n in self.SIZES:
+            noise, blocked = channel_draws(rng, n, model, block)
+            want_noise, want_blocked = [], []
+            for _ in range(n):
+                want_noise.append(twin.gauss(0.0, 1.0) if sigma > 0 else 0.0)
+                want_blocked.append(block > 0 and twin.random() < block)
+            assert [x.hex() for x in noise] == [x.hex() for x in want_noise], n
+            assert list(blocked) == want_blocked, n
+            assert rng.getstate() == twin.getstate(), n

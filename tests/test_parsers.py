@@ -219,3 +219,17 @@ def test_crlf_line_ends_are_refused(name):
     parse, valid = PARSERS[name]
     with pytest.raises(ValueError):
         parse(valid.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("name", ["certificate", "certificate-file", "mailbox"])
+@pytest.mark.parametrize("day, other", [
+    ("2020-04-01", "20200401"), ("2020-04-01", "2020-W14-3"),
+    ("2020-03-25", "20200325"), ("2020-03-25", "2020-W13-3"),
+])
+def test_a_certificate_date_in_another_spelling_is_refused(name, day, other):
+    # from Python 3.11 on, date.fromisoformat reads each other spelling as
+    # the same day; a signed date has one spelling on every version
+    parse, valid = PARSERS[name]
+    assert f"|{day}|" in valid
+    with pytest.raises(ValueError):
+        parse(valid.replace(f"|{day}|", f"|{other}|"))

@@ -419,6 +419,20 @@ class TestServer:
                 sock.sendall(f"{ingest_line(lab, [Pid('P1')])}\nQUERY P1\nQUERY P2\n".encode())
                 assert [replies.readline() for _ in range(3)] == [b"OK\n", b"YES\n", b"NO\n"]
 
+    def test_pipelined_bursts_are_answered_without_a_stall(self, directory, tmp_path):
+        # each reply is its own small send: with Nagle's algorithm on, every
+        # reply after a burst's first waits for the client's delayed ACK,
+        # about 40 ms a burst, and 20 bursts take about 0.8 s
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with socket.create_connection(address, timeout=10) as sock:
+                replies = sock.makefile("rb")
+                start = time.perf_counter()
+                for _ in range(20):
+                    sock.sendall(b"QUERY P1\n" * 10)
+                    assert [replies.readline() for _ in range(10)] == [b"NO\n"] * 10
+                elapsed = time.perf_counter() - start
+        assert elapsed < 0.2
+
     def test_request_sent_one_byte_at_a_time(self, directory, tmp_path):
         with running(directory, str(tmp_path / "state.txt")) as address:
             with socket.create_connection(address, timeout=10) as sock:

@@ -1,5 +1,4 @@
 import math
-import random
 from dataclasses import dataclass, replace
 from unittest import mock
 
@@ -870,39 +869,3 @@ class TestDiagnosisHeap:
         assert [line.split("|")[2:4] for line in worlds[0].trace[2:]] == [
             ["diagnose", "1"], ["diagnose", "2"]
         ]
-
-
-class TestChannelDraws:
-    """A tick's batched channel draws against the per-pair calls they stand
-    for: one gauss(0.0, 1.0) per pair, then that pair's blocking random()."""
-
-    # in sequence, so odd sizes leave a draw in gauss_next for the next call
-    SIZES = [*range(10), 4005, 19_900, 1, 19_900, *range(9, -1, -1)]
-
-    @pytest.mark.parametrize("sigma", [0.0, 2.0])
-    @pytest.mark.parametrize("block", [0.0, 0.3])
-    @pytest.mark.parametrize("carried", [False, True])
-    def test_matches_per_pair_calls(self, sigma, block, carried):
-        world = World(
-            Scenario(
-                n_agents=2,
-                duration_s=10,
-                channel=ChannelModel(shadowing_sigma_db=sigma),
-                body_block_prob=block,
-            )
-        )
-        rng = world._channel_rng
-        if carried:
-            rng.gauss(0.0, 1.0)
-            assert rng.gauss_next is not None
-        twin = random.Random()
-        twin.setstate(rng.getstate())
-        for n in self.SIZES:
-            noise, blocked = world._channel_draws(n)
-            want_noise, want_blocked = [], []
-            for _ in range(n):
-                want_noise.append(twin.gauss(0.0, 1.0) if sigma > 0 else 0.0)
-                want_blocked.append(block > 0 and twin.random() < block)
-            assert [x.hex() for x in noise] == [x.hex() for x in want_noise], n
-            assert list(blocked) == want_blocked, n
-            assert rng.getstate() == twin.getstate(), n
