@@ -126,7 +126,7 @@ def cmd_notify(args) -> int:
         return EXIT_OK
     # verify
     directory = wire.load(args.directory, LabDirectory.from_lines)
-    notifications, torn, copies = wire.load(args.notification, parse_mailbox)
+    (notifications, copies), torn = wire.load_lines(args.notification, parse_mailbox)
     if torn:
         print("torn|1", file=sys.stderr)
     if copies:
@@ -192,7 +192,7 @@ def cmd_bizlog(args) -> int:
             bizlog.save_chain(log, args.chain, args.head)
             print(f"appended|{log.chain[-1].seq}")
             return EXIT_OK
-        repo = wire.load_lines(args.repo, registry.parse_repository)
+        repo, _ = wire.load_lines(args.repo, registry.parse_repository)
         verdict = bizlog.evidence_query(
             log,
             Pid(args.pid),

@@ -17,6 +17,9 @@ PID_HEX_LEN = 32
 # byte separator in the commitment preimage; prevents ("ab","c") == ("a","bc")
 _COMMIT_SEP = "\x1f"
 _FORBIDDEN_TOKEN_CHARS = frozenset("|,")
+# `wire.quote` writes a byte as at most 3 characters, and a file name holds
+# 255 bytes: the longest PAD whose mailbox file can be named
+PAD_MAX_BYTES = 85
 
 
 def check_token(value: str, what: str) -> None:
@@ -52,13 +55,16 @@ class Pid(str):
 
 class Pad(str):
     """Mailbox-style pseudo-address `local@domain`; routing is opaque.  It is
-    written raw into log lines, so it holds no `|` and no line break."""
+    written raw into log lines, so it holds no `|` and no line break, and
+    names its mailbox file, so it is at most `PAD_MAX_BYTES` of UTF-8."""
 
     __slots__ = ()
 
     def __new__(cls, value: str) -> Pad:
         if "|" in value or not value.isprintable():
             raise ValueError(f"PAD must be printable and must not contain '|', got {value!r}")
+        if (size := len(value.encode("utf-8"))) > PAD_MAX_BYTES:
+            raise ValueError(f"PAD must be at most {PAD_MAX_BYTES} bytes of UTF-8, got {size}")
         local, sep, domain = value.partition("@")
         if not sep or not local or not domain or "@" in domain:
             raise ValueError(f"PAD must be local@domain, got {value!r}")

@@ -10,6 +10,7 @@ import enum
 import os
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import wire
 from .certificates import (
@@ -154,18 +155,15 @@ def _parse_notification(line: str) -> Notification:
     return n
 
 
-def parse_mailbox(text: str) -> tuple[list[Notification], bool, int]:
-    """A mailbox file's notifications; whether a torn last line, an append a
-    crash cut short, was skipped; and how many repeated lines were skipped.
-
-    The line is skipped even when it parses, since a cut can leave one that
-    does (a shorter location, a dropped certificate). A line identical to an
-    earlier one is a copy that a `notify build` retried after a failed
-    delivery appended again, so it is read once.
-    """
-    lines, torn = wire.complete_lines(text)
-    unique = list(dict.fromkeys(lines))
-    return [_parse_notification(line) for line in unique], torn, len(lines) - len(unique)
+def parse_mailbox(lines: Iterable[str]) -> tuple[list[Notification], int]:
+    """The notifications in the complete lines of a mailbox file, without
+    their newlines, as `wire.load_lines` reads them; and how many repeated
+    lines were skipped.  A line identical to an earlier one is a copy that a
+    `notify build` retried after a failed delivery appended again, so it is
+    read once."""
+    lines = list(lines)
+    unique = dict.fromkeys(lines)
+    return [_parse_notification(line) for line in unique], len(lines) - len(unique)
 
 
 class MailboxStore:
@@ -192,7 +190,7 @@ class FileMailboxStore:
     """Directory-backed mailbox store: one file per percent-encoded PAD.
 
     It only delivers, one line per notification through `wire.append_lines`;
-    the recipient reads its file with `parse_mailbox`.
+    the recipient reads its file with `wire.load_lines` and `parse_mailbox`.
     """
 
     def __init__(self, root: str) -> None:

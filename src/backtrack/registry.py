@@ -96,8 +96,8 @@ def check_test_priority_claim(
 
 def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
     """Parse the complete lines of a state file, without their newlines, as
-    `wire.load_lines` reads them or `wire.complete_lines` splits a text: the
-    caller leaves out an unterminated last line, a record torn by a crash.
+    `wire.load_lines` reads them, leaving out an unterminated last line, a
+    record torn by a crash.
     Every line must be `notified|<pid>|<lab>|<test date>`, with valid ids
     and a date that `wire.parse_day` reads; any other, a blank one
     included, raises ValueError.  Each distinct `<lab>|<test date>` text
@@ -130,7 +130,7 @@ def load_repository(path: str) -> NotifiedPidRepository:
     file is an empty repository.  A malformed complete line raises ValueError
     prefixed with the path."""
     try:
-        return wire.load_lines(path, parse_repository)
+        return wire.load_lines(path, parse_repository)[0]
     except FileNotFoundError:
         return NotifiedPidRepository()
 

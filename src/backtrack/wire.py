@@ -3,7 +3,7 @@ Every record file is split on newline only; its parser refuses a blank line.
 A file replaced whole (`write_atomic`, under `locked` when the new text is
 made from the old) is read by `replaced_lines` or `only_line`, which refuse
 an unterminated last line.  A file appended whole lines (`append_lines`) is
-read by `complete_lines` or `load_lines`, which skip one: a torn append."""
+read by `load_lines`, which leaves one out undecoded: a torn append."""
 
 from __future__ import annotations
 
@@ -123,14 +123,6 @@ def only_line(text: str) -> str:
     return lines[0]
 
 
-def complete_lines(text: str) -> tuple[list[str], bool]:
-    """The newline-terminated lines of text, without their newlines, and
-    whether an unterminated last line, torn by a crash mid-append and never
-    acknowledged, was left out."""
-    lines = text.split("\n")
-    return lines, bool(lines.pop())
-
-
 def load(path: str, parse: Callable[[str], T]) -> T:
     """Parse the UTF-8 text of the file at path, no `\\r` translated; a
     ValueError, a decode error included, is raised again prefixed with path."""
@@ -141,15 +133,25 @@ def load(path: str, parse: Callable[[str], T]) -> T:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_lines(path: str, parse: Callable[[Iterator[str]], T]) -> T:
-    """Parse the file at path one line at a time, as it is read, holding
-    neither its whole text nor a list of its lines.  parse gets each
-    newline-terminated line, split on `\\n` only and decoded from UTF-8,
-    without its newline; an unterminated last line, torn by a crash
-    mid-append, is left out undecoded.  A ValueError is raised again
-    prefixed with the path, as `load` does."""
+def load_lines(path: str, parse: Callable[[Iterator[str]], T]) -> tuple[T, bool]:
+    """What parse makes of the file at path, read one line at a time, holding
+    neither its whole text nor a list of its lines, and whether an
+    unterminated last line, torn by a crash mid-append, was left out
+    undecoded.  parse gets, and must read, each newline-terminated line, split
+    on `\\n` only and decoded from UTF-8, without its newline.  A ValueError
+    is raised again prefixed with the path, as `load` does."""
+    torn = False
+
+    def complete(f) -> Iterator[str]:
+        nonlocal torn
+        for raw in f:
+            if raw.endswith(b"\n"):
+                yield raw[:-1].decode("utf-8")
+            else:
+                torn = True
+
     try:
         with open(path, "rb") as f:
-            return parse(raw[:-1].decode("utf-8") for raw in f if raw.endswith(b"\n"))
+            return parse(complete(f)), torn
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

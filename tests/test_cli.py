@@ -295,7 +295,7 @@ class TestNotifyCommands:
         run("notify", "build", "--log", sender_log, "--own-pids", "sick",
             "--cert", cert, "--mailbox-dir", boxes)
         mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
-        (genuine,), _, _ = parse_mailbox(mailbox.read_text())
+        ((genuine,), _), _ = wire.load_lines(str(mailbox), parse_mailbox)
         forged = replace(genuine, sender_pid=Pid("mallory"))
         mailbox.write_text("".join(notification_to_line(n) + "\n" for n in (genuine, forged)))
         code, out = run("notify", "verify", "--log", victim_log,
@@ -323,20 +323,22 @@ class TestNotifyCommands:
         run("notify", "build", "--log", sender_log, "--own-pids", "sick",
             "--cert", cert, "--mailbox-dir", boxes)
         mailbox = tmp_path / "boxes" / wire.quote("victim@boxes")
-        first = mailbox.read_text()
-        (genuine,), _, _ = parse_mailbox(first)
-        # the last record is certified, so a cut can fall in either part
-        last = notification_to_line(replace(genuine, sender_pid=Pid("mallory")))
+        first = mailbox.read_bytes()
+        ((genuine,), _), _ = wire.load_lines(str(mailbox), parse_mailbox)
+        # the last record is certified, so a cut can fall in either part, and
+        # its sender's PID is not ASCII, so a cut can split a character
+        last = notification_to_line(replace(genuine, sender_pid=Pid("mallory-\u00e9\u20ac")))
+        last = last.encode("utf-8")
         argv = ("notify", "verify", "--log", victim_log, "--directory", directory,
                 "--notification", str(mailbox))
-        mailbox.write_text(first)
+        mailbox.write_bytes(first)
         alone = run(*argv)
         assert alone[0] == 0 and alone[2] == ""
-        mailbox.write_text(first + last + "\n")
+        mailbox.write_bytes(first + last + b"\n")
         assert run(*argv)[0] == 1
         # every cut inside the last record, up to its missing newline
         for cut in range(1, len(last) + 1):
-            mailbox.write_text(first + last[:cut])
+            mailbox.write_bytes(first + last[:cut])
             assert run(*argv) == (0, alone[1], "torn|1\n"), cut
 
     def test_retried_build_is_verified_once(self, tmp_path, capsys):

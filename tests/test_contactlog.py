@@ -276,6 +276,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_log("entry|nope\n")
 
+    def test_peer_pad_too_long_for_a_mailbox_name(self):
+        text = serialize_log(make_log(make_entry(peer_pad="peer@box")))
+        with pytest.raises(ValueError, match="at most 85 bytes"):
+            parse_log(text.replace("|peer@box|", f"|{'p' * 295}@box|"))
+
     def test_file_round_trip_identity_default(self, tmp_path):
         log = make_log(make_entry())
         path = str(tmp_path / "log.txt")

@@ -87,6 +87,17 @@ class TestPad:
         with pytest.raises(ValueError, match="PAD must be"):
             Pad(bad)
 
+    @pytest.mark.parametrize(
+        "local, domain", [("%" * 42, "%" * 42), ("\u00e9" * 41, "xy")], ids=["percent", "e-acute"]
+    )
+    def test_at_most_85_bytes_of_utf8(self, local, domain):
+        # a mailbox file is named wire.quote(pad), up to 3 characters a byte
+        longest = f"{local}@{domain}"
+        assert len(longest.encode("utf-8")) == 85
+        assert Pad(longest) == longest
+        with pytest.raises(ValueError, match="at most 85 bytes of UTF-8, got 86"):
+            Pad(longest + "x")
+
 
 class TestRandomPid:
     def test_deterministic_for_fixed_seed(self):

@@ -37,7 +37,7 @@ class FileBoxReader(FileMailboxStore):
         path = os.path.join(self.root, wire.quote(pad))
         if not os.path.exists(path):
             return []
-        notifications, _, _ = wire.load(path, parse_mailbox)
+        (notifications, _), _ = wire.load_lines(path, parse_mailbox)
         os.remove(path)
         return notifications
 
@@ -101,6 +101,12 @@ class TestMailbox:
         got = store.poll(Pad("a@box"))
         assert [n.echoed_time for n in got] == [1.0, 2.0]
 
+    def test_longest_pad(self, store):
+        # each of its 85 bytes is written `%25` in the mailbox's file name
+        pad = Pad("%" * 42 + "@" + "%" * 42)
+        store.deliver(pad, self.notification())
+        assert store.poll(pad) == [self.notification()]
+
     def test_poll_unknown_pad(self, store):
         assert store.poll(Pad("nobody@box")) == []
 
@@ -114,24 +120,23 @@ class TestMailbox:
 class TestWireFormat:
     def test_round_trip_without_cert(self):
         n = Notification(Pid("abc"), 1234.5, "on the walk")
-        text = notification_to_line(n) + "\n"
-        assert parse_mailbox(text) == ([n], False, 0)
+        assert parse_mailbox([notification_to_line(n)]) == ([n], 0)
 
     def test_round_trip_with_cert(self, lab):
         n = Notification(Pid("abc"), 1234.5, "on the walk", certified(lab, [Pid("abc")]))
-        text = notification_to_line(n)
-        assert "\n" not in text
-        assert parse_mailbox(text + "\n") == ([n], False, 0)
+        line = notification_to_line(n)
+        assert "\n" not in line
+        assert parse_mailbox([line]) == ([n], 0)
 
     def test_stream_of_mixed_messages(self, lab):
         n1 = Notification(Pid("a1"), 1.0, "x", certified(lab, [Pid("a1")]))
         n2 = Notification(Pid("a2"), 2.0, "y")
-        text = notification_to_line(n1) + "\n" + notification_to_line(n2) + "\n"
-        assert parse_mailbox(text) == ([n1, n2], False, 0)
+        lines = [notification_to_line(n1), notification_to_line(n2)]
+        assert parse_mailbox(lines) == ([n1, n2], 0)
 
     def test_malformed(self):
         with pytest.raises(ValueError):
-            parse_mailbox("notif|v2|x\n")
+            parse_mailbox(["notif|v2|x"])
 
 
 class TestVerify:

@@ -25,12 +25,7 @@ from backtrack.certificates import (
 from backtrack.contactlog import parse_log, serialize_log
 from backtrack.identity import Pid, generate_trusted_pid
 from backtrack.notify import Notification, notification_to_line, parse_mailbox
-from backtrack.registry import (
-    NotifiedPidRepository,
-    RegistryService,
-    load_repository,
-    parse_repository,
-)
+from backtrack.registry import NotifiedPidRepository, RegistryService, parse_repository
 from backtrack.sim import parse_scenario
 
 from conftest import make_entry, make_log
@@ -70,23 +65,23 @@ REGISTRY_RESPONSES = {
 }
 
 
-def parse_and_load_repository(text: str) -> dict:
-    """Parse text split on `\\n`, and load it written to a state file: the
-    two agree, raising ValueError (the load's naming the file) or giving the
-    same entries, which are returned."""
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "state.txt")
-        with open(path, "wb") as f:
-            f.write(text.encode("utf-8"))
-        try:
-            loaded = load_repository(path)
-        except ValueError as exc:
-            assert str(exc).startswith(f"{path}: ")
-            with pytest.raises(ValueError):
-                parse_repository(wire.complete_lines(text)[0])
-            raise
-    assert parse_repository(wire.complete_lines(text)[0]).entries == loaded.entries
-    return loaded.entries
+def load_appended(parse):
+    """A function that writes an appended file's data, bytes or text as
+    UTF-8, to a file and returns what `wire.load_lines` reads from it with
+    parse, the torn flag included.  A ValueError names the file."""
+
+    def load(data: str | bytes):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "appended.txt")
+            with open(path, "wb") as f:
+                f.write(data.encode("utf-8") if isinstance(data, str) else data)
+            try:
+                return wire.load_lines(path, parse)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                raise
+
+    return load
 
 
 def registry_request(line: str) -> None:
@@ -95,10 +90,11 @@ def registry_request(line: str) -> None:
     assert service.handle_request([line]) in REGISTRY_RESPONSES
 
 
+# the last line of each appended file holds non-ASCII, so a cut can split a character
 NOTIFICATIONS_TEXT = (
-    notification_to_line(Notification(Pid("P1"), 5000.5, "the gym"))
+    notification_to_line(Notification(Pid("P2"), 7.0, "walk", parse_certificate_line(CERT_LINE)))
     + "\n"
-    + notification_to_line(Notification(Pid("P2"), 7.0, "walk", parse_certificate_line(CERT_LINE)))
+    + notification_to_line(Notification(Pid("P1-\u00e9\u20ac"), 5000.5, "the gym"))
     + "\n"
 )
 
@@ -106,13 +102,13 @@ NOTIFICATIONS_TEXT = (
 PARSERS = {
     "certificate": (parse_certificate_line, CERT_LINE),
     "certificate-file": (parse_certificate_file, CERT_LINE + "\n"),
-    "mailbox": (parse_mailbox, NOTIFICATIONS_TEXT),
+    "mailbox": (load_appended(parse_mailbox), NOTIFICATIONS_TEXT),
     "lab-key": (LabIdentity.from_lines, LAB.to_lines()),
     "log": (parse_log, serialize_log(make_log(make_entry(), make_entry(t=2000.0)))),
     "directory": (LabDirectory.from_lines, DIRECTORY.to_lines()),
     "repository": (
-        parse_and_load_repository,
-        "notified|P1|lab-A|2020-04-01\nnotified|P2|lab-A|2020-04-02\n",
+        load_appended(parse_repository),
+        "notified|P1|lab-A|2020-04-01\nnotified|P2-\u00e9\u20ac|lab-A|2020-04-02\n",
     ),
     "chain": (lambda text: bizlog.parse_chain(text, CHAIN.head), CHAIN_TEXT),
     "head": (bizlog.parse_head, HEAD_TEXT),
@@ -164,7 +160,7 @@ WRITERS = {
     "head": lambda head: bizlog.head_to_line(bizlog.VisitorLog(head=head)),
     "directory": LabDirectory.to_lines,
     "lab-key": LabIdentity.to_lines,
-    "mailbox": lambda read: "".join(notification_to_line(n) + "\n" for n in read[0]),
+    "mailbox": lambda read: "".join(notification_to_line(n) + "\n" for n in read[0][0]),
 }
 # files compared line by line: the directory is written in lab order, and a
 # mailbox reads a repeated line once and skips a torn last one
@@ -189,15 +185,17 @@ def test_what_parses_is_what_its_writer_writes(name, data):
     except ValueError:
         return
     if name in PER_LINE:
-        assert set(wire.complete_lines(written)[0]) == set(wire.complete_lines(text)[0])
+        lines = load_appended(set)
+        assert lines(written)[0] == lines(text)[0]
     else:
         assert written == text
 
 
 REPLACED_FILES = ["certificate-file", "chain", "directory", "head", "lab-key", "log"]
+APPENDED_FILES = ["mailbox", "repository"]
 
 
-@pytest.mark.parametrize("name", [*REPLACED_FILES, "mailbox", "repository"])
+@pytest.mark.parametrize("name", [*REPLACED_FILES, *APPENDED_FILES])
 def test_a_last_line_without_its_newline(name):
     # a replaced file is written whole, so an unterminated last line is
     # damage; an appended file's is an append a crash cut short, skipped
@@ -206,13 +204,27 @@ def test_a_last_line_without_its_newline(name):
     if name in REPLACED_FILES:
         with pytest.raises(ValueError, match="last line has no newline"):
             parse(valid[:-1])
-    elif name == "mailbox":
-        assert parse(valid[:-1]) == (parse(kept)[0], True, 0)
     else:
-        assert parse(valid[:-1]) == parse(kept)
+        assert parse(valid[:-1]) == (parse(kept)[0], True)
 
 
-@pytest.mark.parametrize("name", [*REPLACED_FILES, "mailbox", "repository"])
+@pytest.mark.parametrize("name", APPENDED_FILES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_an_appended_file_cut_at_any_byte(name, data):
+    # a crash can cut an append at any byte, inside a character too, and
+    # leave any bytes in its place: the complete lines load as they are, and
+    # the torn tail, invalid UTF-8 or not, is left out undecoded
+    parse, valid = PARSERS[name]
+    raw = valid.encode("utf-8")
+    cut = data.draw(st.integers(0, len(raw)))
+    junk = data.draw(st.binary()).replace(b"\n", b"")
+    complete = raw[: raw.rfind(b"\n", 0, cut) + 1]
+    torn = raw[len(complete):cut] + junk
+    assert parse(complete + torn) == (parse(complete)[0], bool(torn))
+
+
+@pytest.mark.parametrize("name", [*REPLACED_FILES, *APPENDED_FILES])
 def test_crlf_line_ends_are_refused(name):
     # every record file is written with `\n` line ends; one rewritten with
     # `\r\n` must not load with a `\r` glued to each line's last field

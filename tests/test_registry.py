@@ -184,8 +184,6 @@ class TestPersistence:
     def test_other_malformed_lines_raise(self, text, tmp_path):
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
             load_state(tmp_path, text)
-        with pytest.raises(ValueError):
-            parse_repository(wire.complete_lines(text)[0])
 
     @pytest.mark.parametrize(
         "day", ["20200301", "2020-W10-1", "2020W101", "2020-3-1", " 2020-03-01"]
@@ -206,8 +204,6 @@ class TestPersistence:
         text = f"notified|ok|lab|2020-03-01\nnotified|{pid}|{lab_id}|2020-03-01\n"
         with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}"):
             load_state(tmp_path, text)
-        with pytest.raises(ValueError):
-            parse_repository(wire.complete_lines(text)[0])
 
     def test_every_cut_of_the_last_two_lines(self, tmp_path):
         lines = [

@@ -3,6 +3,7 @@ and cut by the next append, for the registry state file and the mailboxes."""
 
 import fcntl
 import os
+import re
 import threading
 from datetime import date
 
@@ -21,15 +22,27 @@ def certified(lab, pid):
     return issue_certificate(lab, [Pid(pid)], date(2020, 4, 1), date(2020, 3, 25))
 
 
-@pytest.mark.parametrize("text, lines, torn", [
-    ("", [], False),
-    ("a\n", ["a"], False),
-    ("a\n\nb\n", ["a", "", "b"], False),
-    ("a\nb", ["a"], True),
-    ("b", [], True),
+@pytest.mark.parametrize("data, lines, torn", [
+    (b"", [], False),
+    (b"a\n", ["a"], False),
+    (b"a\n\nb\n", ["a", "", "b"], False),
+    (b"a\nb", ["a"], True),
+    (b"b", [], True),
+    # a torn line is left out before it is decoded: a cut can split a character
+    (b"a\n\xc3", ["a"], True),
+    (b"a\r\nb\r", ["a\r"], True),
 ])
-def test_complete_lines(text, lines, torn):
-    assert wire.complete_lines(text) == (lines, torn)
+def test_load_lines(tmp_path, data, lines, torn):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    assert wire.load_lines(str(path), list) == (lines, torn)
+
+
+def test_load_lines_names_the_file(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\n\xc3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+        wire.load_lines(str(path), list)
 
 
 class TestAppendLines:
@@ -71,7 +84,7 @@ def mailbox(tmp_path, lab, directory):
         store.deliver(PAD, Notification(Pid(pid), 1000.0, "gym", certified(lab, pid)))
 
     def read():
-        notifications, _, copies = wire.load(path, parse_mailbox)
+        (notifications, copies), _ = wire.load_lines(path, parse_mailbox)
         assert copies == 0
         return sorted(n.sender_pid for n in notifications)
 
@@ -112,7 +125,7 @@ def test_delivery_waits_for_a_half_written_record(tmp_path):
     # closing the writer released its lock
     delivery.join(timeout=30)
     assert not delivery.is_alive()
-    assert wire.load(path, parse_mailbox) == ([first, second], False, 0)
+    assert wire.load_lines(path, parse_mailbox) == (([first, second], 0), False)
 
 
 def test_load_translates_no_line_end(tmp_path):
