@@ -254,11 +254,14 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class RegistryServer(socketserver.TCPServer):
-    """POOL_SIZE worker threads each accept a connection and serve it to the
-    end, so at most POOL_SIZE connections are accepted at once; the rest wait
-    in the listen backlog.  serve_forever() only waits for shutdown();
-    server_close() hangs up on the connections still being served, wakes the
-    workers waiting in accept and joins them.
+    """POOL_SIZE worker threads each accept a connection on the IPv4
+    listening socket and serve it to the end themselves, not through
+    socketserver's per-request hooks, so at most POOL_SIZE connections are
+    accepted at once; the rest wait in the listen backlog.  A client that
+    resets or leaves mid-exchange just ends its connection; any other
+    exception is reported by handle_error.  serve_forever() only waits for
+    shutdown(); server_close() hangs up on the connections still being
+    served, wakes the workers waiting in accept and joins them.
     """
 
     allow_reuse_address = True
@@ -289,7 +292,7 @@ class RegistryServer(socketserver.TCPServer):
     def _work(self) -> None:
         while True:
             try:
-                request, client_address = self.get_request()
+                request, client_address = self.socket.accept()
             except OSError:
                 if self._closing:
                     return
@@ -299,13 +302,15 @@ class RegistryServer(socketserver.TCPServer):
                 if self._closing:
                     _hang_up(request)
             try:
-                self.finish_request(request, client_address)
+                _Handler(request, client_address, self)
+            except ConnectionError:
+                pass  # the client reset or left mid-exchange: its connection is over
             except Exception:
                 self.handle_error(request, client_address)
             finally:
                 with self._lock:
                     self._serving.discard(request)
-                self.shutdown_request(request)
+                request.close()
 
     def server_close(self) -> None:
         with self._lock:
@@ -343,7 +348,7 @@ def serve(
 
 
 def _check_port(port: int) -> None:
-    # the resolver keeps a port's low 16 bits: a larger one reaches another port
+    # connect and bind would raise OverflowError, which names no registry
     if not 0 <= port <= 65535:
         raise ValueError(f"port {port} is outside 0-65535")
 
@@ -354,7 +359,11 @@ def _roundtrip(host: str, port: int, request: str) -> str:
     `ERROR ...` reply (the server could not serve the request: retry it)."""
     _check_port(port)
     try:
-        with socket.create_connection((host, port), timeout=10) as sock:
+        # IPv4 only, as the server listens: connect reads an address literal
+        # itself and resolves a host name, with no getaddrinfo list to walk
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect((host, port))
             sock.sendall((request + "\n").encode("utf-8"))
             response = b""
             while b"\n" not in response and len(response) < MAX_REPLY_BYTES:

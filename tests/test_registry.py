@@ -1,7 +1,7 @@
 import os
 import re
 import socket
-import socketserver
+import struct
 import sys
 import tempfile
 import threading
@@ -487,6 +487,41 @@ class TestServer:
                 assert silent.makefile("rb").readline() == b""
                 assert time.monotonic() - start >= 0.9
 
+    def test_client_reset_is_not_a_server_error(self, directory, tmp_path, monkeypatch, capfd):
+        # one worker, so the last query is served only once both resets are
+        monkeypatch.setattr(registry, "POOL_SIZE", 1)
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            for lines in (1, 20_000):  # a reset after one line, then among unread lines
+                with socket.create_connection(address, timeout=10) as sock:
+                    sock.sendall(b"QUERY P1\n" * lines)
+                    # a zero linger makes close() reset the connection
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            assert client_query(*address, Pid("P1")) == "NO"
+        assert capfd.readouterr().err == ""
+
+    def test_other_failure_is_reported_and_the_worker_goes_on(
+        self, directory, tmp_path, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(registry, "POOL_SIZE", 1)
+        handle_request = RegistryService.handle_request
+
+        def failing(service, lines):
+            if lines == ["QUERY boom"]:
+                raise RuntimeError("boom")
+            return handle_request(service, lines)
+
+        monkeypatch.setattr(RegistryService, "handle_request", failing)
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            with pytest.raises(OSError, match="closed before a complete reply"):
+                client_query(*address, Pid("boom"))
+            assert client_query(*address, Pid("P1")) == "NO"
+        assert "RuntimeError: boom" in capfd.readouterr().err
+
+    def test_host_name_reaches_the_server(self, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as (host, port):
+            assert host == "127.0.0.1"
+            assert client_query("localhost", port, Pid("P1")) == "NO"
+
     def test_two_weeks_of_longest_pids_fit_one_request(self, lab, directory, tmp_path):
         pids = [Pid(f"{i:064d}") for i in range(2016)]
         assert len(ingest_line(lab, pids)) < MAX_REQUEST_BYTES
@@ -556,6 +591,13 @@ class TestClientFailures:
             with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: "):
                 client_query("127.0.0.1", port, Pid("P1"))
 
+    # the client speaks IPv4 only; a resolver refuses a label over 63 bytes
+    # without sending a query
+    @pytest.mark.parametrize("host", ["::1", "x" * 64 + ".invalid"], ids=["ipv6", "unresolvable"])
+    def test_address_not_reached_over_ipv4(self, host):
+        with pytest.raises(OSError, match=f"^registry at {re.escape(host)}:1: "):
+            client_query(host, 1, Pid("P1"))
+
     def test_serve_that_cannot_start(self, directory, tmp_path):
         with socket.socket() as holder:
             holder.bind(("127.0.0.1", 0))
@@ -572,14 +614,14 @@ class TestWorkerPool:
     def test_busy_pool_leaves_new_connections_waiting(self, directory, tmp_path, monkeypatch):
         monkeypatch.setattr(registry, "POOL_SIZE", 2)
         monkeypatch.setattr(registry, "IDLE_TIMEOUT_S", 1.0)
-        accepted = []
-        accept = socketserver.TCPServer.get_request
+        accepted = []  # the connections a worker has taken up
+        handle = registry._Handler.handle
 
-        def counted_accept(server):
-            accepted.append(accept(server))
-            return accepted[-1]
+        def counted_handle(handler):
+            accepted.append(handler.request)
+            handle(handler)
 
-        monkeypatch.setattr(socketserver.TCPServer, "get_request", counted_accept)
+        monkeypatch.setattr(registry._Handler, "handle", counted_handle)
         with running(directory, str(tmp_path / "state.txt")) as address:
             with socket.create_connection(address, timeout=10) as silent1, \
                     socket.create_connection(address, timeout=10) as silent2, \
