@@ -136,31 +136,36 @@ def channel_draws(
     one `gauss(0.0, 1.0)` call per pair, if model shadows, each followed by
     that pair's blocking `random()`, if block_prob is on.  One loop repeats
     `random.gauss`'s own Box–Muller arithmetic (Box & Muller, 1958) without
-    a call per draw: two uniforms give two draws, a cosine and a sine; as in
-    gauss, a sine that no pair is left to use stays in `gauss_next`, for the
-    first pair of the next call."""
+    a call per draw: two uniforms give two draws, a cosine and a sine.  Each
+    `blocked` entry is False unless blocking is on, when it is drawn."""
     u, p = rng.random, block_prob
     if model.shadowing_sigma_db <= 0:
         blocked = [u() < p for _ in range(n_pairs)] if p > 0 else [False] * n_pairs
         return [0.0] * n_pairs, blocked
     noise: list[float] = []
-    blocked = []
-    if n_pairs and rng.gauss_next is not None:
-        # the draw a previous call left in gauss_next is the first pair's
-        noise.append(rng.gauss(0.0, 1.0))
-        blocked.append(p > 0 and u() < p)
-    for k in range(len(noise), n_pairs, 2):
+    put, blocked, blocking = noise.append, [False] * n_pairs, p > 0
+    # gauss itself draws the first pair when a previous call left a draw in
+    # gauss_next, and a last pair without a partner, whose sine it keeps
+    first = 1 if n_pairs and rng.gauss_next is not None else 0
+    end = n_pairs - (n_pairs - first) % 2
+    if first:
+        put(rng.gauss(0.0, 1.0))
+        if blocking:
+            blocked[0] = u() < p
+    for k in range(first, end, 2):
         x2pi = u() * TWOPI
         g2rad = sqrt(-2.0 * log(1.0 - u()))
         # `0.0 +` is gauss's `mu + z * sigma`, which turns a -0.0 draw to 0.0
-        noise.append(0.0 + cos(x2pi) * g2rad)
-        blocked.append(p > 0 and u() < p)
-        if k + 1 == n_pairs:
-            # no pair is left for the second draw: gauss keeps it
-            rng.gauss_next = sin(x2pi) * g2rad
-            break
-        noise.append(0.0 + sin(x2pi) * g2rad)
-        blocked.append(p > 0 and u() < p)
+        put(0.0 + cos(x2pi) * g2rad)
+        if blocking:
+            blocked[k] = u() < p
+        put(0.0 + sin(x2pi) * g2rad)
+        if blocking:
+            blocked[k + 1] = u() < p
+    if end < n_pairs:
+        put(rng.gauss(0.0, 1.0))
+        if blocking:
+            blocked[end] = u() < p
     return noise, blocked
 
 

@@ -355,15 +355,19 @@ def _check_port(port: int) -> None:
 
 def _roundtrip(host: str, port: int, request: str) -> str:
     """The reply to one request line.  Every failed exchange raises OSError
-    naming the address: no connection, a reply cut short or too long, and an
-    `ERROR ...` reply (the server could not serve the request: retry it)."""
+    naming the address: a host that cannot be encoded or reached, a reply cut
+    short, too long or not UTF-8, and an `ERROR ...` reply (the server could
+    not serve the request: retry it)."""
     _check_port(port)
     try:
         # IPv4 only, as the server listens: connect reads an address literal
         # itself and resolves a host name, with no getaddrinfo list to walk
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
             sock.settimeout(10)
-            sock.connect((host, port))
+            try:
+                sock.connect((host, port))
+            except TypeError as exc:  # a host name the IDNA codec cannot encode
+                raise OSError(exc) from exc
             sock.sendall((request + "\n").encode("utf-8"))
             response = b""
             while b"\n" not in response and len(response) < MAX_REPLY_BYTES:
@@ -376,7 +380,10 @@ def _roundtrip(host: str, port: int, request: str) -> str:
             if len(response) == MAX_REPLY_BYTES:
                 raise OSError(f"reply longer than {MAX_REPLY_BYTES} bytes")
             raise OSError("connection closed before a complete reply")
-        reply = line.decode("utf-8")
+        try:
+            reply = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise OSError(f"reply is not UTF-8: {exc}") from exc
         if reply.startswith("ERROR"):
             raise OSError(reply)
     except OSError as exc:

@@ -48,6 +48,13 @@ LOCATION_BUCKET_S = 600.0
 # the log-distance arithmetic, so that no pair the exact per-pair check would
 # hear, and no pair within true_radius_m, is left outside it.
 REACH_MARGIN = 1e-6
+# Relative widening of the squared reach a beacon tick rejects far pairs by
+# before `hypot`, far above the few ulps by which a sum of squares and the
+# square of `hypot` differ, so that the pre-test rejects no pair `hypot`
+# puts within reach; the floor under it covers squares too small for their
+# rounding to be relative.
+SQUARED_REACH_PAD = 1e-9
+SQUARED_REACH_FLOOR = 1e-300
 
 
 class Health(enum.Enum):
@@ -416,19 +423,27 @@ class World:
         m, rng = len(active), self._channel_rng
         noise, blocked = channel_draws(rng, m * (m - 1) // 2, channel, s.body_block_prob)
         reach = _reach(s, max(noise, default=0.0))
+        # a pair whose sum of squares exceeds this is beyond reach, and `hypot`
+        # decides the rest; multiplied, not `**`, so that a reach whose square
+        # overflows gives inf instead of raising OverflowError
+        reach_sq = reach * reach * (1.0 + SQUARED_REACH_PAD) + SQUARED_REACH_FLOOR
+        positions = [a.position for a in active]
         records = [self._own_record(a) for a in active]
         min_rssi = [self._min_rssi[a.policy] for a in active]
         dwell_before, self._pair_state = self._pair_state, {}
         for i, a in enumerate(active):
-            ax, ay = a.position
+            ax, ay = positions[i]
             a_record, a_min = records[i], min_rssi[i]
             row = i * (2 * m - i - 1) // 2 - i - 1  # pair (i, j) draws at row + j
             for j in range(i + 1, m):
-                b = active[j]
-                bx, by = b.position
-                d = hypot(ax - bx, ay - by)
+                bx, by = positions[j]
+                dx, dy = ax - bx, ay - by
+                if dx * dx + dy * dy > reach_sq:
+                    continue
+                d = hypot(dx, dy)
                 if d > reach:
                     continue
+                b = active[j]
                 true_d = d if d > 0.01 else 0.01
                 rssi = to_rssi(true_d, channel, noise[row + j], blocked[row + j])
                 if rssi >= RADIO_CUTOFF_DBM:

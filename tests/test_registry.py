@@ -580,6 +580,12 @@ class TestClientFailures:
             with pytest.raises(OSError, match=f"^registry at 127.0.0.1:{port}: .*{reason}"):
                 client_query("127.0.0.1", port, Pid("P1"))
 
+    def test_reply_not_utf8(self):
+        with replying(b"\xff\n") as port:
+            message = f"^registry at 127.0.0.1:{port}: reply is not UTF-8: "
+            with pytest.raises(OSError, match=message):
+                client_query("127.0.0.1", port, Pid("P1"))
+
     def test_reply_in_two_segments(self):
         with replying(b"YE", b"S\n") as port:
             assert client_query("127.0.0.1", port, Pid("P1")) == "YES"
@@ -592,8 +598,12 @@ class TestClientFailures:
                 client_query("127.0.0.1", port, Pid("P1"))
 
     # the client speaks IPv4 only; a resolver refuses a label over 63 bytes
-    # without sending a query
-    @pytest.mark.parametrize("host", ["::1", "x" * 64 + ".invalid"], ids=["ipv6", "unresolvable"])
+    # without sending a query, and the IDNA codec one over 63 characters
+    @pytest.mark.parametrize(
+        "host",
+        ["::1", "x" * 64 + ".invalid", "\u00fc" * 64],
+        ids=["ipv6", "unresolvable", "unencodable"],
+    )
     def test_address_not_reached_over_ipv4(self, host):
         with pytest.raises(OSError, match=f"^registry at {re.escape(host)}:1: "):
             client_query(host, 1, Pid("P1"))

@@ -451,14 +451,17 @@ class TestScenarioParsing:
             parse_scenario(minimal_scenario(text))
 
     def test_huge_reference_power_runs(self):
-        # every pair is in range and the reach's power of ten would overflow
-        world = World(parse_scenario(
-            "n_agents = 4\nduration_s = 30\nref_power_dbm = 1e6\nshadowing_sigma_db = 2\n"
-        ))
-        while world.now < 30:
-            world.step()
-        assert all(len(a.sessions) == 3 for a in world.agents)
-        world.finalize()
+        # every pair is in range; at 1e6 dBm the reach's power of ten would
+        # overflow, at 3900 dBm the reach is finite but its square is not
+        for ref_power_dbm in ("1e6", "3900"):
+            world = World(parse_scenario(
+                f"n_agents = 4\nduration_s = 30\nref_power_dbm = {ref_power_dbm}\n"
+                "shadowing_sigma_db = 2\n"
+            ))
+            while world.now < 30:
+                world.step()
+            assert all(len(a.sessions) == 3 for a in world.agents), ref_power_dbm
+            world.finalize()
 
 
 class TestScenarioValidation:
@@ -690,6 +693,68 @@ def nudged(x, ulps):
     for _ in range(abs(ulps)):
         x = math.nextafter(x, toward)
     return x
+
+
+@st.composite
+def reach_edge_worlds(draw):
+    """Noiseless worlds of motionless agents, so that a tick's reach is
+    `sim._reach(scenario, 0.0)`: one agent at the origin and, along each of a
+    few rays from it, on an axis or a diagonal, one agent at each whole
+    multiple of that reach, moved a few ulps either way, so that neighbours
+    on a ray sit about one reach apart.  The reach is either an ordinary one
+    or a true_radius_m far beyond the radio's reach, so small that its square
+    is a subnormal float of a few digits."""
+    rays = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        channel = ChannelModel(
+            ref_power_dbm=draw(st.floats(-95.0, -30.0)),
+            path_loss_exponent=draw(st.floats(1.0, 6.0)),
+        )
+        true_radius = draw(st.floats(0.5, 60.0))
+    else:
+        channel = ChannelModel(ref_power_dbm=-3000.0, path_loss_exponent=1.0)
+        true_radius = draw(st.floats(5e-162, 2e-160))
+    scenario = Scenario(
+        n_agents=1 + 3 * rays,
+        duration_s=10,
+        speed_min_mps=0.0,
+        speed_max_mps=0.0,
+        channel=channel,
+        true_radius_m=true_radius,
+    )
+    reach = sim._reach(scenario, 0.0)
+    side = 4.0 * reach
+    angles = st.sampled_from([0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
+    points = [(0.0, 0.0)]
+    for _ in range(rays):
+        angle = draw(angles | st.floats(0.0, math.pi / 2))
+        for k in (1, 2, 3):
+            points.append(tuple(
+                min(side, max(0.0, nudged(k * reach * trig(angle), draw(st.integers(-3, 3)))))
+                for trig in (math.cos, math.sin)
+            ))
+    positions = dict(enumerate(points))
+    return replace(scenario, world_width_m=side, world_height_m=side, positions=positions)
+
+
+class TestReachPreTest:
+    """The beacon tick's squared-distance pre-test rejects only pairs that
+    `hypot` puts beyond the reach: it evaluates the same pairs as before."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(reach_edge_worlds())
+    def test_evaluates_every_pair_within_reach(self, scenario):
+        world = World(scenario)
+        reach = sim._reach(scenario, 0.0)
+        points = [a.position for a in world.agents]
+        within = sum(
+            math.hypot(ax - bx, ay - by) <= reach
+            for i, (ax, ay) in enumerate(points)
+            for bx, by in points[i + 1 :]
+        )
+        with mock.patch.object(sim, "distance_to_rssi", wraps=distance_to_rssi) as counting:
+            world._beacon_tick()
+        assert counting.call_count == within
 
 
 @st.composite
