@@ -33,6 +33,8 @@ class LogEntry:
             raise ValueError("own and peer PID must differ")
         if not math.isfinite(self.recorded_at):
             raise ValueError("recorded_at is NaN or infinite; the log is kept in time order")
+        if not math.isfinite(self.dwell_s):
+            raise ValueError("dwell_s is NaN or infinite")
 
 
 @dataclass

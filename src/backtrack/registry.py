@@ -8,6 +8,7 @@ line-oriented TCP protocol and persisted as an append-only file.
 from __future__ import annotations
 
 import enum
+import hashlib
 import socket
 import socketserver
 import threading
@@ -144,6 +145,11 @@ class RegistryService:
       INGEST <certificate line>                       -> OK | REJECTED | ERROR state not saved
     An INGEST answers OK only once its PIDs are appended to the state file;
     one whose append fails gets `ERROR state not saved` and records nothing.
+    The service keeps the SHA-256 digest of each INGEST line it has recorded,
+    so a repeat of one (a client's retry, say) is answered OK at once: no
+    second signature check and no second append.  A line that was rejected
+    or not saved is checked again each time, and a new service starts with
+    no digests.
     `handle_request` takes a list holding the one line, which is what
     `bench/registry_server.py` names its trace spans from.  Anything else,
     an empty list or more than one line included, gets
@@ -160,6 +166,7 @@ class RegistryService:
         self.directory = directory
         self.persist_path = persist_path
         self._lock = threading.Lock()
+        self._recorded: set[bytes] = set()  # digests of the INGEST lines recorded
 
     def handle_request(self, lines: list[str]) -> str:
         if len(lines) != 1:
@@ -186,6 +193,9 @@ class RegistryService:
             )
             return verdict.value
         if head[0] == "INGEST" and len(head) == 2:
+            digest = hashlib.sha256(head[1].encode("utf-8")).digest()
+            if digest in self._recorded:  # added only after ingest_certificate returned
+                return "OK"
             try:
                 cert = parse_certificate_line(head[1])
             except ValueError:
@@ -197,6 +207,7 @@ class RegistryService:
                     return "REJECTED"
                 except OSError:
                     return "ERROR state not saved"
+                self._recorded.add(digest)
             return "OK"
         return "ERROR malformed request"
 

@@ -246,6 +246,14 @@ class TestPeerIndex:
         with pytest.raises(ValueError, match="recorded_at is NaN or infinite"):
             parse_log(line + "\n")
 
+    @pytest.mark.parametrize("dwell", ["nan", "inf", "-inf"])
+    def test_non_finite_dwell_refused(self, dwell):
+        with pytest.raises(ValueError, match="dwell_s is NaN or infinite"):
+            make_entry(dwell=float(dwell))
+        line = entry_to_line(make_entry()).replace("entry|1000|700|", f"entry|1000|{dwell}|")
+        with pytest.raises(ValueError, match="dwell_s is NaN or infinite"):
+            parse_log(line + "\n")
+
 
 class TestSerialization:
     def test_line_round_trip_bit_exact(self):

@@ -1,3 +1,4 @@
+import base64
 import os
 import re
 import socket
@@ -6,9 +7,10 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,24 @@ def cert_for(lab, pids, test_date=date(2020, 4, 1)):
 
 def ingest_line(lab, pids):
     return f"INGEST {certificate_to_line(cert_for(lab, pids))}"
+
+
+def with_signature_byte_changed(request):
+    """request, an INGEST line, with its signature's first byte flipped."""
+    head, _, signature = request.rpartition("|")
+    raw = bytearray(base64.b64decode(signature))
+    raw[0] ^= 1
+    return f"{head}|{base64.b64encode(bytes(raw)).decode('ascii')}"
+
+
+@contextmanager
+def spied(*names):
+    """Counting spies on the registry module's globals named, yielded in order."""
+    with ExitStack() as stack:
+        yield [
+            stack.enter_context(mock.patch.object(registry, name, wraps=getattr(registry, name)))
+            for name in names
+        ]
 
 
 def load_state(tmp_path, text):
@@ -326,6 +346,103 @@ class TestWireProtocol:
         assert is_notified_pid(replayed, Pid("P1"))
 
 
+OUTSIDER = LabIdentity.from_seed("lab-X", bytes([9]) * 32)  # in no directory here
+
+
+def state_lines(path):
+    try:
+        with open(path) as f:
+            return set(f.read().splitlines())
+    except FileNotFoundError:
+        return set()
+
+
+# INGEST requests: genuine lines whose PIDs and dates overlap, a genuine line
+# with one signature byte changed, the same PIDs signed by an outsider, and
+# malformed ones
+GENUINE = [
+    ingest_line(LABS[0], [Pid("P0"), Pid("P1")]),
+    f"INGEST {certificate_to_line(cert_for(LABS[1], [Pid('P1'), Pid('P2')], date(2020, 3, 30)))}",
+    ingest_line(LABS[0], [Pid("P0")]),
+]
+INGESTS = GENUINE + [
+    with_signature_byte_changed(GENUINE[0]),
+    ingest_line(OUTSIDER, [Pid("P0"), Pid("P1")]),
+    "INGEST not-a-cert",
+    "INGEST",
+    f"{GENUINE[0]} P3",
+]
+
+
+class TestRecordedIngests:
+    """A line the service has recorded is acknowledged again from the
+    digests it keeps; every other line is checked as before."""
+
+    def test_repeat_is_neither_checked_nor_appended(self, lab, directory, tmp_path):
+        state = tmp_path / "state.txt"
+        svc = RegistryService(NotifiedPidRepository(), directory, str(state))
+        line = ingest_line(lab, [Pid("P1"), Pid("P2")])
+        assert svc.handle_request([line]) == "OK"
+        written, entries = state.read_bytes(), dict(svc.repo.entries)
+        with spied("parse_certificate_line", "verify_certificate") as (parse, verify):
+            assert svc.handle_request([line]) == "OK"
+            assert (parse.call_count, verify.call_count) == (0, 0)
+            assert svc.handle_request([ingest_line(lab, [Pid("P3")])]) == "OK"
+            assert (parse.call_count, verify.call_count) == (1, 1)
+        assert state.read_bytes() == written + b"notified|P3|lab-A|2020-04-01\n"
+        entries["P3"] = ("lab-A", date(2020, 4, 1))
+        assert svc.repo.entries == entries
+
+    def test_other_lines_naming_recorded_pids_are_still_rejected(self, lab, directory, tmp_path):
+        state = tmp_path / "state.txt"
+        svc = RegistryService(NotifiedPidRepository(), directory, str(state))
+        pids = [Pid("P1"), Pid("P2")]
+        genuine = ingest_line(lab, pids)
+        assert svc.handle_request([genuine]) == "OK"
+        written, entries = state.read_bytes(), dict(svc.repo.entries)
+        with spied("verify_certificate") as (verify,):
+            for line in (with_signature_byte_changed(genuine), ingest_line(OUTSIDER, pids)):
+                # a rejected line is not remembered: each send is checked
+                assert svc.handle_request([line]) == "REJECTED"
+                assert svc.handle_request([line]) == "REJECTED"
+            assert verify.call_count == 4
+        assert state.read_bytes() == written
+        assert svc.repo.entries == entries
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(INGESTS), st.booleans()), max_size=12))
+    def test_same_outcome_as_a_fresh_service_per_request(self, steps):
+        # steps: (request, whether the state file's directory is gone while
+        # it is served); the reference serves each request from a new
+        # RegistryService over its own repository, so it keeps no digests
+        with tempfile.TemporaryDirectory() as d:
+            kept_dir, fresh_dir = os.path.join(d, "kept"), os.path.join(d, "fresh")
+            os.mkdir(kept_dir)
+            os.mkdir(fresh_dir)
+            kept_state, fresh_state = (os.path.join(p, "state.txt") for p in (kept_dir, fresh_dir))
+            kept = RegistryService(NotifiedPidRepository(), LAB_DIRECTORY, kept_state)
+            fresh_repo = NotifiedPidRepository()
+            acknowledged = set()
+            for request, unwritable in steps:
+                if unwritable:
+                    os.rename(kept_dir, kept_dir + ".gone")
+                    os.rename(fresh_dir, fresh_dir + ".gone")
+                reply = kept.handle_request([request])
+                expected = RegistryService(fresh_repo, LAB_DIRECTORY, fresh_state).handle_request(
+                    [request]
+                )
+                if unwritable:
+                    os.rename(kept_dir + ".gone", kept_dir)
+                    os.rename(fresh_dir + ".gone", fresh_dir)
+                # an acknowledged line's PIDs are on disk already, so its repeat
+                # reads OK even where the reference's second append fails
+                assert reply == ("OK" if request in acknowledged else expected)
+                if reply == "OK":
+                    acknowledged.add(request)
+                assert kept.repo.entries == fresh_repo.entries
+                assert state_lines(kept_state) == state_lines(fresh_state)
+
+
 class TestServer:
     def test_end_to_end_over_tcp(self, lab, directory, tmp_path):
         server = serve("127.0.0.1", 0, directory, str(tmp_path / "state.txt"))
@@ -395,7 +512,11 @@ class TestServer:
                 client_ingest(host, port, cert_for(lab, [Pid("P1")]))
             assert client_query(host, port, Pid("P1")) == "NO"
             state_dir.mkdir()
-            assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
+            # the line not saved was not recorded, so its retry is checked and appended
+            with spied("verify_certificate") as (verify,):
+                assert client_ingest(host, port, cert_for(lab, [Pid("P1")])) == "OK"
+            assert verify.call_count == 1
+            assert (state_dir / "state.txt").read_text() == "notified|P1|lab-A|2020-04-01\n"
             assert client_query(host, port, Pid("P1")) == "YES"
         assert capsys.readouterr().err == ""
 
