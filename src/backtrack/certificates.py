@@ -10,7 +10,7 @@ from __future__ import annotations
 import base64
 import enum
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -183,7 +183,7 @@ def _day_start(d: date) -> float:
 def covers_contact(cert: CertificateOfInfection, contact_time: float) -> bool:
     """Whether the contact falls inside the infectious window
     [infectious_from 00:00, end of test_date) in UTC."""
-    window_end = _day_start(cert.test_date + timedelta(days=1))
+    window_end = _day_start(cert.test_date) + 86400.0
     return _day_start(cert.infectious_from) <= contact_time < window_end
 
 

@@ -63,7 +63,7 @@ def ingest_certificate(
         wire.append_lines(persist_path, "".join(f"notified|{pid}|{lab_day}\n" for pid in cert.pids))
     value = repo.shared.setdefault(lab_day, (cert.lab_id, cert.test_date))
     for pid in cert.pids:
-        _record(repo, pid, value)
+        _record(repo, str(pid), value)
     return repo
 
 
@@ -75,7 +75,7 @@ def _record(repo: NotifiedPidRepository, pid: str, value: tuple[str, date]) -> N
         repo.entries[pid] = value
 
 
-def is_notified_pid(repo: NotifiedPidRepository, pid: Pid) -> bool:
+def is_notified_pid(repo: NotifiedPidRepository, pid: str) -> bool:
     return pid in repo.entries
 
 
@@ -173,11 +173,7 @@ class RegistryService:
             return "ERROR malformed request"
         head = lines[0].split(" ")
         if head[0] == "QUERY" and len(head) == 2:
-            try:
-                pid = Pid(head[1])
-            except ValueError:
-                return "NO"
-            return "YES" if is_notified_pid(self.repo, pid) else "NO"
+            return "YES" if is_notified_pid(self.repo, head[1]) else "NO"
         if head[0] == "CLAIM" and len(head) == 5:
             try:
                 contact_pid = Pid(head[1])

@@ -48,13 +48,6 @@ LOCATION_BUCKET_S = 600.0
 # the log-distance arithmetic, so that no pair the exact per-pair check would
 # hear, and no pair within true_radius_m, is left outside it.
 REACH_MARGIN = 1e-6
-# Relative widening of the squared reach a beacon tick rejects far pairs by
-# before `hypot`, far above the few ulps by which a sum of squares and the
-# square of `hypot` differ, so that the pre-test rejects no pair `hypot`
-# puts within reach; the floor under it covers squares too small for their
-# rounding to be relative.
-SQUARED_REACH_PAD = 1e-9
-SQUARED_REACH_FLOOR = 1e-300
 
 
 class Health(enum.Enum):
@@ -411,10 +404,10 @@ class World:
     def _beacon_tick(self) -> None:
         """Exchange beacons between every pair of active agents that can hear
         each other.  Every pair's channel draws are made, in pair order; only
-        pairs within the tick's reach are evaluated.  Each receiver judges a
-        sample as `within_policy` does, by one compare with its policy's RSSI
-        threshold, and its session folds in only the beacon's time and that
-        judgement: no sample is stored."""
+        pairs whose squared distance is within the tick's reach squared are
+        evaluated.  Each receiver judges a sample as `within_policy` does, by
+        one compare with its policy's RSSI threshold, and its session folds in
+        only the beacon's time and that judgement: no sample is stored."""
         s = self.scenario
         # read here, not at import, so that wrappers put on these names are called
         to_rssi, ingest, hypot = distance_to_rssi, ingest_beacon, math.hypot
@@ -423,10 +416,8 @@ class World:
         m, rng = len(active), self._channel_rng
         noise, blocked = channel_draws(rng, m * (m - 1) // 2, channel, s.body_block_prob)
         reach = _reach(s, max(noise, default=0.0))
-        # a pair whose sum of squares exceeds this is beyond reach, and `hypot`
-        # decides the rest; multiplied, not `**`, so that a reach whose square
-        # overflows gives inf instead of raising OverflowError
-        reach_sq = reach * reach * (1.0 + SQUARED_REACH_PAD) + SQUARED_REACH_FLOOR
+        # multiplied, not `**`, so that a square past the float range is inf
+        reach_sq = reach * reach
         positions = [a.position for a in active]
         records = [self._own_record(a) for a in active]
         min_rssi = [self._min_rssi[a.policy] for a in active]
@@ -441,8 +432,6 @@ class World:
                 if dx * dx + dy * dy > reach_sq:
                     continue
                 d = hypot(dx, dy)
-                if d > reach:
-                    continue
                 b = active[j]
                 true_d = d if d > 0.01 else 0.01
                 rssi = to_rssi(true_d, channel, noise[row + j], blocked[row + j])

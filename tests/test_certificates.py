@@ -130,6 +130,13 @@ class TestCoveringWindow:
         assert covers_contact(cert, ts(2020, 4, 2, 0) - 1)
         assert not covers_contact(cert, ts(2020, 4, 2, 0))
 
+    def test_end_of_last_representable_day_covered(self, lab):
+        # 9999-12-31 has no next date, so its end is counted in seconds
+        cert = issue_certificate(lab, [Pid("P1")], date(9999, 12, 31), date(1970, 1, 1))
+        end = ts(9999, 12, 31) + 86400
+        assert covers_contact(cert, end - 1)
+        assert not covers_contact(cert, end)
+
 
 class TestFileFormats:
     def test_directory_round_trip(self, lab):

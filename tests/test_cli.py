@@ -222,14 +222,14 @@ class TestCertCommands:
 
 
 class TestNotifyCommands:
-    def setup_files(self, run, tmp_path):
+    def setup_files(self, run, tmp_path, test_date="1970-01-02"):
         key = str(tmp_path / "lab.key")
         directory = str(tmp_path / "labs.txt")
         run("cert", "keygen", "--lab-id", "lab-A", "--key-out", key,
             "--directory", directory)
         cert = str(tmp_path / "cert.txt")
         run("cert", "issue", "--key", key, "--pids", "sick",
-            "--test-date", "1970-01-02", "--infectious-from", "1970-01-01",
+            "--test-date", test_date, "--infectious-from", "1970-01-01",
             "--out", cert)
         # the infected party logged the victim; the victim logged them back
         sender_log = write(
@@ -268,6 +268,18 @@ class TestNotifyCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "ACCEPTED"
         assert lines[1].startswith("entry|")
+
+    def test_verify_accepts_certificate_of_last_representable_day(self, run, tmp_path):
+        # 9999-12-31 has no next date to end the certificate's window at
+        cert, directory, sender_log, victim_log = self.setup_files(run, tmp_path, "9999-12-31")
+        boxes = str(tmp_path / "boxes")
+        run("notify", "build", "--log", sender_log, "--own-pids", "sick",
+            "--cert", cert, "--mailbox-dir", boxes)
+        mailbox_file = str(tmp_path / "boxes" / wire.quote("victim@boxes"))
+        code, out = run("notify", "verify", "--log", victim_log,
+                        "--directory", directory,
+                        "--notification", mailbox_file)
+        assert (code, out.splitlines()[0]) == (0, "ACCEPTED")
 
     def test_verify_rejects_stranger_log(self, run, tmp_path):
         from backtrack import wire

@@ -126,8 +126,13 @@ class TestMembership:
         ingest_certificate(repo, cert_for(lab, [Pid("abcd")]), directory)
         assert not is_notified_pid(repo, Pid("abce"))
 
-    def test_fresh_pid_found_among_parsed_str_keys(self, tmp_path):
+    def test_fresh_pid_found_among_parsed_str_keys(self, lab, directory, tmp_path):
         repo = load_state(tmp_path, "notified|P1|lab-A|2020-04-05\n")
+        # an ingested PID is recorded as a `str` key too: one `Pid` key would
+        # take the whole dict out of the compact layout CPython keeps for a
+        # dict of exact `str` keys
+        ingest_certificate(repo, cert_for(lab, [Pid("P3")]), directory)
+        assert set(repo.entries) == {"P1", "P3"}
         assert all(type(k) is str for k in repo.entries)
         assert is_notified_pid(repo, Pid("P1"))
         assert not is_notified_pid(repo, Pid("P2"))
@@ -319,6 +324,9 @@ class TestWireProtocol:
         assert svc.handle_request([ingest_line(lab, [Pid("P1")])]) == "OK"
         assert svc.handle_request(["QUERY P1"]) == "YES"
         assert svc.handle_request(["QUERY P2"]) == "NO"
+        # text that fails the id rule never entered the repository
+        for text in ("", "a|b", "a,b", "p" * 65, "p\x01"):
+            assert svc.handle_request([f"QUERY {text}"]) == "NO", text
 
     def test_ingest_garbage_rejected(self, lab, directory):
         svc = self.service(lab, directory)

@@ -675,18 +675,6 @@ def culling_scenarios(draw):
     return replace(scenario, positions=positions)
 
 
-class TestCulledBeaconTick:
-    @settings(max_examples=150, deadline=None)
-    @given(culling_scenarios())
-    def test_matches_full_pair_loop(self, scenario):
-        culled, full = NearPairsCheckedWorld(scenario), FullPairLoopWorld(scenario)
-        culled_metrics, full_metrics = culled.run(), full.run()
-        assert culled.trace == full.trace
-        assert metrics_to_lines(culled_metrics) == metrics_to_lines(full_metrics)
-        assert culled._channel_rng.getstate() == full._channel_rng.getstate()
-        assert culled._infect_rng.getstate() == full._infect_rng.getstate()
-
-
 def nudged(x, ulps):
     """x moved by a whole number of ulps, up if positive."""
     toward = math.inf if ulps > 0 else -math.inf
@@ -697,13 +685,15 @@ def nudged(x, ulps):
 
 @st.composite
 def reach_edge_worlds(draw):
-    """Noiseless worlds of motionless agents, so that a tick's reach is
-    `sim._reach(scenario, 0.0)`: one agent at the origin and, along each of a
-    few rays from it, on an axis or a diagonal, one agent at each whole
-    multiple of that reach, moved a few ulps either way, so that neighbours
-    on a ray sit about one reach apart.  The reach is either an ordinary one
-    or a true_radius_m far beyond the radio's reach, so small that its square
-    is a subnormal float of a few digits."""
+    """Noiseless worlds of motionless agents, one of them infectious, whose
+    policy logs every contact heard at all and whose exposure needs no dwell,
+    so that a pair at the edge of reach shows in the trace: one agent at the
+    origin and, along each of a few rays from it, on an axis or a diagonal,
+    one agent at each whole multiple of the farthest distance at which a pair
+    matters, moved a few ulps either way, so that neighbours on a ray sit
+    about that distance apart.  That distance is either an ordinary one or a
+    true_radius_m far beyond the radio's reach, so small that its square is a
+    subnormal float of a few digits."""
     rays = draw(st.integers(1, 4))
     if draw(st.booleans()):
         channel = ChannelModel(
@@ -716,45 +706,39 @@ def reach_edge_worlds(draw):
         true_radius = draw(st.floats(5e-162, 2e-160))
     scenario = Scenario(
         n_agents=1 + 3 * rays,
-        duration_s=10,
+        duration_s=30,
         speed_min_mps=0.0,
         speed_max_mps=0.0,
         channel=channel,
         true_radius_m=true_radius,
+        exposure_seconds=0.0,
+        policies={1: SignificancePolicy(1, 1e9, 0.0)},
     )
-    reach = sim._reach(scenario, 0.0)
-    side = 4.0 * reach
+    edge = sim._reach(scenario, 0.0) / (1.0 + sim.REACH_MARGIN)
+    side = 4.0 * edge
     angles = st.sampled_from([0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2])
     points = [(0.0, 0.0)]
     for _ in range(rays):
         angle = draw(angles | st.floats(0.0, math.pi / 2))
         for k in (1, 2, 3):
             points.append(tuple(
-                min(side, max(0.0, nudged(k * reach * trig(angle), draw(st.integers(-3, 3)))))
+                min(side, max(0.0, nudged(k * edge * trig(angle), draw(st.integers(-3, 3)))))
                 for trig in (math.cos, math.sin)
             ))
     positions = dict(enumerate(points))
     return replace(scenario, world_width_m=side, world_height_m=side, positions=positions)
 
 
-class TestReachPreTest:
-    """The beacon tick's squared-distance pre-test rejects only pairs that
-    `hypot` puts beyond the reach: it evaluates the same pairs as before."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(reach_edge_worlds())
-    def test_evaluates_every_pair_within_reach(self, scenario):
-        world = World(scenario)
-        reach = sim._reach(scenario, 0.0)
-        points = [a.position for a in world.agents]
-        within = sum(
-            math.hypot(ax - bx, ay - by) <= reach
-            for i, (ax, ay) in enumerate(points)
-            for bx, by in points[i + 1 :]
-        )
-        with mock.patch.object(sim, "distance_to_rssi", wraps=distance_to_rssi) as counting:
-            world._beacon_tick()
-        assert counting.call_count == within
+class TestCulledBeaconTick:
+    @settings(max_examples=150, deadline=None)
+    @given(culling_scenarios() | reach_edge_worlds())
+    def test_matches_full_pair_loop(self, scenario):
+        culled, full = NearPairsCheckedWorld(scenario), FullPairLoopWorld(scenario)
+        culled_metrics, full_metrics = culled.run(), full.run()
+        assert culled.trace == full.trace
+        assert metrics_to_lines(culled_metrics) == metrics_to_lines(full_metrics)
+        assert culled._channel_rng.getstate() == full._channel_rng.getstate()
+        assert culled._infect_rng.getstate() == full._infect_rng.getstate()
 
 
 @st.composite
