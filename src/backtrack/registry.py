@@ -8,10 +8,13 @@ line-oriented TCP protocol and persisted as an append-only file.
 from __future__ import annotations
 
 import enum
+import errno
 import hashlib
+import select
 import socket
-import socketserver
-import threading
+import sys
+import time
+import traceback
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable
@@ -165,7 +168,6 @@ class RegistryService:
         self.repo = repo
         self.directory = directory
         self.persist_path = persist_path
-        self._lock = threading.Lock()
         self._recorded: set[bytes] = set()  # digests of the INGEST lines recorded
 
     def handle_request(self, lines: list[str]) -> str:
@@ -196,14 +198,13 @@ class RegistryService:
                 cert = parse_certificate_line(head[1])
             except ValueError:
                 return "REJECTED"
-            with self._lock:
-                try:
-                    ingest_certificate(self.repo, cert, self.directory, self.persist_path)
-                except ValueError:
-                    return "REJECTED"
-                except OSError:
-                    return "ERROR state not saved"
-                self._recorded.add(digest)
+            try:
+                ingest_certificate(self.repo, cert, self.directory, self.persist_path)
+            except ValueError:
+                return "REJECTED"
+            except OSError:
+                return "ERROR state not saved"
+            self._recorded.add(digest)
             return "OK"
         return "ERROR malformed request"
 
@@ -216,126 +217,163 @@ MAX_REQUEST_BYTES = 1 << 20
 # Longest reply line the client reads, newline included.  The longest reply
 # the server sends, `ERROR malformed request`, is 24 bytes with its newline.
 MAX_REPLY_BYTES = 64
-# Seconds a connection may stay silent before the server hangs up, so that an
-# idle client does not hold its worker forever.
+# Seconds a connection may make no progress before the server hangs up on it.
 IDLE_TIMEOUT_S = 30.0
-# Worker threads per server: at most this many connections are served at once.
-POOL_SIZE = 16
+# Connections served at once; further clients wait in the listen backlog.
+MAX_CONNECTIONS = 128
 
 
-class _Handler(socketserver.BaseRequestHandler):
+@dataclass(eq=False)
+class _Handler:
+    """A connection of the server's loop.  Unsent replies stop its reads, so a
+    client that does not read holds at most the replies to one read."""
+
+    request: socket.socket
+    client_address: tuple[str, int]
+    service: RegistryService
+    pending: bytes = b""  # received and not yet answered: no newline in it
+    unsent: memoryview = memoryview(b"")
+    deadline: float = 0.0
+    last: bool = False  # hang up once unsent is sent
+
     def handle(self) -> None:
-        service: RegistryService = self.server.service  # type: ignore[attr-defined]
-        sock: socket.socket = self.request
-        sock.settimeout(IDLE_TIMEOUT_S)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # no reply waits for an ACK
-        pending = bytearray()  # received, not yet answered
-        scanned = 0  # pending[:scanned] holds no newline
-        while True:
-            end = pending.find(b"\n", scanned)
-            if end < 0 and len(pending) <= MAX_REQUEST_BYTES:
-                try:
-                    chunk = sock.recv(1 << 16)
-                except TimeoutError:
-                    return
-                if chunk:
-                    scanned = len(pending)
-                    pending += chunk
-                    continue
-                if not pending:
-                    return
-                end = len(pending)  # an unterminated last line before end of file
-            if end < 0 or end >= MAX_REQUEST_BYTES:
-                # the rest of the line is never read: answer, then hang up
-                sock.sendall(b"ERROR request too long\n")
-                return
+        """Ready a connection just accepted; the loop calls this once for each.
+        With TCP_NODELAY no reply waits for the client's ACK."""
+        self.request.setblocking(False)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def receive(self) -> None:
+        """Read once, then answer with one send every complete line read and,
+        at end of file, an unterminated last line."""
+        data = self.request.recv(1 << 16)
+        lines = (self.pending + data).split(b"\n")
+        self.pending = lines.pop() if data or not lines[-1] else b""
+        self.last = not data
+        if len(self.pending) > MAX_REQUEST_BYTES:
+            lines.append(self.pending)
+        replies = []
+        for line in lines:
+            if len(line) >= MAX_REQUEST_BYTES:  # too long: answer, then hang up
+                replies.append("ERROR request too long")
+                self.last = True
+                break
             try:
-                request = pending[:end].decode("utf-8")
+                replies.append(self.service.handle_request([line.decode("utf-8")]))
             except UnicodeDecodeError:
-                response = "ERROR malformed request"
-            else:
-                response = service.handle_request([request])
-            del pending[: end + 1]
-            scanned = 0
-            sock.sendall(response.encode("utf-8") + b"\n")
+                replies.append("ERROR malformed request")
+        if replies:
+            self.unsent = memoryview(("\n".join(replies) + "\n").encode("utf-8"))
+            self.send()
+
+    def send(self) -> None:
+        try:
+            self.unsent = self.unsent[self.request.send(self.unsent) :]
+        except BlockingIOError:
+            pass  # the rest goes once poll reports room
 
 
-class RegistryServer(socketserver.TCPServer):
-    """POOL_SIZE worker threads each accept a connection on the IPv4
-    listening socket and serve it to the end themselves, not through
-    socketserver's per-request hooks, so at most POOL_SIZE connections are
-    accepted at once; the rest wait in the listen backlog.  A client that
-    resets or leaves mid-exchange just ends its connection; any other
-    exception is reported by handle_error.  serve_forever() only waits for
-    shutdown(); server_close() hangs up on the connections still being
-    served, wakes the workers waiting in accept and joins them.
+class RegistryServer:
+    """serve_forever() serves the IPv4 listening socket and every connection
+    from one `select.poll` loop until shutdown(); server_close() closes them.
+    A client that resets or leaves mid-exchange just ends its connection; any
+    other exception is reported by handle_error, and the loop goes on.
     """
-
-    allow_reuse_address = True
-    # room in the backlog for a burst of clients several times the pool,
-    # past which the kernel drops handshakes and clients retry after a second
-    request_queue_size = 4 * POOL_SIZE
 
     def __init__(self, address: tuple[str, int], service: RegistryService) -> None:
         self.service = service
-        self._lock = threading.Lock()
-        self._serving: set[socket.socket] = set()
-        self._closing = False
-        self._stopped = threading.Event()
-        self._workers: list[threading.Thread] = []  # a failed bind calls server_close()
-        super().__init__(address, _Handler)
-        for i in range(POOL_SIZE):
-            worker = threading.Thread(target=self._work, name=f"registry-worker-{i}", daemon=True)
-            worker.start()
-            self._workers.append(worker)
+        self._handlers: dict[int, _Handler] = {}  # by descriptor
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            try:
+                self.socket.bind(address)
+            except TypeError as exc:  # a host name the IDNA codec cannot encode
+                raise OSError(exc) from exc
+            self.socket.listen()
+            self.socket.setblocking(False)
+            self._wake, self._woken = socket.socketpair()  # shutdown() writes to the loop
+        except BaseException:
+            self.socket.close()
+            raise
+        self.server_address = self.socket.getsockname()
+        self._done: socket.socket | None = None  # closed as serve_forever() returns
+
+    def __enter__(self) -> RegistryServer:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.server_close()
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        # the workers serve; poll_interval is kept for socketserver's signature
-        self._stopped.wait()
+        """Serve until shutdown(); poll_interval is kept for socketserver's
+        signature.  Once a second the loop hangs up on the idle connections."""
+        handlers, listener, stop = self._handlers, self.socket.fileno(), self._woken.fileno()
+        poller = select.poll()
+        poller.register(stop, select.POLLIN)
+        accepting, starved, sweep_at = False, False, 0.0
+        try:
+            while True:
+                now = time.monotonic()
+                if now >= sweep_at:  # also lets accept try again after it found no descriptor
+                    for handler in [h for h in handlers.values() if h.deadline <= now]:
+                        self._drop(poller, handler)
+                    starved, sweep_at = False, now + 1.0
+                if accepting != (not starved and len(handlers) < MAX_CONNECTIONS):
+                    accepting = not accepting
+                    poller.register(listener, select.POLLIN if accepting else 0)
+                for fd, _ in poller.poll(1000):
+                    if fd == stop:
+                        self._woken.recv(1)
+                        return
+                    handler = handlers.get(fd)
+                    if handler is None:
+                        try:
+                            request, client_address = self.socket.accept()
+                        except OSError as exc:  # the connection failed, or no descriptor was free
+                            starved = exc.errno in (errno.EMFILE, errno.ENFILE)
+                            continue
+                        fd = request.fileno()
+                        handler = handlers[fd] = _Handler(request, client_address, self.service)
+                        poller.register(fd, select.POLLIN)
+                        step = handler.handle
+                    else:
+                        step = handler.send if handler.unsent else handler.receive
+                    try:
+                        step()
+                    except Exception as exc:
+                        if not isinstance(exc, ConnectionError):  # a reset ends quietly
+                            self.handle_error(handler.request, handler.client_address)
+                        handler.last, handler.unsent = True, memoryview(b"")
+                    handler.deadline = time.monotonic() + IDLE_TIMEOUT_S
+                    if handler.last and not handler.unsent:
+                        self._drop(poller, handler)
+                    elif handler.unsent or step == handler.send:
+                        poller.register(fd, select.POLLOUT if handler.unsent else select.POLLIN)
+        finally:
+            if self._done is not None:
+                self._done.close()
+
+    def _drop(self, poller: select.poll, handler: _Handler) -> None:
+        poller.unregister(handler.request)
+        del self._handlers[handler.request.fileno()]
+        handler.request.close()
 
     def shutdown(self) -> None:
-        self._stopped.set()
+        """Stop serve_forever() and return once it has returned."""
+        waiter, self._done = socket.socketpair()
+        with waiter:
+            self._wake.send(b"\0")
+            waiter.recv(1)  # end of file once serve_forever() has closed the other end
 
-    def _work(self) -> None:
-        while True:
-            try:
-                request, client_address = self.socket.accept()
-            except OSError:
-                if self._closing:
-                    return
-                continue  # the connection failed before it was accepted
-            with self._lock:
-                self._serving.add(request)
-                if self._closing:
-                    _hang_up(request)
-            try:
-                _Handler(request, client_address, self)
-            except ConnectionError:
-                pass  # the client reset or left mid-exchange: its connection is over
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                with self._lock:
-                    self._serving.discard(request)
-                request.close()
+    def handle_error(self, request: socket.socket, client_address: tuple[str, int]) -> None:
+        print(f"Exception while serving {client_address}:", file=sys.stderr)
+        traceback.print_exc()
 
     def server_close(self) -> None:
-        with self._lock:
-            self._closing = True
-            for request in self._serving:
-                _hang_up(request)
-        _hang_up(self.socket)  # on Linux, accept fails from now on, also where it waits
-        for worker in self._workers:
-            worker.join()
-        super().server_close()
-
-
-def _hang_up(sock: socket.socket) -> None:
-    """Wake a worker blocked on sock: a read returns end of file, an accept fails."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # the client has already gone
+        for handler in self._handlers.values():
+            handler.request.close()
+        for sock in (self.socket, self._wake, self._woken):
+            sock.close()
 
 
 def serve(
@@ -344,8 +382,8 @@ def serve(
     directory: LabDirectory,
     persist_path: str | None = None,
 ) -> RegistryServer:
-    """A registry server whose workers serve from now until server_close();
-    an OSError that stops it starting names the address."""
+    """A registry server listening from now, served by serve_forever(); an
+    OSError that stops it starting names the address."""
     _check_port(port)
     try:
         repo = load_repository(persist_path) if persist_path else NotifiedPidRepository()

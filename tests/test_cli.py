@@ -566,23 +566,37 @@ class TestRegistryCommands:
         directory = str(tmp_path / "labs.txt")
         run("cert", "keygen", "--lab-id", "lab-A", "--key-out", str(tmp_path / "lab.key"),
             "--directory", directory)
-        closed = []
+        closed, clients, accepted = [], [], []
         close = registry.RegistryServer.server_close
+        serve_forever = registry.RegistryServer.serve_forever
+        handle = registry._Handler.handle
 
-        def interrupted(self, poll_interval=0.5):
+        def with_a_client(self, poll_interval=0.5):
+            # the client waits in the listen backlog until the loop takes it up
+            clients.append(socket.create_connection(self.server_address, timeout=10))
+            serve_forever(self, poll_interval)
+
+        def interrupted(handler):
+            handle(handler)
+            accepted.append(handler.request)
             raise KeyboardInterrupt
 
         def recorded_close(self):
             closed.append(self)
             close(self)
 
-        monkeypatch.setattr(registry.RegistryServer, "serve_forever", interrupted)
+        monkeypatch.setattr(registry.RegistryServer, "serve_forever", with_a_client)
+        monkeypatch.setattr(registry._Handler, "handle", interrupted)
         monkeypatch.setattr(registry.RegistryServer, "server_close", recorded_close)
+        before = set(threading.enumerate())
         code, out = run("registry", "serve", "--port", "0", "--directory", directory)
-        [server] = closed
-        assert (code, out) == (0, f"listening|127.0.0.1|{server.server_address[1]}\n")
-        assert server.socket.fileno() == -1
-        assert not any(worker.is_alive() for worker in server._workers)
+        [server], [client], [connection] = closed, clients, accepted
+        with client:
+            assert (code, out) == (0, f"listening|127.0.0.1|{server.server_address[1]}\n")
+            assert server.socket.fileno() == -1
+            assert connection.fileno() == -1
+            assert client.recv(16) == b""
+        assert set(threading.enumerate()) == before
 
     def test_unreachable_server_exits_2(self, run):
         code, _ = run("registry", "query", "--port", "1", "--pid", "x")
@@ -978,6 +992,14 @@ def test_serve_on_a_busy_port_exits_2(tmp_path, capsys):
         assert main(["registry", "serve", "--port", str(port), "--directory", directory]) == 2
     in_use = f"[Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
     assert capsys.readouterr() == ("", f"error: registry at 127.0.0.1:{port}: {in_use}\n")
+
+
+def test_serve_on_a_host_name_it_cannot_encode_exits_2(tmp_path, capsys):
+    # the IDNA codec refuses a label over 63 characters
+    directory, host = write(tmp_path / "labs.txt", ""), "\u00fc" * 64
+    assert main(["registry", "serve", "--host", host, "--port", "0", "--directory", directory]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: registry at {host}:0: ")
 
 
 # Each process imports the CLI, says it is ready, then waits for the gate file

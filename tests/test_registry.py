@@ -617,8 +617,8 @@ class TestServer:
                 assert time.monotonic() - start >= 0.9
 
     def test_client_reset_is_not_a_server_error(self, directory, tmp_path, monkeypatch, capfd):
-        # one worker, so the last query is served only once both resets are
-        monkeypatch.setattr(registry, "POOL_SIZE", 1)
+        # one connection at a time, so the last query is served only once both resets are
+        monkeypatch.setattr(registry, "MAX_CONNECTIONS", 1)
         with running(directory, str(tmp_path / "state.txt")) as address:
             for lines in (1, 20_000):  # a reset after one line, then among unread lines
                 with socket.create_connection(address, timeout=10) as sock:
@@ -631,7 +631,6 @@ class TestServer:
     def test_other_failure_is_reported_and_the_worker_goes_on(
         self, directory, tmp_path, monkeypatch, capfd
     ):
-        monkeypatch.setattr(registry, "POOL_SIZE", 1)
         handle_request = RegistryService.handle_request
 
         def failing(service, lines):
@@ -751,9 +750,9 @@ class TestClientFailures:
 
 class TestWorkerPool:
     def test_busy_pool_leaves_new_connections_waiting(self, directory, tmp_path, monkeypatch):
-        monkeypatch.setattr(registry, "POOL_SIZE", 2)
+        monkeypatch.setattr(registry, "MAX_CONNECTIONS", 2)
         monkeypatch.setattr(registry, "IDLE_TIMEOUT_S", 1.0)
-        accepted = []  # the connections a worker has taken up
+        accepted = []  # the connections the server has taken up
         handle = registry._Handler.handle
 
         def counted_handle(handler):
@@ -767,15 +766,66 @@ class TestWorkerPool:
                     socket.create_connection(address, timeout=0.5) as third:
                 third.sendall(b"QUERY P1\n")
                 with pytest.raises(TimeoutError):
-                    third.recv(16)  # both workers are held
+                    third.recv(16)  # both connections the server holds are silent
                 assert len(accepted) == 2  # the third waits in the backlog
                 assert silent1.recv(16) == b""  # hung up on when idle too long
                 third.settimeout(10)
                 assert third.makefile("rb").readline() == b"NO\n"
                 assert silent2.recv(16) == b""
 
+    def test_silent_clients_do_not_hold_the_server(self, directory, tmp_path):
+        with running(directory, str(tmp_path / "state.txt")) as address, ExitStack() as silent:
+            for _ in range(64):
+                silent.enter_context(socket.create_connection(address, timeout=10))
+            start = time.monotonic()
+            assert client_query(*address, Pid("P1")) == "NO"
+            assert time.monotonic() - start < 0.5
+
+    def test_client_that_does_not_read_holds_neither_the_server_nor_its_reads(
+        self, lab, directory, tmp_path, monkeypatch
+    ):
+        read_with_unsent, left_unsent = [], []  # per read: replies unsent before, after
+        handle, receive = registry._Handler.handle, registry._Handler.receive
+
+        def small_send_buffer(handler):
+            handle(handler)
+            # so that the replies a client does not take soon stay in the server
+            handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        def spied_receive(handler):
+            read_with_unsent.append(bool(handler.unsent))
+            receive(handler)
+            left_unsent.append(bool(handler.unsent))
+
+        monkeypatch.setattr(registry._Handler, "handle", small_send_buffer)
+        monkeypatch.setattr(registry._Handler, "receive", spied_receive)
+        lines = 200_000
+        requests = b"".join(b"QUERY P2\n" if i % 3 else b"QUERY P1\n" for i in range(lines))
+        expected = b"".join(b"NO\n" if i % 3 else b"YES\n" for i in range(lines))
+        with running(directory, str(tmp_path / "state.txt")) as address:
+            assert client_ingest(*address, cert_for(lab, [Pid("P1")])) == "OK"
+            with socket.socket() as reader:
+                reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                reader.settimeout(10)
+                reader.connect(address)
+                sender = threading.Thread(target=reader.sendall, args=(requests,), daemon=True)
+                sender.start()
+                time.sleep(0.5)
+                start = time.monotonic()
+                assert client_query(*address, Pid("P1")) == "YES"
+                assert time.monotonic() - start < 0.5
+                received = bytearray()
+                while len(received) < len(expected):
+                    chunk = reader.recv(1 << 16)
+                    assert chunk
+                    received += chunk
+                sender.join(timeout=10)
+                assert not sender.is_alive()
+        assert received == expected
+        assert any(left_unsent) and not any(read_with_unsent)
+
     def test_many_clients_ingest_and_query_at_once(self, lab, directory, tmp_path):
-        clients, rounds = 3 * registry.POOL_SIZE, 4
+        clients, rounds = 48, 4
         certs = {
             (c, r): cert_for(lab, [Pid(f"c{c}r{r}a"), Pid(f"c{c}r{r}b")])
             for c in range(clients) for r in range(rounds)
@@ -829,7 +879,7 @@ class TestWorkerPool:
     def test_close_with_every_worker_busy(self, directory, tmp_path, monkeypatch):
         # with the default idle timeout, shutdown() and server_close() must
         # not wait for an idle client or a connection left in the backlog
-        monkeypatch.setattr(registry, "POOL_SIZE", 1)
+        monkeypatch.setattr(registry, "MAX_CONNECTIONS", 1)
         before = set(threading.enumerate())
         server = serve("127.0.0.1", 0, directory, str(tmp_path / "state.txt"))
         loop = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
@@ -837,7 +887,7 @@ class TestWorkerPool:
         with socket.create_connection(server.server_address, timeout=10) as idle, \
                 socket.create_connection(server.server_address, timeout=10) as waiting:
             idle.sendall(b"QUERY P1\n")
-            assert idle.recv(16) == b"NO\n"  # the one worker now holds it
+            assert idle.recv(16) == b"NO\n"  # the one connection the server holds
             waiting.sendall(b"QUERY P1\n")
             start = time.monotonic()
             server.shutdown()
@@ -859,9 +909,7 @@ class TestWorkerPool:
             holder.listen()
             with pytest.raises(OSError):
                 serve("127.0.0.1", holder.getsockname()[1], directory)
-        assert not any(
-            t.name.startswith("registry-worker") for t in set(threading.enumerate()) - before
-        )
+        assert set(threading.enumerate()) == before  # the server starts no thread
 
     def test_out_of_range_port_refused(self, directory, tmp_path):
         # the resolver would wrap port + 65536 onto the listening port
