@@ -192,7 +192,9 @@ def cmd_bizlog(args) -> int:
             bizlog.save_chain(log, args.chain, args.head)
             print(f"appended|{log.chain[-1].seq}")
             return EXIT_OK
-        repo, _ = wire.load_lines(args.repo, registry.parse_repository)
+        repo, torn = wire.load_lines(args.repo, registry.parse_repository)
+        if torn:
+            print("torn|1", file=sys.stderr)
         verdict = bizlog.evidence_query(
             log,
             Pid(args.pid),

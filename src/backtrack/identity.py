@@ -99,7 +99,7 @@ def generate_trusted_pid(personal_data: str, phrase: str) -> TrustedPidCommitmen
     return TrustedPidCommitment(personal_data=personal_data, phrase=phrase, pid=pid)
 
 
-def prove_pid_ownership(personal_data: str, phrase: str, claimed: Pid) -> bool:
+def prove_pid_ownership(personal_data: str, phrase: str, claimed: str) -> bool:
     """True iff the claimed PID was derived from exactly this data/phrase pair."""
     if not personal_data or not phrase:
         return False

@@ -16,7 +16,6 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from datetime import date
 from typing import Iterable
 
 from . import wire
@@ -39,14 +38,13 @@ class ClaimVerdict(enum.Enum):
 
 @dataclass
 class NotifiedPidRepository:
-    """pid -> (lab_id, test_date); re-insertion keeps the earliest test date.
+    """The notified PIDs, as a set of their texts; built from any iterable of
+    PID texts (a dict gives its keys)."""
 
-    `shared` maps each `<lab>|<test date>` text recorded so far to its one
-    (lab_id, test_date) value, which every PID of that lab and day points at:
-    a state file repeats few such pairs (labs times days) over many PIDs."""
+    entries: set[str] = field(default_factory=set)
 
-    entries: dict[str, tuple[str, date]] = field(default_factory=dict)
-    shared: dict[str, tuple[str, date]] = field(default_factory=dict, repr=False, compare=False)
+    def __post_init__(self) -> None:
+        self.entries = set(self.entries)
 
 
 def ingest_certificate(
@@ -61,21 +59,13 @@ def ingest_certificate(
     repo is left unchanged, so it never holds a PID the file lacks."""
     if verify_certificate(cert, directory) is not VerificationStatus.VERIFIED:
         raise ValueError("certificate did not verify against the directory")
-    lab_day = f"{cert.lab_id}|{cert.test_date.isoformat()}"
     if persist_path:
+        lab_day = f"{cert.lab_id}|{cert.test_date.isoformat()}"
         wire.append_lines(persist_path, "".join(f"notified|{pid}|{lab_day}\n" for pid in cert.pids))
-    value = repo.shared.setdefault(lab_day, (cert.lab_id, cert.test_date))
-    for pid in cert.pids:
-        _record(repo, str(pid), value)
+    # plain `str` members, as a loaded state file's are: a 32-character
+    # `Pid` takes 129 bytes, its `str` 81
+    repo.entries.update(map(str, cert.pids))
     return repo
-
-
-def _record(repo: NotifiedPidRepository, pid: str, value: tuple[str, date]) -> None:
-    """Point pid at value, a (lab_id, test_date) from repo.shared; the
-    earliest test date wins."""
-    existing = repo.entries.get(pid)
-    if existing is None or value[1] < existing[1]:
-        repo.entries[pid] = value
 
 
 def is_notified_pid(repo: NotifiedPidRepository, pid: str) -> bool:
@@ -84,10 +74,10 @@ def is_notified_pid(repo: NotifiedPidRepository, pid: str) -> bool:
 
 def check_test_priority_claim(
     repo: NotifiedPidRepository,
-    claimed_contact_pid: Pid,
+    claimed_contact_pid: str,
     claimant_personal_data: str,
     claimant_phrase: str,
-    claimant_pid: Pid,
+    claimant_pid: str,
 ) -> ClaimVerdict:
     """Two checks: is the claimed contact a notified PID, and does the
     claimant own the trusted PID they present."""
@@ -105,28 +95,21 @@ def parse_repository(lines: Iterable[str]) -> NotifiedPidRepository:
     Every line must be `notified|<pid>|<lab>|<test date>`, with valid ids
     and a date that `wire.parse_day` reads; any other, a blank one
     included, raises ValueError.  Each distinct `<lab>|<test date>` text
-    is parsed once, into the value `repo.shared` keeps for it."""
-    repo = NotifiedPidRepository()
+    is checked once."""
+    repo, lab_days = NotifiedPidRepository(), set()
     for line in lines:
-        # a `<lab>|<test date>` already in shared was checked whole when first
-        # seen, so one hit there checks the rest of this line
         parts = line.split("|", 2)
         if len(parts) != 3 or parts[0] != "notified":
             raise ValueError(f"malformed repository line: {line!r}")
         check_token(parts[1], "PID")
-        value = repo.shared.get(parts[2])
-        if value is None:
-            value = repo.shared[parts[2]] = _parse_shared(parts[2])
-        _record(repo, parts[1], value)
+        if parts[2] not in lab_days:
+            # with no `|` or a second one, the day is one parse_day refuses
+            lab_id, _, day = parts[2].partition("|")
+            check_token(lab_id, "lab id")
+            wire.parse_day(day)
+            lab_days.add(parts[2])
+        repo.entries.add(parts[1])
     return repo
-
-
-def _parse_shared(text: str) -> tuple[str, date]:
-    """The (lab_id, test_date) that `<lab>|<test date>` text spells; with no
-    `|` or a second one, the day is one that `wire.parse_day` refuses."""
-    lab_id, _, day = text.partition("|")
-    check_token(lab_id, "lab id")
-    return lab_id, wire.parse_day(day)
 
 
 def load_repository(path: str) -> NotifiedPidRepository:
@@ -177,19 +160,9 @@ class RegistryService:
         if head[0] == "QUERY" and len(head) == 2:
             return "YES" if is_notified_pid(self.repo, head[1]) else "NO"
         if head[0] == "CLAIM" and len(head) == 5:
-            try:
-                contact_pid = Pid(head[1])
-                claimant_pid = Pid(head[2])
-            except ValueError:
-                return ClaimVerdict.CONTACT_PID_UNKNOWN.value
-            verdict = check_test_priority_claim(
-                self.repo,
-                contact_pid,
-                wire.unquote(head[3]),
-                wire.unquote(head[4]),
-                claimant_pid,
-            )
-            return verdict.value
+            return check_test_priority_claim(
+                self.repo, head[1], wire.unquote(head[3]), wire.unquote(head[4]), head[2]
+            ).value
         if head[0] == "INGEST" and len(head) == 2:
             digest = hashlib.sha256(head[1].encode("utf-8")).digest()
             if digest in self._recorded:  # added only after ingest_certificate returned

@@ -13,7 +13,14 @@ import pytest
 
 from backtrack.certificates import issue_certificate
 from backtrack.identity import Pid
-from backtrack.registry import RegistryService, client_ingest, serve
+from backtrack.registry import (
+    NotifiedPidRepository,
+    RegistryService,
+    client_ingest,
+    is_notified_pid,
+    load_repository,
+    serve,
+)
 from backtrack.sim import World, parse_scenario
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -85,6 +92,25 @@ def test_ingest_reaches_handle_request_as_one_ingest_line(lab, directory, monkey
         server.server_close()
     assert len(seen) == 1
     assert isinstance(seen[0], list) and seen[0][0].startswith("INGEST ")
+
+
+def test_repository_as_the_workloads_use_it(lab, directory, tmp_path):
+    # device-log builds a repository from a dict keyed by PID text;
+    # registry-mix reads the served registry's state file back afterwards
+    # and tests each ingested PID text with `in` on its entries
+    repo = NotifiedPidRepository({"P0": ("lab-A", date(2020, 3, 1))})
+    assert is_notified_pid(repo, Pid("P0")) and not is_notified_pid(repo, Pid("P1"))
+    state = str(tmp_path / "state.txt")
+    server = serve("127.0.0.1", 0, directory, state)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        cert = issue_certificate(lab, [Pid("P1"), Pid("P2")], date(2020, 4, 1), date(2020, 3, 25))
+        assert client_ingest(*server.server_address, cert) == "OK"
+    finally:
+        server.shutdown()
+        server.server_close()
+    persisted = load_repository(state)
+    assert all(p in persisted.entries for p in ("P1", "P2")) and "P0" not in persisted.entries
 
 
 @pytest.mark.parametrize("traced", [False, True])

@@ -776,6 +776,19 @@ class TestBizlogCommands:
                         "--from", "0", "--to", "500", "--repo", repo)
         assert (code, out.strip()) == (1, "NOT-CERTIFIED-SICK")
 
+    def test_evidence_says_it_left_out_a_torn_state_line(self, run, tmp_path, capsys):
+        chain, head, _ = self.append(run, tmp_path, "v1", 100.0)
+        # the visitor's PID is only on an INGEST's unterminated, so never
+        # acknowledged, last line
+        repo = write(tmp_path / "repo.txt", "notified|v0|lab-A|2020-04-01\nnotified|v1|lab-A|2020-04-01")
+        argv = ["bizlog", "evidence", "--chain", chain, "--head", head, "--pid", "v1",
+                "--from", "0", "--to", "500", "--repo", repo]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("NOT-CERTIFIED-SICK\n", "torn|1\n")
+        Path(repo).write_text("notified|v1|lab-A|2020-04-01\n")
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("VISIT-AND-CERTIFIED\n", "")
+
     def test_evidence_on_a_tampered_chain_exits_1_and_answers_nothing(
         self, run, tmp_path, capsys
     ):

@@ -97,22 +97,13 @@ class TestIngest:
         tampered = replace(cert, pids=(Pid("P9"),))
         with pytest.raises(ValueError, match="did not verify against the directory"):
             ingest_certificate(repo, tampered, directory)
-        assert repo.entries == {}
-
-    def test_earliest_test_date_wins_both_orders(self, lab, directory):
-        early = cert_for(lab, [Pid("P1")], test_date=date(2020, 3, 30))
-        late = cert_for(lab, [Pid("P1")], test_date=date(2020, 4, 5))
-        for order in ((early, late), (late, early)):
-            repo = NotifiedPidRepository()
-            for c in order:
-                ingest_certificate(repo, c, directory)
-            assert repo.entries["P1"][1] == date(2020, 3, 30)
+        assert repo.entries == set()
 
     def test_idempotent_per_certificate(self, lab, directory):
         cert = cert_for(lab, [Pid("P1"), Pid("P2")])
         repo = NotifiedPidRepository()
         ingest_certificate(repo, cert, directory)
-        snapshot = dict(repo.entries)
+        snapshot = set(repo.entries)
         ingest_certificate(repo, cert, directory)
         assert repo.entries == snapshot
 
@@ -128,9 +119,7 @@ class TestMembership:
 
     def test_fresh_pid_found_among_parsed_str_keys(self, lab, directory, tmp_path):
         repo = load_state(tmp_path, "notified|P1|lab-A|2020-04-05\n")
-        # an ingested PID is recorded as a `str` key too: one `Pid` key would
-        # take the whole dict out of the compact layout CPython keeps for a
-        # dict of exact `str` keys
+        # an ingested PID is recorded as its plain `str` text, as a loaded one is
         ingest_certificate(repo, cert_for(lab, [Pid("P3")]), directory)
         assert set(repo.entries) == {"P1", "P3"}
         assert all(type(k) is str for k in repo.entries)
@@ -174,17 +163,17 @@ class TestPersistence:
             assert svc.handle_request([f"INGEST {cert}"]) == "OK"
         assert load_repository(path).entries == svc.repo.entries
 
-    def test_replay_keeps_earliest(self, tmp_path):
+    def test_pid_on_two_lines_loads_once(self, tmp_path):
         text = (
             "notified|P1|lab-A|2020-04-05\n"
             "notified|P1|lab-B|2020-03-30\n"
         )
         repo = load_state(tmp_path, text)
-        assert repo.entries["P1"][1] == date(2020, 3, 30)
+        assert repo.entries == {"P1"}
 
     def test_torn_final_line_skipped(self, tmp_path):
         repo = load_state(tmp_path, "notified|a|lab|2020-03-01\nnotified|b|la")
-        assert repo.entries == {"a": ("lab", date(2020, 3, 1))}
+        assert repo.entries == {"a"}
 
     def test_unterminated_whole_final_line_skipped(self, tmp_path):
         # OK is sent only after the append returns, so a line without its
@@ -259,7 +248,7 @@ class TestPersistence:
 
     def test_missing_file_is_empty_repo(self, tmp_path):
         repo = load_repository(str(tmp_path / "absent.txt"))
-        assert repo.entries == {}
+        assert repo.entries == set()
 
 
 LABS = [LabIdentity.from_seed(name, bytes([i]) * 32) for i, name in enumerate(("lab-A", "lab-B"))]
@@ -279,23 +268,17 @@ CERTIFICATES = st.lists(
 )
 
 
-class TestSharedValues:
-    """Every PID of one (lab, test date) points at one shared value, after a
-    load, after ingests, and after ingests into a loaded repository."""
+class TestLoadThenIngest:
+    """A repository holds the PIDs of every certificate, after a load, after
+    ingests, and after ingests into a loaded repository."""
 
     @staticmethod
     def check(repo, certs):
-        expected = {}
-        for i, day, pids in certs:
-            for pid in pids:
-                if pid not in expected or day < expected[pid][1]:
-                    expected[pid] = (LABS[i].lab_id, day)
-        assert repo.entries == expected
-        assert len({id(v) for v in repo.entries.values()}) == len(set(repo.entries.values()))
+        assert repo.entries == {pid for _, _, pids in certs for pid in pids}
 
     @settings(max_examples=60, deadline=None)
     @given(loaded=CERTIFICATES, ingested=CERTIFICATES)
-    def test_one_value_per_lab_and_date(self, loaded, ingested):
+    def test_pids_of_every_certificate(self, loaded, ingested):
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "state.txt")
             with open(path, "w") as f:
@@ -340,6 +323,18 @@ class TestWireProtocol:
         assert svc.handle_request([f"CLAIM sickpid {c.pid} {name} {phrase}"]) == "CONFIRMED"
         assert svc.handle_request([f"CLAIM healthy {c.pid} {name} {phrase}"]) == "UNKNOWN"
         assert svc.handle_request([f"CLAIM sickpid {c.pid} {name} wrong"]) == "OWNERSHIP-FAILED"
+
+    def test_claimant_pid_that_fails_the_id_rule_owns_nothing(self, lab, directory):
+        # the contact is notified, so the answer is about the claimant's PID
+        svc = self.service(lab, directory)
+        svc.handle_request([ingest_line(lab, [Pid("sickpid")])])
+        name, phrase = wire.quote("Ada Lovelace"), wire.quote("tea at noon")
+        for claimant in ("bad|pid", "p" * 65):
+            request = f"CLAIM sickpid {claimant} {name} {phrase}"
+            assert svc.handle_request([request]) == "OWNERSHIP-FAILED", claimant
+        # a contact PID that fails the rule was never ingested
+        claimant = generate_trusted_pid("Ada Lovelace", "tea at noon").pid
+        assert svc.handle_request([f"CLAIM bad|pid {claimant} {name} {phrase}"]) == "UNKNOWN"
 
     def test_malformed_request(self, lab, directory):
         svc = self.service(lab, directory)
@@ -391,15 +386,14 @@ class TestRecordedIngests:
         svc = RegistryService(NotifiedPidRepository(), directory, str(state))
         line = ingest_line(lab, [Pid("P1"), Pid("P2")])
         assert svc.handle_request([line]) == "OK"
-        written, entries = state.read_bytes(), dict(svc.repo.entries)
+        written, entries = state.read_bytes(), set(svc.repo.entries)
         with spied("parse_certificate_line", "verify_certificate") as (parse, verify):
             assert svc.handle_request([line]) == "OK"
             assert (parse.call_count, verify.call_count) == (0, 0)
             assert svc.handle_request([ingest_line(lab, [Pid("P3")])]) == "OK"
             assert (parse.call_count, verify.call_count) == (1, 1)
         assert state.read_bytes() == written + b"notified|P3|lab-A|2020-04-01\n"
-        entries["P3"] = ("lab-A", date(2020, 4, 1))
-        assert svc.repo.entries == entries
+        assert svc.repo.entries == entries | {"P3"}
 
     def test_other_lines_naming_recorded_pids_are_still_rejected(self, lab, directory, tmp_path):
         state = tmp_path / "state.txt"
@@ -407,7 +401,7 @@ class TestRecordedIngests:
         pids = [Pid("P1"), Pid("P2")]
         genuine = ingest_line(lab, pids)
         assert svc.handle_request([genuine]) == "OK"
-        written, entries = state.read_bytes(), dict(svc.repo.entries)
+        written, entries = state.read_bytes(), set(svc.repo.entries)
         with spied("verify_certificate") as (verify,):
             for line in (with_signature_byte_changed(genuine), ingest_line(OUTSIDER, pids)):
                 # a rejected line is not remembered: each send is checked
